@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -29,18 +27,6 @@ Rng Rng::OsSeeded() {
   std::random_device rd;
   uint64_t seed = (static_cast<uint64_t>(rd()) << 32) ^ rd();
   return Rng(seed);
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBelow(uint64_t bound) {
@@ -62,10 +48,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
 int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
   uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBelow(span));
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextGaussian() {

@@ -28,8 +28,19 @@ class Rng {
   /// Returns an Rng seeded from std::random_device (non-deterministic).
   static Rng OsSeeded();
 
-  /// Next raw 64-bit output.
-  uint64_t NextUint64();
+  /// Next raw 64-bit output. Inline: the sanitation Monte-Carlo draws
+  /// millions of these per query.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) using Lemire rejection; bound > 0.
   uint64_t NextBelow(uint64_t bound);
@@ -38,7 +49,9 @@ class Rng {
   int64_t NextInRange(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Standard normal variate (Box-Muller).
   double NextGaussian();
@@ -64,6 +77,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   // Box-Muller produces variates in pairs; caches the spare.
   bool has_cached_gaussian_ = false;

@@ -11,11 +11,14 @@
 // measuring how small the region gets) and the *defender* (LSP's answer
 // sanitation, which Monte-Carlo-tests the region size). Per-POI aggregate
 // contributions of the colluders are precomputed, so each membership test
-// costs only |answer| distance evaluations regardless of n.
+// costs only |answer| distance evaluations regardless of n; they depend
+// only on the POI, so one attack over a whole answer serves every prefix.
 
 #ifndef PPGNN_CORE_ATTACK_H_
 #define PPGNN_CORE_ATTACK_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -40,13 +43,20 @@ class InequalityAttack {
 
   /// True iff placing the target at `candidate` keeps all of Eqn 14's
   /// inequalities satisfied, i.e. `candidate` is in the solution region.
+  /// The single-point reference for CountSatisfied.
   bool Satisfies(const Point& candidate) const;
+
+  /// Draws `samples` points exactly as that many SamplePoint calls would
+  /// and counts those in the solution region of the first `prefix_len`
+  /// answer POIs (all of them when larger). Per sample the verdict equals
+  /// Satisfies on that prefix's attack; the work is done a block of
+  /// samples at a time, one POI at a time across the block.
+  uint64_t CountSatisfied(Rng& rng, uint64_t samples, size_t prefix_len) const;
 
   /// Monte-Carlo estimate of the solution region's fraction of the space.
   double EstimateRegionFraction(Rng& rng, uint64_t samples) const;
 
-  /// Uniform sample from the space (exposed so the sanitizer can share
-  /// sampling with its sequential test).
+  /// Uniform sample from the space: x first, then y.
   Point SamplePoint(Rng& rng) const;
 
   size_t NumInequalities() const {

@@ -9,7 +9,9 @@
 // The length-1 prefix is always safe (no inequalities). LSP tests prefix
 // lengths 2, 3, ... and stops at the first unsafe one. The Z-test is
 // evaluated with an early-exit sequential wrapper whose accept/reject
-// decision is identical to drawing all N_H samples.
+// decision is identical to drawing all N_H samples. Samples are drawn and
+// judged in blocks no longer than the test's lookahead, so verdicts,
+// sample counts and the Rng position equal a sample-at-a-time loop's.
 
 #ifndef PPGNN_CORE_SANITIZE_H_
 #define PPGNN_CORE_SANITIZE_H_

@@ -193,6 +193,9 @@ Result<QueryMessage> QueryMessage::Decode(const std::vector<uint8_t>& bytes) {
     return Status::InvalidArgument("wire: k out of range");
   msg.k = static_cast<int>(k64);
   PPGNN_ASSIGN_OR_RETURN(msg.theta0, r.GetDouble());
+  // ProtocolParams::Validate's range, negated so a NaN fails it too.
+  if (!(msg.theta0 > 0.0 && msg.theta0 <= 1.0))
+    return Status::InvalidArgument("wire: theta0 out of range");
   PPGNN_ASSIGN_OR_RETURN(uint8_t agg, r.GetU8());
   if (agg > static_cast<uint8_t>(AggregateKind::kMin))
     return Status::InvalidArgument("wire: bad aggregate kind");

@@ -14,6 +14,7 @@
 #include "core/wire.h"
 #include "crypto/poi_codec.h"
 #include "geo/aggregate.h"
+#include "net/cost.h"
 
 namespace ppgnn {
 namespace {
@@ -339,10 +340,12 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
     }
     std::vector<RankedPoi> answer = std::move(merged[i]);
     if (sanitizer_ptr != nullptr) {
+      double t0 = ThreadCpuSeconds();
       Rng candidate_rng(LspSanitizeSeed(candidates[i], query.k));
       answer = sanitizer_ptr->Sanitize(answer, candidates[i], query.aggregate,
                                        candidate_rng, &sanitize_stats,
                                        nullptr);
+      info->sanitize_seconds += ThreadCpuSeconds() - t0;
     }
     std::vector<Point> points;
     points.reserve(answer.size());

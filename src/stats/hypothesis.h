@@ -33,7 +33,13 @@ struct TestConfig {
   double phi = 0.1;     // ratio gap: theta1 = theta0 * (1 + phi)
 };
 
-/// Sample size from Eqn 17. theta0 in (0, 1), theta0 * (1 + phi) < 1.
+/// Ceiling on N_H. The paper's smallest theta0 (0.01) needs 63,225
+/// samples; theta0 is client-chosen, and a tiny one (1e-9 needs ~6.4e11)
+/// would pin an LSP worker inside a single Z-test for hours.
+inline constexpr uint64_t kMaxSampleSize = 10'000'000;
+
+/// Sample size from Eqn 17. theta0 in (0, 1), theta0 * (1 + phi) < 1, and
+/// the result at most kMaxSampleSize.
 Result<uint64_t> RequiredSampleSize(double theta0, const TestConfig& config);
 
 /// The rejection threshold of Eqn 16: reject H0 iff X > threshold.
@@ -44,9 +50,10 @@ bool RejectsH0(uint64_t successes, uint64_t n_samples, double theta0,
                double gamma);
 
 /// Incremental tester with early exit: feed Bernoulli outcomes one at a
-/// time; Verdict() becomes definite as soon as the final decision cannot
-/// change (threshold already crossed, or unreachable with the remaining
-/// samples). The decision is identical to running all N_H samples.
+/// time or in batches; Verdict() becomes definite as soon as the final
+/// decision cannot change (threshold already crossed, or unreachable with
+/// the remaining samples). The decision is identical to running all N_H
+/// samples.
 class SequentialProportionTest {
  public:
   SequentialProportionTest(uint64_t n_samples, double theta0, double gamma);
@@ -54,9 +61,22 @@ class SequentialProportionTest {
   enum class Verdict { kUndecided, kReject, kNotReject };
 
   /// Records one sample outcome; returns the (possibly now decided)
-  /// verdict. Feeding more than n_samples outcomes is an error in the
-  /// caller; extra calls are ignored once decided.
+  /// verdict. Extra calls are ignored once decided.
   Verdict AddSample(bool success);
+
+  /// The longest batch no outcome sequence can decide before its last
+  /// sample: the fewest of the successes still needed to reject, the
+  /// failures still needed to make rejection unreachable, and the samples
+  /// left. 0 once decided.
+  uint64_t Lookahead() const;
+
+  /// Records `count` outcomes, `successes` of them successes. When
+  /// `count <= Lookahead()` the verdict can only change at the batch's
+  /// last sample, so this equals feeding the same outcomes to AddSample
+  /// one at a time (and stopping when decided). A longer batch could
+  /// straddle the decision, so it is ignored, as is one with more
+  /// successes than samples and anything fed once decided.
+  Verdict AddBatch(uint64_t count, uint64_t successes);
 
   Verdict CurrentVerdict() const;
 
@@ -66,7 +86,7 @@ class SequentialProportionTest {
 
  private:
   uint64_t n_samples_;
-  double threshold_;
+  uint64_t reject_at_;  // fewest successes X with X > Eqn 16's threshold
   uint64_t used_ = 0;
   uint64_t successes_ = 0;
 };

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "core/attack.h"
 #include "geo/aggregate.h"
+#include "geo/distance_oracle.h"
+#include "stats/hypothesis.h"
 
 namespace ppgnn {
 namespace {
@@ -28,6 +32,67 @@ std::vector<Point> RandomPoints(int count, Rng& rng) {
   std::vector<Point> out(count);
   for (Point& p : out) p = {rng.NextDouble(), rng.NextDouble()};
   return out;
+}
+
+// A non-Euclidean metric (L1), so the oracle path of the kernel is covered.
+class ManhattanOracle : public DistanceOracle {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    return std::abs(a.x - b.x) + std::abs(a.y - b.y);
+  }
+  const char* name() const override { return "manhattan"; }
+};
+
+// The original sanitation algorithm, kept as the reference the block
+// kernel must equal: a fresh InequalityAttack per (prefix, target), fed
+// one Satisfies(SamplePoint(rng)) at a time into AddSample.
+bool ReferencePrefixSafe(const AnswerSanitizer& sanitizer, double gamma,
+                         const std::vector<Point>& colluders,
+                         const std::vector<Point>& prefix_points,
+                         AggregateKind kind, Rng& rng, SanitizeStats* stats,
+                         const DistanceOracle* oracle) {
+  InequalityAttack attack(colluders, prefix_points, kind,
+                          {0.0, 0.0, 1.0, 1.0}, oracle);
+  SequentialProportionTest test(sanitizer.sample_size(), sanitizer.theta0(),
+                                gamma);
+  ++stats->tests_run;
+  while (test.CurrentVerdict() ==
+         SequentialProportionTest::Verdict::kUndecided) {
+    test.AddSample(attack.Satisfies(attack.SamplePoint(rng)));
+    ++stats->samples_drawn;
+  }
+  return test.CurrentVerdict() == SequentialProportionTest::Verdict::kReject;
+}
+
+std::vector<RankedPoi> ReferenceSanitize(const AnswerSanitizer& sanitizer,
+                                         double gamma,
+                                         const std::vector<RankedPoi>& answer,
+                                         const std::vector<Point>& locations,
+                                         AggregateKind kind, Rng& rng,
+                                         SanitizeStats* stats,
+                                         const DistanceOracle* oracle) {
+  const size_t n = locations.size();
+  if (n <= 1 || answer.size() <= 1) return answer;
+  std::vector<Point> prefix_points = {answer[0].poi.location};
+  size_t safe_len = 1;
+  std::vector<Point> colluders(n - 1);
+  for (size_t t = 2; t <= answer.size(); ++t) {
+    prefix_points.push_back(answer[t - 1].poi.location);
+    bool safe_for_all = true;
+    for (size_t target = 0; target < n && safe_for_all; ++target) {
+      size_t w = 0;
+      for (size_t u = 0; u < n; ++u) {
+        if (u != target) colluders[w++] = locations[u];
+      }
+      safe_for_all = ReferencePrefixSafe(sanitizer, gamma, colluders,
+                                         prefix_points, kind, rng, stats,
+                                         oracle);
+    }
+    if (!safe_for_all) break;
+    safe_len = t;
+  }
+  return std::vector<RankedPoi>(answer.begin(),
+                                answer.begin() + static_cast<long>(safe_len));
 }
 
 TEST(SanitizerTest, CreateComputesSampleSize) {
@@ -192,6 +257,98 @@ TEST(SanitizerTest, WorksForAllAggregates) {
     EXPECT_GE(sanitized.size(), 1u);
     EXPECT_LE(sanitized.size(), answer.size());
   }
+}
+
+TEST(SanitizerTest, BlockKernelIsDecisionIdenticalToReference) {
+  // Same prefix, same work counters, and the Rng left at the same position:
+  // a block that overshot the sequential test's decision by even one
+  // sample would draw more, and one that stopped short would decide wrong.
+  TestConfig config;
+  const ManhattanOracle manhattan;
+  Rng setup(41);
+  int trimmed = 0, full = 0;
+  for (double theta0 : {0.05, 0.2}) {
+    auto sanitizer = AnswerSanitizer::Create(theta0, config).value();
+    for (AggregateKind kind :
+         {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+      for (int n : {2, 3, 8}) {
+        for (int len : {2, 8, 16}) {
+          for (const DistanceOracle* oracle :
+               {static_cast<const DistanceOracle*>(nullptr),
+                static_cast<const DistanceOracle*>(&manhattan)}) {
+            std::vector<Point> group = RandomPoints(n, setup);
+            auto answer =
+                MakeRankedAnswer(group, RandomPoints(len, setup), kind);
+            const uint64_t seed = setup.NextUint64();
+            Rng rng(seed), ref_rng(seed);
+            SanitizeStats stats, ref_stats;
+            auto sanitized =
+                sanitizer.Sanitize(answer, group, kind, rng, &stats, oracle);
+            auto reference =
+                ReferenceSanitize(sanitizer, config.gamma, answer, group, kind,
+                                  ref_rng, &ref_stats, oracle);
+            std::string where = std::string(AggregateKindToString(kind)) +
+                                " theta0=" + std::to_string(theta0) +
+                                " n=" + std::to_string(n) +
+                                " len=" + std::to_string(len) +
+                                (oracle != nullptr ? " manhattan" : "");
+            ASSERT_EQ(sanitized.size(), reference.size()) << where;
+            EXPECT_EQ(stats.samples_drawn, ref_stats.samples_drawn) << where;
+            EXPECT_EQ(stats.tests_run, ref_stats.tests_run) << where;
+            EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64()) << where;
+            (sanitized.size() < answer.size() ? trimmed : full) += 1;
+          }
+        }
+      }
+    }
+  }
+  // The matrix exercises both verdicts.
+  EXPECT_GT(trimmed, 0);
+  EXPECT_GT(full, 0);
+}
+
+TEST(SanitizerTest, PrefixSafeForTargetIsDecisionIdenticalToReference) {
+  // Includes the shapes Sanitize never reaches: no colluders, and
+  // prefixes too short to carry an inequality (every sample is a hit).
+  TestConfig config;
+  const ManhattanOracle manhattan;
+  Rng setup(43);
+  int safe = 0, unsafe = 0;
+  for (double theta0 : {0.05, 0.3}) {
+    auto sanitizer = AnswerSanitizer::Create(theta0, config).value();
+    for (AggregateKind kind :
+         {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+      for (int colluder_count : {0, 1, 7}) {
+        for (int prefix_len : {0, 1, 2, 5}) {
+          for (const DistanceOracle* oracle :
+               {static_cast<const DistanceOracle*>(nullptr),
+                static_cast<const DistanceOracle*>(&manhattan)}) {
+            std::vector<Point> colluders = RandomPoints(colluder_count, setup);
+            std::vector<Point> prefix = RandomPoints(prefix_len, setup);
+            const uint64_t seed = setup.NextUint64();
+            Rng rng(seed), ref_rng(seed);
+            SanitizeStats stats, ref_stats;
+            bool got = sanitizer.PrefixSafeForTarget(colluders, prefix, kind,
+                                                     rng, &stats, oracle);
+            bool want = ReferencePrefixSafe(sanitizer, config.gamma, colluders,
+                                            prefix, kind, ref_rng, &ref_stats,
+                                            oracle);
+            std::string where = std::string(AggregateKindToString(kind)) +
+                                " colluders=" + std::to_string(colluder_count) +
+                                " prefix=" + std::to_string(prefix_len) +
+                                (oracle != nullptr ? " manhattan" : "");
+            EXPECT_EQ(got, want) << where;
+            EXPECT_EQ(stats.samples_drawn, ref_stats.samples_drawn) << where;
+            EXPECT_EQ(stats.tests_run, ref_stats.tests_run) << where;
+            EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64()) << where;
+            (got ? safe : unsafe) += 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(safe, 0);
+  EXPECT_GT(unsafe, 0);
 }
 
 }  // namespace

@@ -198,6 +198,26 @@ TEST_F(ShardTest, SingleShardClusterIsBitIdenticalUnderOpt) {
   EXPECT_FALSE(reply.pois.empty());
 }
 
+TEST_F(ShardTest, SanitizingClusterReportsSanitationWork) {
+  // The cluster sanitizes the merged answers itself, so its totals must
+  // carry the same sanitation work as the plain service — time included.
+  LspDatabase db(*pois_);
+  ServiceRequest request =
+      MakeRequest(Variant::kPpgnn, AggregateKind::kSum, 55);
+
+  LspService plain(db, FrontConfig());
+  std::vector<uint8_t> plain_frame = plain.Call(request);
+  ShardedLspService cluster(*pois_, ClusterConfig(2));
+  ASSERT_EQ(FrameOf(cluster, request), plain_frame);
+
+  const QueryInstrumentation want = plain.Stats().totals;
+  const QueryInstrumentation got = cluster.Stats().totals;
+  ASSERT_GT(want.sanitize_tests, 0u);
+  EXPECT_EQ(got.sanitize_samples, want.sanitize_samples);
+  EXPECT_EQ(got.sanitize_tests, want.sanitize_tests);
+  EXPECT_GT(got.sanitize_seconds, 0.0);
+}
+
 // --- multi-shard merge exactness ---
 
 TEST_F(ShardTest, FourShardClusterReproducesSingleShardFrames) {

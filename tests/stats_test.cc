@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/random.h"
 
@@ -72,6 +74,27 @@ TEST(SampleSizeTest, RejectsInvalidInputs) {
   TestConfig bad = config;
   bad.gamma = 0.0;
   EXPECT_FALSE(RequiredSampleSize(0.05, bad).ok());
+}
+
+TEST(SampleSizeTest, RejectsNaNAndOversizedSampleCounts) {
+  // theta0 arrives from the wire. A NaN used to reach the uint64 cast
+  // (undefined; it produced N_H = 2^63), and a tiny theta0 asked for
+  // ~6.4e11 samples per Z-test.
+  TestConfig config;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(RequiredSampleSize(nan, config).ok());
+  EXPECT_FALSE(RequiredSampleSize(1e-9, config).ok());
+  for (double TestConfig::*field :
+       {&TestConfig::gamma, &TestConfig::eta, &TestConfig::phi}) {
+    TestConfig bad = config;
+    bad.*field = nan;
+    EXPECT_FALSE(RequiredSampleSize(0.05, bad).ok());
+  }
+  // The paper's smallest theta0 stays far below the ceiling.
+  auto n_01 = RequiredSampleSize(0.01, config);
+  ASSERT_TRUE(n_01.ok());
+  EXPECT_EQ(n_01.value(), 63225u);
+  EXPECT_LT(n_01.value() * 100, kMaxSampleSize);
 }
 
 TEST(ZTestTest, ThresholdFormula) {
@@ -145,7 +168,80 @@ TEST(SequentialTest, MatchesBatchDecisionExactly) {
         seq.CurrentVerdict() == SequentialProportionTest::Verdict::kReject;
     EXPECT_EQ(sequential, batch) << "p=" << p << " hits=" << hits;
     EXPECT_LE(seq.samples_used(), n);
+
+    // Lookahead-sized batches of the same stream stop at the same sample.
+    SequentialProportionTest blocks(n, theta0, config.gamma);
+    uint64_t pos = 0;
+    while (uint64_t block = blocks.Lookahead()) {
+      ASSERT_LE(pos + block, n);
+      uint64_t block_hits = 0;
+      for (uint64_t i = pos; i < pos + block; ++i) block_hits += outcomes[i];
+      blocks.AddBatch(block, block_hits);
+      pos += block;
+    }
+    EXPECT_EQ(blocks.CurrentVerdict(), seq.CurrentVerdict()) << "p=" << p;
+    EXPECT_EQ(blocks.samples_used(), seq.samples_used()) << "p=" << p;
   }
+}
+
+TEST(SequentialTest, LookaheadBatchesNeverStraddleTheDecision) {
+  // Bernoulli streams with p swept around theta0, fed one at a time and in
+  // lookahead-sized batches side by side. One at a time, the verdict must
+  // follow Eqn 16 at every step and never become decided strictly inside
+  // a batch; batched, it must land on the same verdict and sample count.
+  Rng rng(29);
+  TestConfig config;
+  using Verdict = SequentialProportionTest::Verdict;
+  for (double theta0 : {0.05, 0.3}) {
+    const uint64_t n_h = RequiredSampleSize(theta0, config).value();
+    for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{37}, uint64_t{500},
+                       n_h}) {
+      const double threshold = RejectionThreshold(n, theta0, config.gamma);
+      for (int trial = 0; trial < 60; ++trial) {
+        const double p = theta0 * 2.0 * trial / 59.0;  // 0 .. 2 theta0
+        SequentialProportionTest single(n, theta0, config.gamma);
+        SequentialProportionTest batched(n, theta0, config.gamma);
+        while (uint64_t block = batched.Lookahead()) {
+          ASSERT_EQ(single.CurrentVerdict(), Verdict::kUndecided);
+          uint64_t hits = 0;
+          for (uint64_t j = 0; j < block; ++j) {
+            const bool hit = rng.NextBernoulli(p);
+            hits += hit ? 1 : 0;
+            Verdict v = single.AddSample(hit);
+            const double x = static_cast<double>(single.successes());
+            const double left =
+                static_cast<double>(n - single.samples_used());
+            Verdict eqn16 = x > threshold ? Verdict::kReject
+                            : x + left <= threshold ? Verdict::kNotReject
+                                                    : Verdict::kUndecided;
+            ASSERT_EQ(v, eqn16) << "n=" << n << " p=" << p;
+            if (j + 1 < block) {
+              ASSERT_EQ(v, Verdict::kUndecided)
+                  << "decided inside a batch: n=" << n << " p=" << p;
+            }
+          }
+          batched.AddBatch(block, hits);
+          ASSERT_EQ(batched.CurrentVerdict(), single.CurrentVerdict());
+          ASSERT_EQ(batched.samples_used(), single.samples_used());
+          ASSERT_EQ(batched.successes(), single.successes());
+        }
+        EXPECT_NE(batched.CurrentVerdict(), Verdict::kUndecided);
+        EXPECT_LE(batched.samples_used(), n);
+      }
+    }
+  }
+}
+
+TEST(SequentialTest, BatchLongerThanLookaheadIsIgnored) {
+  SequentialProportionTest test(1000, 0.05, 0.05);
+  const uint64_t lookahead = test.Lookahead();
+  ASSERT_GT(lookahead, 1u);
+  test.AddBatch(lookahead + 1, 0);
+  test.AddBatch(2, 3);  // more successes than samples
+  EXPECT_EQ(test.samples_used(), 0u);
+  test.AddBatch(lookahead, lookahead);  // all hits: rejects on the last one
+  EXPECT_EQ(test.CurrentVerdict(), SequentialProportionTest::Verdict::kReject);
+  EXPECT_EQ(test.Lookahead(), 0u);
 }
 
 TEST(SequentialTest, EarlyExitSavesSamplesOnExtremes) {

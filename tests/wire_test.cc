@@ -141,6 +141,27 @@ TEST_F(WireTest, QueryDecodeRejectsCorruption) {
   EXPECT_FALSE(QueryMessage::Decode(bad_agg).ok());
 }
 
+// theta0 crosses the trust boundary as a raw double. A NaN used to reach
+// an undefined float-to-integer cast when the LSP sized its Z-test.
+TEST_F(WireTest, QueryDecodeRejectsHostileTheta0) {
+  QueryMessage msg = PlainQuery();
+  for (double theta0 : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), 0.0, -0.0,
+                        -0.05, 1.0000001, 1e300}) {
+    msg.theta0 = theta0;
+    auto bytes = msg.Encode().value();
+    EXPECT_FALSE(QueryMessage::Decode(bytes).ok()) << "theta0=" << theta0;
+  }
+  for (double theta0 : {1e-9, 0.05, 1.0}) {
+    msg.theta0 = theta0;
+    auto bytes = msg.Encode().value();
+    auto decoded = QueryMessage::Decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << "theta0=" << theta0;
+    EXPECT_EQ(decoded.value().theta0, theta0);
+  }
+}
+
 TEST_F(WireTest, QueryDecodeRejectsShortPublicKey) {
   QueryMessage msg = PlainQuery();
   msg.pk.n = BigInt(12345);  // not full-width for key_bits = 256
