@@ -85,31 +85,41 @@ Result<Plan> MakePlan(Variant variant, const ProtocolParams& params) {
   return plan;
 }
 
-/// The LSP side of Algorithm 2, operating purely on decoded wire
-/// messages. Returns the encrypted selected answer. Candidate processing
-/// (kGNN + sanitation + encoding) fans out over `lsp_threads` workers;
-/// the per-candidate sanitation seed keeps results identical regardless
-/// of the thread count.
-Result<AnswerMessage> LspProcessQuery(const LspDatabase& lsp,
-                                      const QueryMessage& query,
-                                      const std::vector<LocationSetMessage>&
-                                          uploads,
-                                      bool sanitize,
-                                      const TestConfig& test_config,
-                                      int lsp_threads,
-                                      QueryInstrumentation* info,
-                                      const std::atomic<bool>* cancel) {
-  PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.process"));
+}  // namespace
+
+Result<LspCandidates> LspDecodeCandidates(
+    const std::vector<uint8_t>& query_bytes,
+    const std::vector<std::vector<uint8_t>>& upload_bytes,
+    QueryInstrumentation& info, const std::atomic<bool>* cancel) {
+  LspCandidates out;
+  PPGNN_ASSIGN_OR_RETURN(out.query, QueryMessage::Decode(query_bytes));
+  info.delta_prime = out.query.plan.delta_prime;
   // Reassemble the location sets in user order.
-  std::vector<LocationSet> sets(uploads.size());
-  for (const LocationSetMessage& msg : uploads) {
+  std::vector<LocationSet> sets(upload_bytes.size());
+  for (const auto& bytes : upload_bytes) {
+    PPGNN_ASSIGN_OR_RETURN(LocationSetMessage msg,
+                           LocationSetMessage::Decode(bytes));
     if (msg.user_id >= sets.size())
       return Status::ProtocolError("upload from unknown user id");
-    sets[msg.user_id] = msg.locations;
+    sets[msg.user_id] = std::move(msg.locations);
   }
+  PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.process"));
+  out.users = sets.size();
+  PPGNN_ASSIGN_OR_RETURN(out.candidates,
+                         GenerateCandidateQueries(out.query.plan, sets, cancel));
+  return out;
+}
 
-  PPGNN_ASSIGN_OR_RETURN(std::vector<std::vector<Point>> candidates,
-                         GenerateCandidateQueries(query.plan, sets, cancel));
+/// Candidate processing (kGNN + sanitation + encoding) fans out over
+/// `lsp_threads` workers; the per-candidate sanitation seed keeps results
+/// identical regardless of the thread count.
+Result<std::vector<uint8_t>> LspAnswerCandidates(
+    const LspCandidates& request, const KgnnSource& kgnn,
+    const DistanceOracle* oracle, const TestConfig& test_config,
+    bool sanitize, int lsp_threads, QueryInstrumentation& info,
+    const std::atomic<bool>* cancel) {
+  const QueryMessage& query = request.query;
+  const std::vector<std::vector<Point>>& candidates = request.candidates;
 
   // Built once per query, up front: the Encryptor derives the per-level
   // Montgomery contexts at construction and the selection workers below
@@ -119,7 +129,7 @@ Result<AnswerMessage> LspProcessQuery(const LspDatabase& lsp,
   AnswerSanitizer* sanitizer_ptr = nullptr;
   Result<AnswerSanitizer> sanitizer =
       Status::FailedPrecondition("sanitizer unused");
-  if (sanitize) {
+  if (sanitize && request.users > 1) {
     sanitizer = AnswerSanitizer::Create(query.theta0, test_config);
     PPGNN_RETURN_IF_ERROR(sanitizer.status());
     sanitizer_ptr = &sanitizer.value();
@@ -152,14 +162,13 @@ Result<AnswerMessage> LspProcessQuery(const LspDatabase& lsp,
         break;
       }
       const std::vector<Point>& candidate = candidates[i];
-      std::vector<RankedPoi> answer =
-          lsp.solver().Query(candidate, query.k, query.aggregate);
+      std::vector<RankedPoi> answer = kgnn(i, candidate);
       if (sanitizer_ptr != nullptr) {
         double t0 = ThreadCpuSeconds();
         Rng candidate_rng(LspSanitizeSeed(candidate, query.k));
         answer = sanitizer_ptr->Sanitize(answer, candidate, query.aggregate,
                                          candidate_rng, &worker_stats[worker],
-                                         lsp.distance_oracle());
+                                         oracle);
         worker_sanitize_seconds[worker] += ThreadCpuSeconds() - t0;
       }
       std::vector<Point> points;
@@ -188,10 +197,10 @@ Result<AnswerMessage> LspProcessQuery(const LspDatabase& lsp,
   }
   for (int w = 0; w < workers; ++w) {
     PPGNN_RETURN_IF_ERROR(worker_status[w]);
-    info->sanitize_seconds += worker_sanitize_seconds[w];
-    info->sanitize_samples += worker_stats[w].samples_drawn;
-    info->sanitize_tests += worker_stats[w].tests_run;
-    if (w > 0) info->lsp_parallel_seconds += worker_cpu_seconds[w];
+    info.sanitize_seconds += worker_sanitize_seconds[w];
+    info.sanitize_samples += worker_stats[w].samples_drawn;
+    info.sanitize_tests += worker_stats[w].tests_run;
+    if (w > 0) info.lsp_parallel_seconds += worker_cpu_seconds[w];
   }
 
   if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
@@ -203,17 +212,15 @@ Result<AnswerMessage> LspProcessQuery(const LspDatabase& lsp,
     PPGNN_ASSIGN_OR_RETURN(
         out.ciphertexts,
         PrivateSelectTwoPhase(enc, matrix, query.opt_indicator, lsp_threads,
-                              &info->lsp_parallel_seconds, cancel));
+                              &info.lsp_parallel_seconds, cancel));
   } else {
     PPGNN_ASSIGN_OR_RETURN(
         out.ciphertexts,
         PrivateSelect(enc, matrix, query.indicator, lsp_threads,
-                      &info->lsp_parallel_seconds, cancel));
+                      &info.lsp_parallel_seconds, cancel));
   }
-  return out;
+  return out.Encode(query.pk);
 }
-
-}  // namespace
 
 Status ProtocolParams::Validate() const {
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
@@ -239,21 +246,18 @@ Result<std::vector<uint8_t>> LspHandleQuery(
     QueryInstrumentation* info, const std::atomic<bool>* cancel) {
   QueryInstrumentation local_info;
   if (info == nullptr) info = &local_info;
-  PPGNN_ASSIGN_OR_RETURN(QueryMessage query, QueryMessage::Decode(query_bytes));
-  info->delta_prime = query.plan.delta_prime;
-  std::vector<LocationSetMessage> uploads;
-  uploads.reserve(upload_bytes.size());
-  for (const auto& bytes : upload_bytes) {
-    PPGNN_ASSIGN_OR_RETURN(LocationSetMessage msg,
-                           LocationSetMessage::Decode(bytes));
-    uploads.push_back(std::move(msg));
-  }
-  const bool effective_sanitize = sanitize && uploads.size() > 1;
   PPGNN_ASSIGN_OR_RETURN(
-      AnswerMessage answer,
-      LspProcessQuery(lsp, query, uploads, effective_sanitize, test_config,
-                      lsp_threads, info, cancel));
-  return answer.Encode(query.pk);
+      LspCandidates request,
+      LspDecodeCandidates(query_bytes, upload_bytes, *info, cancel));
+  const int k = request.query.k;
+  const AggregateKind aggregate = request.query.aggregate;
+  return LspAnswerCandidates(
+      request,
+      [&lsp, k, aggregate](size_t, const std::vector<Point>& candidate) {
+        return lsp.solver().Query(candidate, k, aggregate);
+      },
+      lsp.distance_oracle(), test_config, sanitize, lsp_threads, *info,
+      cancel);
 }
 
 Result<std::vector<uint8_t>> LspHandleShardQuery(

@@ -384,9 +384,12 @@ Result<std::vector<uint8_t>> ShardQueryMessage::Encode() const {
   w.PutVarint(static_cast<uint64_t>(k));
   w.PutU8(static_cast<uint8_t>(aggregate));
   w.PutVarint(candidates.size());
-  for (const Candidate& c : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Candidate& c = candidates[i];
     if (c.index > kMaxWireDeltaPrime)
       return Status::InvalidArgument("wire: candidate index out of range");
+    if (i > 0 && c.index <= candidates[i - 1].index)
+      return Status::InvalidArgument("wire: candidate indices not ascending");
     if (c.locations.empty() || c.locations.size() > kMaxWireSubgroupSize)
       return Status::InvalidArgument("wire: candidate size out of range");
     w.PutVarint(c.index);
@@ -433,6 +436,8 @@ Result<ShardQueryMessage> ShardQueryMessage::Decode(
     PPGNN_ASSIGN_OR_RETURN(c.index, r.GetVarint());
     if (c.index > kMaxWireDeltaPrime)
       return Status::InvalidArgument("wire: candidate index out of range");
+    if (!msg.candidates.empty() && c.index <= msg.candidates.back().index)
+      return Status::InvalidArgument("wire: candidate indices not ascending");
     PPGNN_ASSIGN_OR_RETURN(uint64_t pts, r.GetVarint());
     if (pts < 1 || pts > kMaxWireSubgroupSize)
       return Status::InvalidArgument("wire: candidate size out of range");
@@ -459,9 +464,12 @@ Result<std::vector<uint8_t>> ShardAnswerMessage::Encode() const {
   ByteWriter w;
   w.PutU8(kShardMagic);
   w.PutVarint(candidates.size());
-  for (const CandidateResult& c : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const CandidateResult& c = candidates[i];
     if (c.index > kMaxWireDeltaPrime)
       return Status::InvalidArgument("wire: candidate index out of range");
+    if (i > 0 && c.index <= candidates[i - 1].index)
+      return Status::InvalidArgument("wire: candidate indices not ascending");
     if (c.results.size() > kMaxWireK)
       return Status::InvalidArgument("wire: result count out of range");
     w.PutVarint(c.index);
@@ -493,6 +501,10 @@ Result<ShardAnswerMessage> ShardAnswerMessage::Decode(
     PPGNN_ASSIGN_OR_RETURN(c.index, r.GetVarint());
     if (c.index > kMaxWireDeltaPrime)
       return Status::InvalidArgument("wire: candidate index out of range");
+    // A repeated index would merge two lists into one candidate's top-k
+    // and could count a POI twice there; ascending order rules it out.
+    if (!msg.candidates.empty() && c.index <= msg.candidates.back().index)
+      return Status::InvalidArgument("wire: candidate indices not ascending");
     PPGNN_ASSIGN_OR_RETURN(uint64_t results, r.GetVarint());
     if (results > kMaxWireK)
       return Status::InvalidArgument("wire: result count out of range");

@@ -131,7 +131,7 @@ struct ShardQueryMessage {
   struct Candidate {
     /// Global candidate index within the subgroup/segment enumeration, so
     /// a partial (degraded) gather still merges into the right
-    /// answer-matrix columns.
+    /// answer-matrix columns. Strictly ascending within a message.
     uint64_t index = 0;
     std::vector<Point> locations;
   };
@@ -151,7 +151,8 @@ struct ShardQueryMessage {
 };
 
 /// Shard -> coordinator per-candidate top-k answer. Raw doubles again: the
-/// merge sorts on exactly the costs the shard's solver computed.
+/// merge sorts on exactly the costs the shard's solver computed. Candidate
+/// indices strictly ascend, as in the query, so no candidate appears twice.
 struct ShardAnswerMessage {
   struct Ranked {
     uint32_t poi_id = 0;

@@ -1,5 +1,6 @@
 #include "net/latency.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 
@@ -63,6 +64,15 @@ LatencySummary LatencyHistogram::Summarize() const {
   out.max_seconds =
       static_cast<double>(max_ns_.load(std::memory_order_relaxed)) * 1e-9;
   return out;
+}
+
+double HedgeDelaySeconds(const LatencyHistogram& observed,
+                         double fixed_seconds) {
+  if (fixed_seconds > 0) return fixed_seconds;
+  if (observed.count() >= 8) {
+    return std::max(kMinHedgeDelaySeconds, observed.Quantile(0.99));
+  }
+  return kFallbackHedgeDelaySeconds;
 }
 
 std::string LatencySummary::ToString() const {

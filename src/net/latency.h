@@ -70,6 +70,14 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_ns_{0};
 };
 
+/// The hedge delay of ResilientClient and ReplicaSet: `fixed_seconds`
+/// when positive; else the p99 of `observed`, at least the minimum (too
+/// small stampedes the queue), once 8 samples exist; else the fallback.
+inline constexpr double kMinHedgeDelaySeconds = 0.001;
+inline constexpr double kFallbackHedgeDelaySeconds = 0.05;
+double HedgeDelaySeconds(const LatencyHistogram& observed,
+                         double fixed_seconds);
+
 }  // namespace ppgnn
 
 #endif  // PPGNN_NET_LATENCY_H_

@@ -68,7 +68,8 @@ struct ServiceConfig {
   /// Time budget applied to requests that don't carry their own;
   /// 0 = unlimited.
   double default_deadline_seconds = 0.0;
-  /// Intra-query fan-out passed through to LspHandleQuery.
+  /// Intra-query fan-out of the answer step (LspAnswerCandidates), on a
+  /// single node and on a cluster front alike.
   int lsp_threads = 1;
   bool sanitize = true;
   TestConfig test_config;

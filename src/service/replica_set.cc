@@ -143,15 +143,6 @@ ClientCallOutcome ReplicaSet::CallLeg(int replica,
   return out;
 }
 
-double ReplicaSet::HedgeDelaySeconds() const {
-  if (config_.hedge_delay_seconds > 0) return config_.hedge_delay_seconds;
-  if (leg_latency_.count() >= 8) {
-    return std::max(config_.min_hedge_delay_seconds,
-                    leg_latency_.Quantile(0.99));
-  }
-  return config_.fallback_hedge_delay_seconds;
-}
-
 ReplicaCallOutcome ReplicaSet::Call(const ServiceRequest& request,
                                     double budget_seconds) {
   const Clock::time_point start = Clock::now();
@@ -207,7 +198,8 @@ ReplicaCallOutcome ReplicaSet::Call(const ServiceRequest& request,
   // carried call never hedges — half-open admits exactly one leg.
   bool hedged = false;
   if (config_.hedge && !probe_carried && next < order.size()) {
-    double delay = HedgeDelaySeconds();
+    double delay =
+        HedgeDelaySeconds(leg_latency_, config_.hedge_delay_seconds);
     if (budget_seconds > 0.0) delay = std::min(delay, std::max(remaining(), 0.0));
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait_for(lock, std::chrono::duration<double>(delay),

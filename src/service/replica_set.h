@@ -57,10 +57,8 @@ struct ReplicaSetConfig {
   /// Cross-replica hedging: launch a second leg when the primary is
   /// silent past the delay. Requires replicas >= 2 to do anything.
   bool hedge = true;
-  /// Fixed hedge delay; 0 = derive from this set's observed leg p99.
+  /// Fixed hedge delay; 0 = derive from leg p99 (HedgeDelaySeconds).
   double hedge_delay_seconds = 0.0;
-  double min_hedge_delay_seconds = 0.001;
-  double fallback_hedge_delay_seconds = 0.05;
   /// Remote mode: when set, the factory builds the ServiceLink for
   /// (shard, replica) — e.g. a TcpLink dialing a TcpShardServer — and
   /// the set builds *no* local databases or services; `service` is
@@ -155,7 +153,6 @@ class ReplicaSet {
   /// One query leg: failpoint gate, link call, health report.
   ClientCallOutcome CallLeg(int replica, const ServiceRequest& request,
                             double remaining_seconds);
-  double HedgeDelaySeconds() const;
   /// Moves a still-running loser leg's thread to the straggler list (and
   /// reaps finished stragglers) so Call() can return without waiting on
   /// a slow leg.

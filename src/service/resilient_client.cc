@@ -53,7 +53,7 @@ std::string ClientStats::ToString() const {
       buf, sizeof(buf),
       "calls=%llu attempts=%llu retries=%llu hedges=%llu hedge_wins=%llu "
       "answers=%llu terminal=%llu budget_exhausted=%llu garbage=%llu "
-      "retry_after_honored=%llu breaker[opens=%llu fast_fails=%llu]",
+      "retry_after_honored=%llu",
       static_cast<unsigned long long>(calls),
       static_cast<unsigned long long>(attempts),
       static_cast<unsigned long long>(retries),
@@ -63,9 +63,7 @@ std::string ClientStats::ToString() const {
       static_cast<unsigned long long>(terminal_errors),
       static_cast<unsigned long long>(budget_exhausted),
       static_cast<unsigned long long>(transport_garbage),
-      static_cast<unsigned long long>(retry_after_honored),
-      static_cast<unsigned long long>(breaker_opens),
-      static_cast<unsigned long long>(breaker_fast_fails));
+      static_cast<unsigned long long>(retry_after_honored));
   return buf;
 }
 
@@ -79,17 +77,6 @@ bool ResilientClient::IsRetryable(WireError code) {
   return code == WireError::kOverloaded ||
          code == WireError::kDeadlineExceeded ||
          code == WireError::kShuttingDown;
-}
-
-double ResilientClient::HedgeDelaySeconds() const {
-  if (policy_.hedge_delay_seconds > 0) return policy_.hedge_delay_seconds;
-  // Derive from this client's own attempt latencies once there is enough
-  // history for a p99 to mean anything.
-  if (attempt_latency_.count() >= 8) {
-    return std::max(policy_.min_hedge_delay_seconds,
-                    attempt_latency_.Quantile(0.99));
-  }
-  return policy_.fallback_hedge_delay_seconds;
 }
 
 double ResilientClient::BackoffSeconds(int completed_attempts) {
@@ -110,53 +97,6 @@ uint64_t ResilientClient::NextIdempotencyKey() {
   uint64_t key = 0;
   while (key == 0) key = rng_.NextUint64();  // 0 means "untagged" on the wire
   return key;
-}
-
-bool ResilientClient::BreakerAdmit(bool* is_probe) {
-  *is_probe = false;
-  if (policy_.breaker_threshold <= 0) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!breaker_open_) return true;
-  if (breaker_probe_in_flight_) return false;
-  if (Clock::now() < breaker_open_until_) return false;
-  // Half-open: exactly one probe goes through; everyone else keeps
-  // fast-failing until its verdict.
-  breaker_probe_in_flight_ = true;
-  *is_probe = true;
-  return true;
-}
-
-void ResilientClient::BreakerOnOutcome(bool success, bool was_probe) {
-  if (policy_.breaker_threshold <= 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (was_probe) breaker_probe_in_flight_ = false;
-  if (success) {
-    breaker_consecutive_failures_ = 0;
-    breaker_open_ = false;
-    return;
-  }
-  if (breaker_open_) {
-    // Only a failed probe re-arms the cooldown; a straggler reply from
-    // before the breaker opened must not extend it.
-    if (was_probe) {
-      breaker_open_until_ =
-          Clock::now() + FromSeconds(policy_.breaker_cooldown_seconds);
-      stats_.breaker_opens++;
-    }
-    return;
-  }
-  if (++breaker_consecutive_failures_ >= policy_.breaker_threshold) {
-    breaker_open_ = true;
-    breaker_open_until_ =
-        Clock::now() + FromSeconds(policy_.breaker_cooldown_seconds);
-    stats_.breaker_opens++;
-  }
-}
-
-void ResilientClient::BreakerReleaseProbe() {
-  if (policy_.breaker_threshold <= 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  breaker_probe_in_flight_ = false;
 }
 
 ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
@@ -197,150 +137,122 @@ ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
             : Seconds(budget_deadline - attempt_start);
 
     uint64_t round_retry_after_ms = 0;
-    bool round_is_probe = false;
     Resolution round_resolution = Resolution::kRetryable;
 
-    if (!BreakerAdmit(&round_is_probe)) {
-      // Open breaker: answer the attempt locally with a synthesized
-      // overloaded frame — the whole point is to not touch the server.
-      outcome.attempts++;
+    auto state = std::make_shared<RoundState>();
+    auto submit = [&](bool from_hedge) {
       {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.attempts++;
-        stats_.breaker_fast_fails++;
+        std::lock_guard<std::mutex> lock(state->mu);
+        state->outstanding++;
       }
-      last_error = ErrorMessage{};
-      last_error.code = WireError::kOverloaded;
-      last_error.detail = "resilient client: circuit breaker open";
-      last_error.retry_after_ms = static_cast<uint64_t>(
-          std::max(policy_.breaker_cooldown_seconds, 0.001) * 1000.0);
-      last_error_frame = ResponseFrame::WrapError(last_error);
-      round_retry_after_ms = last_error.retry_after_ms;
-    } else {
-      auto state = std::make_shared<RoundState>();
-      auto submit = [&](bool from_hedge) {
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->outstanding++;
-        }
-        ServiceRequest copy = request;
-        if (remaining > 0 &&
-            (copy.deadline_seconds <= 0 || copy.deadline_seconds > remaining)) {
-          copy.deadline_seconds = remaining;
-        }
-        const Clock::time_point submitted = Clock::now();
-        // Submit may run the callback inline (queue-full reject), so no
-        // locks of ours are held here; a reject still surfaces through
-        // the callback's error frame, so the bool is redundant.
-        (void)service_.Submit(
-            std::move(copy),
-            [this, state, from_hedge, submitted](std::vector<uint8_t> frame) {
-              attempt_latency_.Record(Seconds(Clock::now() - submitted));
-              std::lock_guard<std::mutex> lock(state->mu);
-              state->replies.push_back({std::move(frame), from_hedge});
-              state->outstanding--;
-              state->cv.notify_all();
-            });
-      };
-
-      outcome.attempts++;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.attempts++;
+      ServiceRequest copy = request;
+      if (remaining > 0 &&
+          (copy.deadline_seconds <= 0 || copy.deadline_seconds > remaining)) {
+        copy.deadline_seconds = remaining;
       }
-      submit(/*from_hedge=*/false);
+      const Clock::time_point submitted = Clock::now();
+      // Submit may run the callback inline (queue-full reject), so no
+      // locks of ours are held here; a reject still surfaces through
+      // the callback's error frame, so the bool is redundant.
+      (void)service_.Submit(
+          std::move(copy),
+          [this, state, from_hedge, submitted](std::vector<uint8_t> frame) {
+            attempt_latency_.Record(Seconds(Clock::now() - submitted));
+            std::lock_guard<std::mutex> lock(state->mu);
+            state->replies.push_back({std::move(frame), from_hedge});
+            state->outstanding--;
+            state->cv.notify_all();
+          });
+    };
 
-      const Clock::time_point hedge_at =
-          policy_.hedge ? attempt_start + FromSeconds(HedgeDelaySeconds())
-                        : Clock::time_point::max();
-      bool hedged_this_round = false;
-      bool round_decided = false;
+    outcome.attempts++;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.attempts++;
+    }
+    submit(/*from_hedge=*/false);
 
-      std::unique_lock<std::mutex> lock(state->mu);
-      size_t consumed = 0;
-      while (!round_decided) {
-        // Evaluate any replies that arrived since the last look.
-        for (; consumed < state->replies.size(); ++consumed) {
-          RoundState::Reply& reply = state->replies[consumed];
-          Result<ResponseFrame> decoded = ResponseFrame::Decode(reply.frame);
-          if (!decoded.ok()) {
-            // Transport garbage (e.g. an injected corrupt frame): the
-            // reply is unusable but the failure class is transient.
-            saw_garbage = true;
-            std::lock_guard<std::mutex> slock(mu_);
-            stats_.transport_garbage++;
-            continue;
-          }
-          if (!decoded.value().is_error) {
-            outcome.frame = std::move(reply.frame);
-            outcome.answered = true;
-            outcome.hedge_won = reply.from_hedge;
-            BreakerOnOutcome(/*success=*/true, round_is_probe);
-            round_is_probe = false;
-            round_resolution = Resolution::kAnswer;
-            round_decided = true;
-            break;
-          }
-          last_error = decoded.value().error;
-          last_error_frame = std::move(reply.frame);
-          if (!IsRetryable(last_error.code)) {
-            BreakerOnOutcome(/*success=*/false, round_is_probe);
-            round_is_probe = false;
-            round_resolution = Resolution::kTerminal;
-            round_decided = true;
-            break;
-          }
-          if (last_error.code == WireError::kOverloaded) {
-            if (last_error.retry_after_ms > 0) {
-              round_retry_after_ms = last_error.retry_after_ms;
-            }
-            BreakerOnOutcome(/*success=*/false, round_is_probe);
-            round_is_probe = false;
-          }
+    const Clock::time_point hedge_at =
+        policy_.hedge ? attempt_start + FromSeconds(HedgeDelaySeconds(
+                                            attempt_latency_,
+                                            policy_.hedge_delay_seconds))
+                      : Clock::time_point::max();
+    bool hedged_this_round = false;
+    bool round_decided = false;
+
+    std::unique_lock<std::mutex> lock(state->mu);
+    size_t consumed = 0;
+    while (!round_decided) {
+      // Evaluate any replies that arrived since the last look.
+      for (; consumed < state->replies.size(); ++consumed) {
+        RoundState::Reply& reply = state->replies[consumed];
+        Result<ResponseFrame> decoded = ResponseFrame::Decode(reply.frame);
+        if (!decoded.ok()) {
+          // Transport garbage (e.g. an injected corrupt frame): the
+          // reply is unusable but the failure class is transient.
+          saw_garbage = true;
+          std::lock_guard<std::mutex> slock(mu_);
+          stats_.transport_garbage++;
+          continue;
         }
-        if (round_decided) break;
-        // Nothing decisive yet. If nothing is outstanding either, the
-        // round has failed retryably.
-        if (state->outstanding == 0) break;
-        const Clock::time_point now = Clock::now();
-        if (now >= budget_deadline) {
-          // Abandon the outstanding attempt: its late reply only touches
-          // `state`, which outlives us via the shared_ptr in the
-          // callback.
-          budget_hit = true;
+        if (!decoded.value().is_error) {
+          outcome.frame = std::move(reply.frame);
+          outcome.answered = true;
+          outcome.hedge_won = reply.from_hedge;
+          round_resolution = Resolution::kAnswer;
           round_decided = true;
-          round_resolution = Resolution::kRetryable;
           break;
         }
-        Clock::time_point wake = budget_deadline;
-        const bool may_hedge =
-            policy_.hedge && !hedged_this_round && state->replies.empty();
-        if (may_hedge) wake = std::min(wake, hedge_at);
-        if (wake == Clock::time_point::max()) {
-          state->cv.wait(lock);
-        } else {
-          state->cv.wait_until(lock, wake);
+        last_error = decoded.value().error;
+        last_error_frame = std::move(reply.frame);
+        if (!IsRetryable(last_error.code)) {
+          round_resolution = Resolution::kTerminal;
+          round_decided = true;
+          break;
         }
-        if (may_hedge && Clock::now() >= hedge_at && state->replies.empty() &&
-            state->outstanding > 0) {
-          hedged_this_round = true;
-          outcome.hedges++;
-          {
-            std::lock_guard<std::mutex> slock(mu_);
-            stats_.hedges++;
-          }
-          service_.RecordClientHedge();
-          lock.unlock();
-          submit(/*from_hedge=*/true);
-          lock.lock();
+        if (last_error.code == WireError::kOverloaded &&
+            last_error.retry_after_ms > 0) {
+          round_retry_after_ms = last_error.retry_after_ms;
         }
       }
-      lock.unlock();
+      if (round_decided) break;
+      // Nothing decisive yet. If nothing is outstanding either, the
+      // round has failed retryably.
+      if (state->outstanding == 0) break;
+      const Clock::time_point now = Clock::now();
+      if (now >= budget_deadline) {
+        // Abandon the outstanding attempt: its late reply only touches
+        // `state`, which outlives us via the shared_ptr in the
+        // callback.
+        budget_hit = true;
+        round_decided = true;
+        round_resolution = Resolution::kRetryable;
+        break;
+      }
+      Clock::time_point wake = budget_deadline;
+      const bool may_hedge =
+          policy_.hedge && !hedged_this_round && state->replies.empty();
+      if (may_hedge) wake = std::min(wake, hedge_at);
+      if (wake == Clock::time_point::max()) {
+        state->cv.wait(lock);
+      } else {
+        state->cv.wait_until(lock, wake);
+      }
+      if (may_hedge && Clock::now() >= hedge_at && state->replies.empty() &&
+          state->outstanding > 0) {
+        hedged_this_round = true;
+        outcome.hedges++;
+        {
+          std::lock_guard<std::mutex> slock(mu_);
+          stats_.hedges++;
+        }
+        service_.RecordClientHedge();
+        lock.unlock();
+        submit(/*from_hedge=*/true);
+        lock.lock();
+      }
     }
-    // A probe round that ended without a decisive reply (garbage only,
-    // or abandoned on budget) releases the probe slot so the breaker can
-    // try again rather than fast-failing forever.
-    if (round_is_probe) BreakerReleaseProbe();
+    lock.unlock();
 
     if (round_resolution == Resolution::kAnswer) {
       if (outcome.hedge_won) {

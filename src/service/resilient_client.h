@@ -18,20 +18,14 @@
 //     reply wins. Every attempt and hedge of one Call() carries the same
 //     client-generated idempotency key, so the server coalesces
 //     duplicates instead of re-running the crypto pipeline.
-//   * Circuit breaker (optional): after `breaker_threshold` consecutive
-//     decisive failures (terminal or structured-overloaded replies) the
-//     breaker opens and attempts fast-fail locally with a synthesized
-//     kOverloaded frame — no load added to a struggling server. After
-//     the cooldown one half-open probe attempt is let through; its
-//     outcome closes or re-opens the breaker.
 //   * Budget: every attempt carries the *remaining* budget as its
 //     per-request deadline, so the server stops working for us the
 //     moment our caller would no longer accept the answer.
 //
 // The client never invents answers: Call() returns either a decodable
 // answer frame or a decodable structured error frame (synthesizing one
-// locally only when the final reply was transport garbage or the
-// breaker fast-failed).
+// locally only when the final reply was transport garbage or never
+// came).
 
 #ifndef PPGNN_SERVICE_RESILIENT_CLIENT_H_
 #define PPGNN_SERVICE_RESILIENT_CLIENT_H_
@@ -61,23 +55,14 @@ struct RetryPolicy {
   double jitter_fraction = 0.2;
   /// Enables the hedged second request.
   bool hedge = false;
-  /// Fixed hedge delay; 0 = derive from this client's observed p99.
+  /// Fixed hedge delay; 0 = derive from observed p99 (HedgeDelaySeconds).
   double hedge_delay_seconds = 0.0;
-  /// Bounds for the derived delay (too-small hedges stampede the queue;
-  /// the fallback covers the cold start before any p99 exists).
-  double min_hedge_delay_seconds = 0.001;
-  double fallback_hedge_delay_seconds = 0.05;
   /// Stamp every attempt/hedge of a Call() with one generated nonzero
   /// idempotency key (server-side dedup). Off = duplicates race as
   /// independent executions (useful for tests that want a real race).
   bool tag_idempotency = true;
   /// Obey the server's retry_after_ms backpressure hint when present.
   bool honor_retry_after = true;
-  /// Consecutive decisive failures that open the circuit breaker;
-  /// 0 = breaker disabled.
-  int breaker_threshold = 0;
-  /// How long an open breaker fast-fails before letting a probe through.
-  double breaker_cooldown_seconds = 0.1;
   /// Seed for jitter and idempotency keys. Fixed by default so chaos
   /// schedules replay.
   uint64_t seed = 0xc0ffee;
@@ -106,16 +91,14 @@ struct ClientStats {
   uint64_t budget_exhausted = 0;
   uint64_t transport_garbage = 0;  ///< replies that failed frame decode
   uint64_t retry_after_honored = 0;  ///< backoffs driven by a server hint
-  uint64_t breaker_opens = 0;
-  uint64_t breaker_fast_fails = 0;  ///< attempts answered locally while open
 
   std::string ToString() const;
 };
 
-/// Thread-safe: concurrent Call()s share the stats, the breaker, and the
-/// hedge-delay histogram. An abandoned (budget-expired) attempt's late
-/// reply still records into this client, so shut the service down before
-/// destroying the client.
+/// Thread-safe: concurrent Call()s share the stats and the hedge-delay
+/// histogram. An abandoned (budget-expired) attempt's late reply still
+/// records into this client, so shut the service down before destroying
+/// the client.
 class ResilientClient {
  public:
   /// The downstream may be an in-process LspService or any other
@@ -134,18 +117,8 @@ class ResilientClient {
   static bool IsRetryable(WireError code);
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  double HedgeDelaySeconds() const;
   double BackoffSeconds(int completed_attempts);
   uint64_t NextIdempotencyKey();
-  /// Breaker gate for one attempt. Returns true to proceed (`*is_probe`
-  /// set when this attempt is the half-open probe); false = fast-fail.
-  bool BreakerAdmit(bool* is_probe);
-  void BreakerOnOutcome(bool success, bool was_probe);
-  /// Clears an unresolved probe (round ended without a decisive reply)
-  /// so the breaker can probe again instead of fast-failing forever.
-  void BreakerReleaseProbe();
 
   ServiceLink& service_;
   const RetryPolicy policy_;
@@ -155,14 +128,6 @@ class ResilientClient {
   Rng rng_;
   // ppgnn: guarded_by(stats_, mu_)
   ClientStats stats_;
-  // ppgnn: guarded_by(breaker_consecutive_failures_, mu_)
-  int breaker_consecutive_failures_ = 0;
-  // ppgnn: guarded_by(breaker_open_, mu_)
-  bool breaker_open_ = false;
-  // ppgnn: guarded_by(breaker_probe_in_flight_, mu_)
-  bool breaker_probe_in_flight_ = false;
-  // ppgnn: guarded_by(breaker_open_until_, mu_)
-  Clock::time_point breaker_open_until_{};
   LatencyHistogram attempt_latency_;  ///< per-attempt submit -> reply
 };
 

@@ -8,13 +8,9 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "core/candidate.h"
-#include "core/sanitize.h"
-#include "core/selection.h"
+#include "core/protocol.h"
 #include "core/wire.h"
-#include "crypto/poi_codec.h"
 #include "geo/aggregate.h"
-#include "net/cost.h"
 
 namespace ppgnn {
 namespace {
@@ -165,22 +161,12 @@ void ShardedLspService::Shutdown() {
 
 Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
     const ServiceRequest& request, const LspService::HandlerContext& ctx) {
-  QueryInstrumentation local_info;
-  QueryInstrumentation* info = ctx.info != nullptr ? ctx.info : &local_info;
-  PPGNN_ASSIGN_OR_RETURN(QueryMessage query,
-                         QueryMessage::Decode(request.query));
-  info->delta_prime = query.plan.delta_prime;
-  std::vector<LocationSet> sets(request.uploads.size());
-  for (const auto& bytes : request.uploads) {
-    PPGNN_ASSIGN_OR_RETURN(LocationSetMessage msg,
-                           LocationSetMessage::Decode(bytes));
-    if (msg.user_id >= sets.size())
-      return Status::ProtocolError("upload from unknown user id");
-    sets[msg.user_id] = std::move(msg.locations);
-  }
   PPGNN_ASSIGN_OR_RETURN(
-      std::vector<std::vector<Point>> candidates,
-      GenerateCandidateQueries(query.plan, sets, ctx.cancel));
+      LspCandidates decoded,
+      LspDecodeCandidates(request.query, request.uploads, *ctx.info,
+                          ctx.cancel));
+  const QueryMessage& query = decoded.query;
+  const std::vector<std::vector<Point>>& candidates = decoded.candidates;
 
   const size_t shard_count = sets_.size();
   // Route: a shard holding >= k POIs bounds the global k-th cost by its
@@ -314,64 +300,16 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
     }
   }
 
-  // From here the pipeline is the single-node tail of Algorithm 2 over
-  // the merged answers: sanitize (same per-candidate seed), pack, select.
-  const bool effective_sanitize =
-      config_.front.sanitize && request.uploads.size() > 1;
-  AnswerSanitizer* sanitizer_ptr = nullptr;
-  Result<AnswerSanitizer> sanitizer =
-      Status::FailedPrecondition("sanitizer unused");
-  if (effective_sanitize) {
-    sanitizer = AnswerSanitizer::Create(query.theta0, config_.front.test_config);
-    PPGNN_RETURN_IF_ERROR(sanitizer.status());
-    sanitizer_ptr = &sanitizer.value();
-  }
-
-  Encryptor enc(query.pk);
-  PoiCodec codec(query.pk.key_bits);
-  const size_t m = codec.IntsNeeded(static_cast<size_t>(query.k));
-  AnswerMatrix matrix;
-  matrix.columns.resize(candidates.size());
-  SanitizeStats sanitize_stats;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (ctx.cancel != nullptr &&
-        ctx.cancel->load(std::memory_order_acquire)) {
-      return Status::DeadlineExceeded("shard cluster: merge abandoned");
-    }
-    std::vector<RankedPoi> answer = std::move(merged[i]);
-    if (sanitizer_ptr != nullptr) {
-      double t0 = ThreadCpuSeconds();
-      Rng candidate_rng(LspSanitizeSeed(candidates[i], query.k));
-      answer = sanitizer_ptr->Sanitize(answer, candidates[i], query.aggregate,
-                                       candidate_rng, &sanitize_stats,
-                                       nullptr);
-      info->sanitize_seconds += ThreadCpuSeconds() - t0;
-    }
-    std::vector<Point> points;
-    points.reserve(answer.size());
-    for (const RankedPoi& rp : answer) points.push_back(rp.poi.location);
-    PPGNN_ASSIGN_OR_RETURN(matrix.columns[i], codec.Encode(points, m));
-  }
-  info->sanitize_samples += sanitize_stats.samples_drawn;
-  info->sanitize_tests += sanitize_stats.tests_run;
-
-  if (ctx.cancel != nullptr && ctx.cancel->load(std::memory_order_acquire)) {
-    return Status::DeadlineExceeded("shard cluster: abandoned before selection");
-  }
-  PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.select"));
-  AnswerMessage out;
-  if (query.is_opt) {
-    PPGNN_ASSIGN_OR_RETURN(
-        out.ciphertexts,
-        PrivateSelectTwoPhase(enc, matrix, query.opt_indicator,
-                              config_.front.lsp_threads, nullptr, ctx.cancel));
-  } else {
-    PPGNN_ASSIGN_OR_RETURN(
-        out.ciphertexts,
-        PrivateSelect(enc, matrix, query.indicator, config_.front.lsp_threads,
-                      nullptr, ctx.cancel));
-  }
-  return out.Encode(query.pk);
+  // The rest is the single-node answer step, with the merged lists as its
+  // kGNN source. The shards' MBM solver ranks under the Euclidean metric,
+  // so sanitation attacks under it too (null oracle).
+  return LspAnswerCandidates(
+      decoded,
+      [&merged](size_t index, const std::vector<Point>&) {
+        return std::move(merged[index]);
+      },
+      /*oracle=*/nullptr, config_.front.test_config, config_.front.sanitize,
+      config_.front.lsp_threads, *ctx.info, ctx.cancel);
 }
 
 }  // namespace ppgnn

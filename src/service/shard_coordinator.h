@@ -7,8 +7,10 @@
 // LspService instances over identical copies of the slice data
 // (service/replica_set.h), fronted by a health monitor
 // (service/health.h). The front-end is a plain LspService whose
-// execution handler, instead of running the kGNN locally, for every
-// candidate query:
+// execution handler serves the single-node pipeline of core/protocol.h:
+// LspDecodeCandidates, then LspAnswerCandidates. Only the kGNN source
+// differs. Instead of running the kGNN locally, for every candidate
+// query the handler:
 //
 //   * routes it to the shards whose MBR could contribute to the global
 //     top-k (MBM-style bound: any shard holding >= k POIs caps the k-th
@@ -28,9 +30,9 @@
 //     deterministic, a failover or hedge-win changes *zero* answer
 //     bits: the merged frame is byte-identical to the no-failure run.
 //
-// Crypto never leaves the coordinator: sanitation (seeded by
-// LspSanitizeSeed, identical to the single-node path), answer packing,
-// and private selection all run over the *merged* matrix, so the
+// The merged lists are LspAnswerCandidates' kGNN source, so crypto never
+// leaves the coordinator: sanitation, answer packing and private
+// selection are the single-node code over the *merged* matrix, and the
 // encrypted answer shape (Privacy II) cannot reveal the shard layout —
 // or which replica served (the Hashem et al. invariant).
 //
@@ -38,7 +40,9 @@
 // every replica in a routed set is unavailable (the set-wide
 // shard.link.<j> failpoint, or every shard.replica.<j>.<r> leg dead) is
 // the slice missing from the merge; the fan-out is then counted in
-// ServiceStats::degraded_shards. Fan-outs that needed the ladder but
+// ServiceStats::degraded_shards. A slice whose winning answer passes the
+// frame CRC but fails ShardAnswerMessage::Decode is dropped the same way,
+// with no failover and no health report. Fan-outs that needed the ladder but
 // still merged every routed shard count as exact_despite_failures.
 // Only when *every* routed shard fails does the query error (kInternal).
 
@@ -69,7 +73,9 @@ struct ShardClusterConfig {
   /// one link per slice, a dead link degrades the merge.
   int replicas = 1;
   /// The coordinator front-end (admission, queue, deadlines, dedup). Its
-  /// sanitize/test_config/lsp_threads govern the merged-answer pipeline.
+  /// sanitize, test_config and lsp_threads are handed to
+  /// LspAnswerCandidates over the merged answers, as a plain LspService
+  /// hands them to it over its local kGNN.
   ServiceConfig front;
   /// Per-replica service config (plaintext kGNN only — keep workers
   /// modest).
@@ -154,8 +160,9 @@ class ShardedLspService {
   }
 
  private:
-  /// The front-end execution handler: decode, candidate expansion,
-  /// route/scatter/gather/merge, sanitize, pack, private selection.
+  /// The front-end execution handler: LspDecodeCandidates, then route,
+  /// scatter, gather and merge, then LspAnswerCandidates over the merged
+  /// lists.
   Result<std::vector<uint8_t>> HandleQuery(const ServiceRequest& request,
                                            const LspService::HandlerContext& ctx);
   void ProberLoop();

@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -701,61 +700,6 @@ TEST_F(ChaosTest, RetryAfterHintShortensAndLengthensBackoff) {
     EXPECT_EQ(client.Stats().budget_exhausted, 1u);
     service.Shutdown();
   }
-}
-
-// Circuit breaker: consecutive overloaded replies open it, an open
-// breaker fast-fails locally without touching the server, and a
-// successful half-open probe closes it again.
-TEST_F(ChaosTest, CircuitBreakerOpensFastFailsAndRecovers) {
-  ServiceConfig config;
-  config.workers = 1;
-  config.sanitize = false;
-  LspService service(*db_, config);
-
-  ASSERT_TRUE(FailpointSetFromSpec("service.admit=drop").ok());
-
-  RetryPolicy policy;
-  policy.max_attempts = 1;  // each Call is one decisive observation
-  policy.breaker_threshold = 3;
-  policy.breaker_cooldown_seconds = 0.05;
-  ResilientClient client(service, policy);
-
-  Rng rng(65);
-  ServiceRequest request = WorkloadRequest(rng);
-
-  // Three consecutive overloaded replies trip the breaker.
-  for (int i = 0; i < 3; ++i) {
-    ClientCallOutcome outcome = client.Call(request);
-    EXPECT_FALSE(outcome.answered);
-    EXPECT_EQ(outcome.error.code, WireError::kOverloaded);
-  }
-  EXPECT_EQ(client.Stats().breaker_opens, 1u);
-  const uint64_t server_rejects = service.Stats().rejected;
-  EXPECT_EQ(server_rejects, 3u);
-
-  // While open (cooldown not yet elapsed): local fast-fail. The frame is
-  // still a decodable structured error with a cooldown hint, and the
-  // server never sees the attempt.
-  ClientCallOutcome fast = client.Call(request);
-  EXPECT_FALSE(fast.answered);
-  EXPECT_EQ(fast.error.code, WireError::kOverloaded);
-  EXPECT_GT(fast.error.retry_after_ms, 0u);
-  EXPECT_EQ(client.Stats().breaker_fast_fails, 1u);
-  EXPECT_EQ(service.Stats().rejected, server_rejects);  // unchanged
-
-  // Heal the service, wait out the cooldown: the next call is the
-  // half-open probe, it succeeds, and the breaker closes for good.
-  FailpointClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  ClientCallOutcome probe = client.Call(request);
-  EXPECT_TRUE(probe.answered);
-  ClientCallOutcome after = client.Call(WorkloadRequest(rng));
-  EXPECT_TRUE(after.answered);
-  ClientStats cs = client.Stats();
-  EXPECT_EQ(cs.breaker_opens, 1u);
-  EXPECT_EQ(cs.breaker_fast_fails, 1u);
-  EXPECT_EQ(cs.answers, 2u);
-  service.Shutdown();
 }
 
 // A shard cluster with one link both failing and slow: every query must

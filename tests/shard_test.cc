@@ -201,21 +201,40 @@ TEST_F(ShardTest, SingleShardClusterIsBitIdenticalUnderOpt) {
 TEST_F(ShardTest, SanitizingClusterReportsSanitationWork) {
   // The cluster sanitizes the merged answers itself, so its totals must
   // carry the same sanitation work as the plain service — time included.
+  // front.lsp_threads fans that work out as lsp_threads does on a single
+  // node: same frame and counters, plus worker CPU time.
   LspDatabase db(*pois_);
   ServiceRequest request =
       MakeRequest(Variant::kPpgnn, AggregateKind::kSum, 55);
 
-  LspService plain(db, FrontConfig());
-  std::vector<uint8_t> plain_frame = plain.Call(request);
-  ShardedLspService cluster(*pois_, ClusterConfig(2));
-  ASSERT_EQ(FrameOf(cluster, request), plain_frame);
+  std::vector<uint8_t> serial_frame;
+  QueryInstrumentation serial;
+  for (int threads : {1, 4}) {
+    ServiceConfig front = FrontConfig();
+    front.lsp_threads = threads;
+    LspService plain(db, front);
+    std::vector<uint8_t> plain_frame = plain.Call(request);
+    ShardClusterConfig config = ClusterConfig(2);
+    config.front.lsp_threads = threads;
+    ShardedLspService cluster(*pois_, config);
+    ASSERT_EQ(FrameOf(cluster, request), plain_frame) << "threads=" << threads;
 
-  const QueryInstrumentation want = plain.Stats().totals;
-  const QueryInstrumentation got = cluster.Stats().totals;
-  ASSERT_GT(want.sanitize_tests, 0u);
-  EXPECT_EQ(got.sanitize_samples, want.sanitize_samples);
-  EXPECT_EQ(got.sanitize_tests, want.sanitize_tests);
-  EXPECT_GT(got.sanitize_seconds, 0.0);
+    const QueryInstrumentation want = plain.Stats().totals;
+    const QueryInstrumentation got = cluster.Stats().totals;
+    ASSERT_GT(want.sanitize_tests, 0u);
+    EXPECT_EQ(got.sanitize_samples, want.sanitize_samples);
+    EXPECT_EQ(got.sanitize_tests, want.sanitize_tests);
+    EXPECT_GT(got.sanitize_seconds, 0.0);
+    if (threads == 1) {
+      serial_frame = plain_frame;
+      serial = got;
+      continue;
+    }
+    EXPECT_EQ(plain_frame, serial_frame);
+    EXPECT_EQ(got.sanitize_samples, serial.sanitize_samples);
+    EXPECT_EQ(got.sanitize_tests, serial.sanitize_tests);
+    EXPECT_GT(got.lsp_parallel_seconds, 0.0);
+  }
 }
 
 // --- multi-shard merge exactness ---

@@ -962,6 +962,58 @@ TEST_F(WireTest, ShardAnswerRejectsOutOfOrderResults) {
   EXPECT_TRUE(ShardAnswerMessage::Decode(msg.Encode().value()).ok());
 }
 
+// A repeated candidate index would make the coordinator's merge append
+// two lists to one candidate, so one POI could appear twice in its
+// top-k. Both shard messages need strictly ascending indices: encoders
+// refuse anything else, and decoders reject it, shown by byte-patching
+// valid frames.
+TEST_F(WireTest, ShardMessagesRejectRepeatedCandidateIndex) {
+  ShardAnswerMessage answer;
+  ShardAnswerMessage::CandidateResult c0, c1;
+  c0.index = 1;
+  c0.results.push_back({7, {0.1, 0.2}, 0.25});
+  c1.index = 2;
+  c1.results.push_back({7, {0.1, 0.2}, 0.25});
+  answer.candidates = {c0, c1};
+  const auto answer_bytes = answer.Encode().value();
+  ASSERT_TRUE(ShardAnswerMessage::Decode(answer_bytes).ok());
+  // Layout: magic, candidate count, then per candidate its index and
+  // result count (1 byte each here) and 28-byte results.
+  const size_t answer_index = 2 + 2 + 28;
+  ASSERT_EQ(answer_bytes[answer_index], 2);
+  for (uint8_t index : {1, 0}) {  // repeated, then descending
+    std::vector<uint8_t> patched = answer_bytes;
+    patched[answer_index] = index;
+    auto decoded = ShardAnswerMessage::Decode(patched);
+    ASSERT_FALSE(decoded.ok()) << "index=" << int{index};
+    EXPECT_NE(decoded.status().ToString().find("ascending"),
+              std::string::npos);
+  }
+  answer.candidates[1].index = 1;
+  EXPECT_FALSE(answer.Encode().ok());
+
+  ShardQueryMessage query;
+  query.k = 2;
+  query.candidates.push_back({1, {{0.1, 0.2}}});
+  query.candidates.push_back({2, {{0.1, 0.2}}});
+  const auto query_bytes = query.Encode().value();
+  ASSERT_TRUE(ShardQueryMessage::Decode(query_bytes).ok());
+  // Layout: magic, k, aggregate, candidate count, then per candidate its
+  // index and point count (1 byte each here) and 16-byte points.
+  const size_t query_index = 4 + 2 + 16;
+  ASSERT_EQ(query_bytes[query_index], 2);
+  for (uint8_t index : {1, 0}) {
+    std::vector<uint8_t> patched = query_bytes;
+    patched[query_index] = index;
+    auto decoded = ShardQueryMessage::Decode(patched);
+    ASSERT_FALSE(decoded.ok()) << "index=" << int{index};
+    EXPECT_NE(decoded.status().ToString().find("ascending"),
+              std::string::npos);
+  }
+  query.candidates[1].index = 1;
+  EXPECT_FALSE(query.Encode().ok());
+}
+
 // Duplicate ids are scoped per candidate: two candidates may (and do)
 // legitimately rank the same POI.
 TEST_F(WireTest, ShardAnswerAllowsSamePoiAcrossCandidates) {
