@@ -70,7 +70,7 @@ class LatencyHistogram {
   std::atomic<uint64_t> max_ns_{0};
 };
 
-/// The hedge delay of ResilientClient and ReplicaSet: `fixed_seconds`
+/// The hedge delay of ResilientClient: `fixed_seconds`
 /// when positive; else the p99 of `observed`, at least the minimum (too
 /// small stampedes the queue), once 8 samples exist; else the fallback.
 inline constexpr double kMinHedgeDelaySeconds = 0.001;

@@ -6,9 +6,8 @@ namespace ppgnn {
 
 namespace {
 
-/// Same per-(shard, replica) seed perturbation ReplicaSet uses for its
-/// in-process links, reused here for chaos schedules and link jitter so
-/// TCP-mode runs replay with the same independence guarantees.
+/// Per-(shard, replica) seed perturbation for chaos schedules, so
+/// proxied replicas' fault streams stay independent but replayable.
 uint64_t PerturbSeed(uint64_t seed, int shard, int replica) {
   return seed + static_cast<uint64_t>(shard) +
          static_cast<uint64_t>(replica) * 1000003ULL;
@@ -31,7 +30,7 @@ LoopbackShardFleet::LoopbackShardFleet(std::vector<Poi> pois,
   proxies_.reserve(total);
   for (int s = 0; s < config_.shards; ++s) {
     for (int r = 0; r < config_.replicas; ++r) {
-      // Each replica gets its own copy of the slice, like ReplicaSet's
+      // Each replica gets its own copy of the slice, like the cluster's
       // in-process layout: identical data is what makes failover answer
       // bits identical.
       dbs_.push_back(std::make_unique<LspDatabase>(slices[static_cast<size_t>(s)]));
@@ -86,7 +85,6 @@ LoopbackShardFleet::LinkFactory() const {
     TcpLinkConfig link = config_.link;
     link.host = "127.0.0.1";
     link.port = dial_port(shard, replica);
-    link.seed = PerturbSeed(link.seed, shard, replica);
     return std::make_unique<TcpLink>(std::move(link));
   };
 }

@@ -9,7 +9,8 @@
 // Optionally, selected replicas are fronted by a seeded ChaosProxy so
 // socket-level faults (RST, truncation, black holes, split writes) hit
 // exactly the legs a test scripts — the link then dials the proxy, and
-// the replica ladder has to absorb whatever the schedule injects.
+// each replica set's client ladder has to absorb whatever the schedule
+// injects.
 //
 // This is the harness for transport_test, the `--transport=tcp` bench
 // smoke, and the CLI's TCP cluster mode; production deployments run
@@ -36,8 +37,7 @@ struct LoopbackFleetConfig {
   /// Per-replica shard service config (plaintext shard kGNN).
   ServiceConfig shard_service;
   TcpServerConfig server;
-  /// Base link config; host/port are filled per replica by LinkFactory,
-  /// and the seed is perturbed per (shard, replica).
+  /// Base link config; host/port are filled per replica by LinkFactory.
   TcpLinkConfig link;
   /// Which replicas sit behind a ChaosProxy; null = none.
   std::function<bool(int shard, int replica)> proxied;

@@ -29,14 +29,12 @@ std::string TcpLinkStats::ToString() const {
   std::ostringstream os;
   os << "tcp_link: submitted=" << submitted << " answered=" << answered
      << " dials=" << dials << " dial_failures=" << dial_failures
-     << " fast_fails=" << fast_fails << " io_errors=" << io_errors
+     << " io_errors=" << io_errors
      << " io_timeouts=" << io_timeouts << " pooled_reuses=" << pooled_reuses;
   return os.str();
 }
 
-TcpLink::TcpLink(TcpLinkConfig config)
-    // ppgnn-lint: allow(guarded-by): constructor has exclusive access
-    : config_(std::move(config)), rng_(config_.seed) {}
+TcpLink::TcpLink(TcpLinkConfig config) : config_(std::move(config)) {}
 
 TcpLink::~TcpLink() { Close(); }
 
@@ -61,7 +59,7 @@ bool TcpLink::Submit(ServiceRequest request, Callback done) {
   }
   // Inline structured reject (outside the lock), mirroring LspService's
   // Submit contract.
-  done(SynthesizeError(WireError::kShuttingDown, "tcp link closed", 0));
+  done(SynthesizeError(WireError::kShuttingDown, "tcp link closed"));
   return false;
 }
 
@@ -76,12 +74,10 @@ Status TcpLink::Probe(double timeout_seconds) {
       TcpConnect(config_.host, config_.port, timeout_seconds);
   if (!dialed.ok()) {
     dial_failures_.fetch_add(1, std::memory_order_relaxed);
-    (void)OnDialFailure();
     NotifyConnectivity(false);
     return dialed.status();
   }
   ReturnConnection(std::move(dialed).value());
-  OnExchangeSuccess();
   NotifyConnectivity(true);
   return Status::OK();
 }
@@ -92,23 +88,14 @@ void TcpLink::RunExchange(ServiceRequest request, Callback done) {
   if (reused) {
     pooled_reuses_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    const uint64_t gate_ms = DialGateRemainingMs();
-    if (gate_ms > 0) {
-      fast_fails_.fetch_add(1, std::memory_order_relaxed);
-      done(SynthesizeError(WireError::kOverloaded,
-                           "dial backoff gate closed", gate_ms));
-      return;
-    }
     dials_.fetch_add(1, std::memory_order_relaxed);
     Result<OwnedFd> dialed = TcpConnect(config_.host, config_.port,
                                         config_.connect_timeout_seconds);
     if (!dialed.ok()) {
       dial_failures_.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t backoff_ms = OnDialFailure();
       NotifyConnectivity(false);
       done(SynthesizeError(WireError::kOverloaded,
-                           "dial failed: " + dialed.status().message(),
-                           backoff_ms));
+                           "dial failed: " + dialed.status().message()));
       return;
     }
     conn = std::move(dialed).value();
@@ -142,7 +129,7 @@ void TcpLink::RunExchange(ServiceRequest request, Callback done) {
     UnregisterActive(conn.get());
     conn.Reset();  // a connection in an unknown state is never pooled
     NotifyConnectivity(false);
-    done(SynthesizeError(code, detail, 0));
+    done(SynthesizeError(code, detail));
   };
 
   Status sent = SendAll(conn.get(), framed.data(), framed.size(), deadline);
@@ -174,7 +161,6 @@ void TcpLink::RunExchange(ServiceRequest request, Callback done) {
                  FramedWireSize(frame.payload.size()));
       UnregisterActive(conn.get());
       ReturnConnection(std::move(conn));
-      OnExchangeSuccess();
       NotifyConnectivity(true);
       answered_.fetch_add(1, std::memory_order_relaxed);
       // Verbatim delivery: whatever ResponseFrame the server sent is
@@ -227,36 +213,6 @@ void TcpLink::UnregisterActive(int fd) {
                     active_fds_.end());
 }
 
-uint64_t TcpLink::DialGateRemainingMs() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto now = SocketClock::now();
-  if (now >= next_dial_allowed_) return 0;
-  const auto remaining = next_dial_allowed_ - now;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(remaining).count();
-  return static_cast<uint64_t>(std::max<int64_t>(ms, 1));
-}
-
-uint64_t TcpLink::OnDialFailure() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int n = consecutive_dial_failures_++;
-  double backoff = config_.reconnect_initial_backoff_seconds *
-                   std::pow(config_.reconnect_backoff_multiplier, n);
-  backoff = std::min(backoff, config_.reconnect_max_backoff_seconds);
-  const double jitter =
-      1.0 + config_.reconnect_jitter_fraction * (2.0 * rng_.NextDouble() - 1.0);
-  backoff *= jitter;
-  next_dial_allowed_ = DeadlineAfter(backoff);
-  return static_cast<uint64_t>(
-      std::max<long long>(std::llround(backoff * 1000.0), 1));
-}
-
-void TcpLink::OnExchangeSuccess() {
-  std::lock_guard<std::mutex> lock(mu_);
-  consecutive_dial_failures_ = 0;
-  next_dial_allowed_ = SocketClock::time_point{};
-}
-
 void TcpLink::SetConnectivityObserver(std::function<void(bool)> observer) {
   std::lock_guard<std::mutex> lock(mu_);
   observer_ = std::move(observer);
@@ -274,12 +230,10 @@ void TcpLink::NotifyConnectivity(bool up) {
 }
 
 std::vector<uint8_t> TcpLink::SynthesizeError(WireError code,
-                                              std::string detail,
-                                              uint64_t retry_after_ms) {
+                                              std::string detail) {
   ErrorMessage err;
   err.code = code;
   err.detail = std::move(detail);
-  err.retry_after_ms = retry_after_ms;
   return ResponseFrame::WrapError(err);
 }
 
@@ -337,7 +291,6 @@ TcpLinkStats TcpLink::Stats() const {
   s.answered = answered_.load(std::memory_order_relaxed);
   s.dials = dials_.load(std::memory_order_relaxed);
   s.dial_failures = dial_failures_.load(std::memory_order_relaxed);
-  s.fast_fails = fast_fails_.load(std::memory_order_relaxed);
   s.io_errors = io_errors_.load(std::memory_order_relaxed);
   s.io_timeouts = io_timeouts_.load(std::memory_order_relaxed);
   s.pooled_reuses = pooled_reuses_.load(std::memory_order_relaxed);

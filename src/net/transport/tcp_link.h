@@ -12,18 +12,15 @@
 // Failures never escape as exceptions or silence — every Submit
 // resolves its callback with either the server's verbatim
 // ResponseFrame bytes or a locally synthesized structured error:
-//   * dial failure / backoff gate -> kOverloaded with a retry_after_ms
-//     hint equal to the remaining backoff (ResilientClient honors it);
-//   * send/recv error, peer EOF, fatal framing -> kOverloaded
-//     ("the replica is unreachable *right now*" — retryable, and the
-//     failure is reported to the connectivity observer so HealthMonitor
-//     demotes the replica);
+//   * dial failure, send/recv error, peer EOF, fatal framing ->
+//     kOverloaded ("the replica is unreachable *right now*" — retryable,
+//     and the failure is reported to the connectivity observer so
+//     HealthMonitor demotes the replica);
 //   * I/O deadline -> kDeadlineExceeded.
 //
-// Reconnect discipline: consecutive dial failures arm a capped
-// exponential backoff with seeded jitter; while the gate is closed,
-// Submits fast-fail locally instead of hammering a dead address. The
-// first success resets the gate.
+// The link keeps no reconnect backoff of its own: ResilientClient backs
+// off before it returns to a failed link, and HealthMonitor's down gate
+// keeps a dead replica out of the route until a probe brings it back.
 
 #ifndef PPGNN_NET_TRANSPORT_TCP_LINK_H_
 #define PPGNN_NET_TRANSPORT_TCP_LINK_H_
@@ -36,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/random.h"
 #include "net/cost.h"
 #include "net/transport/socket.h"
 #include "service/link.h"
@@ -52,13 +48,6 @@ struct TcpLinkConfig {
   /// carries no deadline of its own; a request deadline (plus a small
   /// grace for the server's structured timeout reply) wins when set.
   double io_timeout_seconds = 5.0;
-  /// Dial backoff after consecutive connect failures:
-  /// min(initial * multiplier^n, max) * (1 ± jitter), seeded.
-  double reconnect_initial_backoff_seconds = 0.01;
-  double reconnect_max_backoff_seconds = 0.5;
-  double reconnect_backoff_multiplier = 2.0;
-  double reconnect_jitter_fraction = 0.2;
-  uint64_t seed = 0x7c9;
   /// Optional communication-cost sink (logical + framed bytes, both
   /// directions). Recorded under the link's own lock; the tracker may
   /// be shared with other links only if every other writer is also
@@ -71,7 +60,6 @@ struct TcpLinkStats {
   uint64_t answered = 0;        ///< server frames delivered verbatim
   uint64_t dials = 0;
   uint64_t dial_failures = 0;
-  uint64_t fast_fails = 0;      ///< backoff gate, no dial attempted
   uint64_t io_errors = 0;       ///< send/recv/EOF/framing failures
   uint64_t io_timeouts = 0;
   uint64_t pooled_reuses = 0;   ///< exchanges on an already-open conn
@@ -91,8 +79,8 @@ class TcpLink : public ServiceLink {
                             Callback done) override;
   void SetConnectivityObserver(std::function<void(bool)> observer) override;
   /// Reachability probe: reuses a pooled connection when one exists,
-  /// otherwise dials (pooling the new connection on success, arming the
-  /// backoff gate on failure). Never sends a byte.
+  /// otherwise dials (pooling the new connection on success). Never
+  /// sends a byte.
   Status Probe(double timeout_seconds) override;
   void Close() override;
 
@@ -112,16 +100,8 @@ class TcpLink : public ServiceLink {
   void ReturnConnection(OwnedFd fd);
   void RegisterActive(int fd);
   void UnregisterActive(int fd);
-  /// Backoff gate. Returns 0 when dialing is allowed; otherwise the
-  /// remaining closed time in milliseconds (the fast-fail hint).
-  uint64_t DialGateRemainingMs();
-  /// Arms/extends the backoff gate; returns the new closed window in
-  /// milliseconds (the fast-fail retry_after hint).
-  uint64_t OnDialFailure();
-  void OnExchangeSuccess();
   void NotifyConnectivity(bool up);
-  std::vector<uint8_t> SynthesizeError(WireError code, std::string detail,
-                                       uint64_t retry_after_ms);
+  std::vector<uint8_t> SynthesizeError(WireError code, std::string detail);
   void RecordCost(Link link, uint64_t logical, uint64_t framed);
   /// Joins workers that have finished; called opportunistically from
   /// Submit and exhaustively from Close.
@@ -138,12 +118,6 @@ class TcpLink : public ServiceLink {
   std::vector<Worker> workers_;
   // ppgnn: guarded_by(observer_, mu_)
   std::function<void(bool)> observer_;
-  // ppgnn: guarded_by(rng_, mu_)
-  Rng rng_;
-  // ppgnn: guarded_by(consecutive_dial_failures_, mu_)
-  int consecutive_dial_failures_ = 0;
-  // ppgnn: guarded_by(next_dial_allowed_, mu_)
-  SocketClock::time_point next_dial_allowed_{};
   // ppgnn: guarded_by(closed_, mu_)
   bool closed_ = false;
   /// Last connectivity state reported to the observer; notifications are
@@ -152,13 +126,11 @@ class TcpLink : public ServiceLink {
   bool link_up_ = true;
 
   // ppgnn: stat_counter(submitted_, answered_, dials_, dial_failures_)
-  // ppgnn: stat_counter(fast_fails_, io_errors_, io_timeouts_)
-  // ppgnn: stat_counter(pooled_reuses_)
+  // ppgnn: stat_counter(io_errors_, io_timeouts_, pooled_reuses_)
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> answered_{0};
   std::atomic<uint64_t> dials_{0};
   std::atomic<uint64_t> dial_failures_{0};
-  std::atomic<uint64_t> fast_fails_{0};
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<uint64_t> io_timeouts_{0};
   std::atomic<uint64_t> pooled_reuses_{0};

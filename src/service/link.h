@@ -20,9 +20,10 @@
 //   * Every delivered buffer is either a decodable wire ResponseFrame
 //     or transport garbage the caller's frame decode will classify —
 //     a link never invents half-answers.
-//   * Close() releases transport resources and unblocks any in-flight
-//     Submit callbacks (with structured errors). Idempotent; in-process
-//     implementations may no-op it and keep their own shutdown API.
+//   * Close() shuts the link down: by the time it returns, every
+//     in-flight Submit callback has fired (a transport link severs its
+//     exchanges with structured errors; LspService drains, as
+//     Shutdown()). Idempotent.
 
 #ifndef PPGNN_SERVICE_LINK_H_
 #define PPGNN_SERVICE_LINK_H_
@@ -71,7 +72,7 @@ class ServiceLink {
   /// timeout. Never carries a query.
   virtual Status Probe(double /*timeout_seconds*/) { return Status::OK(); }
 
-  /// Releases transport resources; see the contract above.
+  /// Shuts the link down; see the contract above.
   virtual void Close() {}
 };
 

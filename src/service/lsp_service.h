@@ -281,6 +281,8 @@ class LspService : public ServiceLink {
   /// 0 = unbounded drain (execute everything queued). Idempotent; the
   /// destructor calls it.
   void Shutdown(double drain_deadline_seconds = 0.0);
+  /// The link view of Shutdown(): an unbounded drain.
+  void Close() override { Shutdown(); }
 
  private:
   struct PendingRequest {

@@ -22,14 +22,15 @@ Clock::duration FromSeconds(double s) {
       std::chrono::duration<double>(s));
 }
 
-/// Shared between Call() and the (possibly two) reply callbacks of one
-/// attempt round. Held by shared_ptr so a hedge-loser's late callback
-/// lands safely even after Call() has moved on or returned.
-struct RoundState {
+/// Shared between Call() and the reply callbacks of its legs. Held by
+/// shared_ptr so a losing leg's late callback lands safely even after
+/// Call() has moved on or returned.
+struct CallState {
   std::mutex mu;
   std::condition_variable cv;
   struct Reply {
     std::vector<uint8_t> frame;
+    size_t link = 0;  ///< route index the leg went to
     bool from_hedge = false;
   };
   // ppgnn: guarded_by(replies, mu)
@@ -38,12 +39,9 @@ struct RoundState {
   int outstanding = 0;
 };
 
-/// How one reply (or a whole round) resolves.
-enum class Resolution {
-  kAnswer,     ///< decodable answer frame: done
-  kTerminal,   ///< structured error a retry cannot fix: done
-  kRetryable,  ///< structured transient error or transport garbage
-};
+/// Floor on the deadline a leg carries: a non-positive one would read as
+/// "no deadline", and the TCP envelope counts whole milliseconds.
+constexpr double kMinLegDeadlineSeconds = 0.001;
 
 }  // namespace
 
@@ -69,7 +67,11 @@ std::string ClientStats::ToString() const {
 
 ResilientClient::ResilientClient(ServiceLink& service, RetryPolicy policy)
     // ppgnn-lint: allow(guarded-by): constructor has exclusive access
-    : service_(service), policy_(std::move(policy)), rng_(policy_.seed) {}
+    : service_(&service), policy_(std::move(policy)), rng_(policy_.seed) {}
+
+ResilientClient::ResilientClient(RetryPolicy policy)
+    // ppgnn-lint: allow(guarded-by): constructor has exclusive access
+    : service_(nullptr), policy_(std::move(policy)), rng_(policy_.seed) {}
 
 bool ResilientClient::IsRetryable(WireError code) {
   // kShuttingDown is a clean pre-admission rejection: a resend (to a
@@ -100,19 +102,33 @@ uint64_t ResilientClient::NextIdempotencyKey() {
 }
 
 ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
+  return Run(std::move(request), {service_}, /*same_link_hedge=*/true);
+}
+
+ClientCallOutcome ResilientClient::Call(
+    ServiceRequest request, const std::vector<ServiceLink*>& route) {
+  return Run(std::move(request), route, /*same_link_hedge=*/false);
+}
+
+ClientCallOutcome ResilientClient::Run(ServiceRequest request,
+                                       const std::vector<ServiceLink*>& route,
+                                       bool same_link_hedge) {
   const Clock::time_point start = Clock::now();
+  double budget = policy_.total_budget_seconds;
+  if (request.deadline_seconds > 0 &&
+      (budget <= 0 || request.deadline_seconds < budget)) {
+    budget = request.deadline_seconds;
+  }
   const Clock::time_point budget_deadline =
-      policy_.total_budget_seconds > 0
-          ? start + FromSeconds(policy_.total_budget_seconds)
-          : Clock::time_point::max();
+      budget > 0 ? start + FromSeconds(budget) : Clock::time_point::max();
 
   ClientCallOutcome outcome;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.calls++;
   }
-  // One key per logical call: every retry and hedge below carries it, so
-  // the server coalesces duplicates instead of re-running the pipeline.
+  // One key per logical call: every leg below carries it, so the server
+  // coalesces duplicates instead of re-running the pipeline.
   if (policy_.tag_idempotency && request.idempotency_key == 0) {
     request.idempotency_key = NextIdempotencyKey();
   }
@@ -123,48 +139,52 @@ ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
   ErrorMessage last_error;
   bool saw_garbage = false;
   bool budget_hit = false;
+  bool internal_seen = false;
 
-  const int max_attempts = std::max(policy_.max_attempts, 1);
+  // Failover must reach every link, whatever the attempt bound.
+  const size_t links = route.size();
+  const int max_attempts =
+      links == 0 ? 0 : std::max(policy_.max_attempts, static_cast<int>(links));
+  const bool may_hedge = policy_.hedge && (links > 1 || same_link_hedge);
+  std::vector<bool> tried(links, false);
+  size_t legs = 0;  // leg i goes to route[i % links]
+
+  auto state = std::make_shared<CallState>();
+  auto submit = [&](bool from_hedge) {
+    const size_t link = legs++ % links;
+    tried[link] = true;
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->outstanding++;
+    }
+    ServiceRequest copy = request;
+    if (budget_deadline != Clock::time_point::max()) {
+      copy.deadline_seconds =
+          std::max(Seconds(budget_deadline - Clock::now()),
+                   kMinLegDeadlineSeconds);
+    }
+    const Clock::time_point submitted = Clock::now();
+    // Submit may run the callback inline (queue-full reject), so no
+    // locks of ours are held here; a reject still surfaces through
+    // the callback's error frame, so the bool is redundant.
+    (void)route[link]->Submit(
+        std::move(copy), [this, state, link, from_hedge,
+                          submitted](std::vector<uint8_t> frame) {
+          attempt_latency_.Record(Seconds(Clock::now() - submitted));
+          std::lock_guard<std::mutex> lock(state->mu);
+          state->replies.push_back({std::move(frame), link, from_hedge});
+          state->outstanding--;
+          state->cv.notify_all();
+        });
+  };
+
+  size_t consumed = 0;
   while (outcome.attempts < max_attempts) {
     const Clock::time_point attempt_start = Clock::now();
     if (attempt_start >= budget_deadline) {
       budget_hit = true;
       break;
     }
-    const double remaining =
-        budget_deadline == Clock::time_point::max()
-            ? 0.0  // unlimited: let the request carry its own deadline
-            : Seconds(budget_deadline - attempt_start);
-
-    uint64_t round_retry_after_ms = 0;
-    Resolution round_resolution = Resolution::kRetryable;
-
-    auto state = std::make_shared<RoundState>();
-    auto submit = [&](bool from_hedge) {
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->outstanding++;
-      }
-      ServiceRequest copy = request;
-      if (remaining > 0 &&
-          (copy.deadline_seconds <= 0 || copy.deadline_seconds > remaining)) {
-        copy.deadline_seconds = remaining;
-      }
-      const Clock::time_point submitted = Clock::now();
-      // Submit may run the callback inline (queue-full reject), so no
-      // locks of ours are held here; a reject still surfaces through
-      // the callback's error frame, so the bool is redundant.
-      (void)service_.Submit(
-          std::move(copy),
-          [this, state, from_hedge, submitted](std::vector<uint8_t> frame) {
-            attempt_latency_.Record(Seconds(Clock::now() - submitted));
-            std::lock_guard<std::mutex> lock(state->mu);
-            state->replies.push_back({std::move(frame), from_hedge});
-            state->outstanding--;
-            state->cv.notify_all();
-          });
-    };
-
     outcome.attempts++;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -173,19 +193,21 @@ ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
     submit(/*from_hedge=*/false);
 
     const Clock::time_point hedge_at =
-        policy_.hedge ? attempt_start + FromSeconds(HedgeDelaySeconds(
-                                            attempt_latency_,
-                                            policy_.hedge_delay_seconds))
-                      : Clock::time_point::max();
-    bool hedged_this_round = false;
-    bool round_decided = false;
+        may_hedge ? attempt_start + FromSeconds(HedgeDelaySeconds(
+                                        attempt_latency_,
+                                        policy_.hedge_delay_seconds))
+                  : Clock::time_point::max();
+    bool hedged = false;
+    bool terminal = false;
+    uint64_t round_retry_after_ms = 0;
 
     std::unique_lock<std::mutex> lock(state->mu);
-    size_t consumed = 0;
-    while (!round_decided) {
+    for (;;) {
       // Evaluate any replies that arrived since the last look.
-      for (; consumed < state->replies.size(); ++consumed) {
-        RoundState::Reply& reply = state->replies[consumed];
+      for (; consumed < state->replies.size() && !outcome.answered &&
+             !terminal;
+           ++consumed) {
+        CallState::Reply& reply = state->replies[consumed];
         Result<ResponseFrame> decoded = ResponseFrame::Decode(reply.frame);
         if (!decoded.ok()) {
           // Transport garbage (e.g. an injected corrupt frame): the
@@ -199,99 +221,103 @@ ClientCallOutcome ResilientClient::Call(ServiceRequest request) {
           outcome.frame = std::move(reply.frame);
           outcome.answered = true;
           outcome.hedge_won = reply.from_hedge;
-          round_resolution = Resolution::kAnswer;
-          round_decided = true;
-          break;
+          outcome.link = static_cast<int>(reply.link);
+          continue;
         }
         last_error = decoded.value().error;
         last_error_frame = std::move(reply.frame);
-        if (!IsRetryable(last_error.code)) {
-          round_resolution = Resolution::kTerminal;
-          round_decided = true;
-          break;
-        }
-        if (last_error.code == WireError::kOverloaded &&
-            last_error.retry_after_ms > 0) {
+        if (last_error.code == WireError::kInternal && links > 1) {
+          internal_seen = true;  // one replica's verdict, not the call's
+        } else if (!IsRetryable(last_error.code)) {
+          terminal = true;
+        } else if (last_error.code == WireError::kOverloaded &&
+                   last_error.retry_after_ms > 0) {
           round_retry_after_ms = last_error.retry_after_ms;
         }
       }
-      if (round_decided) break;
-      // Nothing decisive yet. If nothing is outstanding either, the
-      // round has failed retryably.
-      if (state->outstanding == 0) break;
-      const Clock::time_point now = Clock::now();
-      if (now >= budget_deadline) {
-        // Abandon the outstanding attempt: its late reply only touches
-        // `state`, which outlives us via the shared_ptr in the
-        // callback.
+      // Decided, or every leg of the round failed.
+      if (outcome.answered || terminal || state->outstanding == 0) break;
+      if (Clock::now() >= budget_deadline) {
+        // Abandon the outstanding legs: their late replies only touch
+        // `state`, which outlives us via the shared_ptr in the callback.
         budget_hit = true;
-        round_decided = true;
-        round_resolution = Resolution::kRetryable;
         break;
       }
-      Clock::time_point wake = budget_deadline;
-      const bool may_hedge =
-          policy_.hedge && !hedged_this_round && state->replies.empty();
-      if (may_hedge) wake = std::min(wake, hedge_at);
+      const bool hedge_pending = may_hedge && !hedged;
+      const Clock::time_point wake =
+          hedge_pending ? std::min(budget_deadline, hedge_at) : budget_deadline;
+      const size_t seen = state->replies.size();
+      const auto arrived = [&state, seen] {
+        return state->replies.size() > seen;
+      };
       if (wake == Clock::time_point::max()) {
-        state->cv.wait(lock);
+        state->cv.wait(lock, arrived);
       } else {
-        state->cv.wait_until(lock, wake);
+        state->cv.wait_until(lock, wake, arrived);
       }
-      if (may_hedge && Clock::now() >= hedge_at && state->replies.empty() &&
-          state->outstanding > 0) {
-        hedged_this_round = true;
+      // Only the attempt is in flight before the hedge, so a reply would
+      // have left nothing outstanding.
+      if (hedge_pending && state->outstanding > 0 &&
+          Clock::now() >= hedge_at) {
+        hedged = true;
         outcome.hedges++;
         {
           std::lock_guard<std::mutex> slock(mu_);
           stats_.hedges++;
         }
-        service_.RecordClientHedge();
         lock.unlock();
+        route[legs % links]->RecordClientHedge();
         submit(/*from_hedge=*/true);
         lock.lock();
       }
     }
     lock.unlock();
 
-    if (round_resolution == Resolution::kAnswer) {
+    if (outcome.answered) {
       if (outcome.hedge_won) {
         std::lock_guard<std::mutex> slock(mu_);
         stats_.hedge_wins++;
       }
       break;
     }
-    if (round_resolution == Resolution::kTerminal) break;
-    if (budget_hit || outcome.attempts >= max_attempts) break;
-
-    // Transient failure with budget and attempts to spare: back off. A
-    // server retry_after_ms hint replaces the exponential schedule
-    // (jitter still applies so hinted clients don't stampede in sync).
-    double backoff = BackoffSeconds(outcome.attempts);
-    if (policy_.honor_retry_after && round_retry_after_ms > 0) {
-      double jitter = 0.0;
-      if (policy_.jitter_fraction > 0) {
-        std::lock_guard<std::mutex> slock(mu_);
-        jitter = policy_.jitter_fraction * (2.0 * rng_.NextDouble() - 1.0);
-      }
-      backoff = std::max(
-          static_cast<double>(round_retry_after_ms) / 1000.0 * (1.0 + jitter),
-          0.0);
-      std::lock_guard<std::mutex> slock(mu_);
-      stats_.retry_after_honored++;
+    if (terminal || budget_hit || outcome.attempts >= max_attempts) break;
+    if (internal_seen &&
+        std::find(tried.begin(), tried.end(), false) == tried.end()) {
+      break;  // every link has given its verdict
     }
-    // Capped against the remaining budget: never sleep past the point
-    // where no further attempt could run.
-    if (budget_deadline != Clock::time_point::max() &&
-        Clock::now() + FromSeconds(backoff) >= budget_deadline) {
-      budget_hit = true;
-      break;
+
+    // Every leg of the round failed with attempts to spare. A link not
+    // yet tried goes at once; a link that already failed gets a backoff,
+    // and a server retry_after_ms hint replaces the exponential schedule
+    // (jitter still applies so hinted clients don't stampede in sync).
+    double backoff = 0.0;
+    if (tried[legs % links]) {
+      backoff = BackoffSeconds(outcome.attempts);
+      if (round_retry_after_ms > 0) {
+        double jitter = 0.0;
+        if (policy_.jitter_fraction > 0) {
+          std::lock_guard<std::mutex> slock(mu_);
+          jitter = policy_.jitter_fraction * (2.0 * rng_.NextDouble() - 1.0);
+        }
+        backoff = std::max(static_cast<double>(round_retry_after_ms) /
+                               1000.0 * (1.0 + jitter),
+                           0.0);
+        std::lock_guard<std::mutex> slock(mu_);
+        stats_.retry_after_honored++;
+      }
+      // Capped against the remaining budget: never sleep past the point
+      // where no further attempt could run.
+      if (budget_deadline != Clock::time_point::max() &&
+          Clock::now() + FromSeconds(backoff) >= budget_deadline) {
+        budget_hit = true;
+        break;
+      }
     }
     {
       std::lock_guard<std::mutex> slock(mu_);
       stats_.retries++;
     }
-    service_.RecordClientRetry();
+    route[legs % links]->RecordClientRetry();
     if (backoff > 0) std::this_thread::sleep_for(FromSeconds(backoff));
   }
 

@@ -28,8 +28,8 @@ uint64_t MixKey(uint64_t key, uint64_t shard) {
 
 struct ShardReply {
   bool responded = false;
-  /// The set's ladder had to work (failover, hedge, or extra legs) but
-  /// the shard still answered exactly.
+  /// The set's ladder had to work (a retry, failover or hedge) but the
+  /// shard still answered exactly.
   bool recovered = false;
   ShardAnswerMessage answer;
 };
@@ -62,6 +62,12 @@ ShardedLspService::ShardedLspService(std::vector<Poi> pois,
     : config_(std::move(config)) {
   std::vector<std::vector<Poi>> slices =
       PartitionPoisForShards(std::move(pois), config_.shards);
+  ReplicaSetConfig set_config;
+  set_config.link_policy = config_.link_policy;
+  set_config.link_policy.hedge = config_.hedge;
+  set_config.link_policy.hedge_delay_seconds = config_.hedge_delay_seconds;
+  set_config.health = config_.health;
+  set_config.probe_timeout_seconds = config_.probe_timeout_seconds;
   sets_.reserve(slices.size());
   shard_mbrs_.reserve(slices.size());
   shard_sizes_.reserve(slices.size());
@@ -70,17 +76,21 @@ ShardedLspService::ShardedLspService(std::vector<Poi> pois,
     for (const Poi& poi : slices[j]) mbr.ExpandToInclude(poi.location);
     shard_mbrs_.push_back(mbr);
     shard_sizes_.push_back(slices[j].size());
-    ReplicaSetConfig set_config;
-    set_config.replicas = std::max(config_.replicas, 1);
-    set_config.service = config_.shard;
-    set_config.link_policy = config_.link_policy;
-    set_config.health = config_.health;
-    set_config.hedge = config_.hedge;
-    set_config.hedge_delay_seconds = config_.hedge_delay_seconds;
-    set_config.link_factory = config_.link_factory;
-    set_config.probe_timeout_seconds = config_.probe_timeout_seconds;
-    sets_.push_back(std::make_unique<ReplicaSet>(
-        static_cast<int>(j), std::move(slices[j]), std::move(set_config)));
+    const int shard = static_cast<int>(j);
+    std::vector<std::unique_ptr<ServiceLink>> links;
+    for (int r = 0; r < std::max(config_.replicas, 1); ++r) {
+      if (config_.link_factory) {
+        links.push_back(config_.link_factory(shard, r));
+        continue;
+      }
+      // Each replica owns a full copy of the slice: replicas share no
+      // state, so one replica's failure mode cannot leak into another.
+      dbs_.push_back(std::make_unique<LspDatabase>(slices[j]));
+      links.push_back(
+          std::make_unique<LspService>(*dbs_.back(), config_.shard));
+    }
+    sets_.push_back(
+        std::make_unique<ReplicaSet>(shard, std::move(links), set_config));
   }
   if (config_.background_prober &&
       config_.health.probe_interval_seconds > 0.0) {
@@ -124,9 +134,6 @@ ServiceStats ShardedLspService::Stats() const {
   stats.degraded_shards = degraded_shards_.load(std::memory_order_relaxed);
   stats.exact_despite_failures =
       exact_despite_failures_.load(std::memory_order_relaxed);
-  stats.replica_failovers = replica_failovers_.load(std::memory_order_relaxed);
-  stats.replica_hedge_wins =
-      replica_hedge_wins_.load(std::memory_order_relaxed);
   for (size_t j = 0; j < sets_.size(); ++j) {
     const ReplicaSetStats set_stats = sets_[j]->Stats();
     for (size_t r = 0; r < set_stats.replicas.size(); ++r) {
@@ -139,6 +146,8 @@ ServiceStats ShardedLspService::Stats() const {
       row.failed_over = in.failed_over;
       row.hedge_won = in.hedge_won;
       row.transitions = in.transitions;
+      stats.replica_failovers += in.failed_over;
+      stats.replica_hedge_wins += in.hedge_won;
       stats.health_transitions += in.transitions;
       stats.replicas.push_back(row);
     }
@@ -195,8 +204,8 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
     }
   }
 
-  // Remaining budget for the fan-out, propagated on every shard leg both
-  // as the link's client-side budget and in the wire-v2 trailer.
+  // Remaining budget for the fan-out: it bounds each replica set's whole
+  // call, and every shard leg carries it in the wire-v2 trailer.
   double remaining_seconds = 0.0;
   uint64_t remaining_ms = 0;
   if (ctx.deadline != LspService::Clock::time_point::max()) {
@@ -236,11 +245,7 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
       sr.query = std::move(encoded).value();
       sr.deadline_seconds = remaining_seconds;
       sr.idempotency_key = sq.idempotency_key;
-      ReplicaCallOutcome outcome = sets_[j]->Call(sr, remaining_seconds);
-      if (outcome.failed_over)
-        replica_failovers_.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.hedge_won)
-        replica_hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+      const ClientCallOutcome outcome = sets_[j]->Call(std::move(sr));
       if (!outcome.answered) return;
       Result<ResponseFrame> frame = ResponseFrame::Decode(outcome.frame);
       if (!frame.ok() || frame.value().is_error) return;
@@ -249,8 +254,7 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
       if (!answer.ok()) return;
       replies[j].answer = std::move(answer).value();
       replies[j].responded = true;
-      replies[j].recovered =
-          outcome.failed_over || outcome.hedge_won || outcome.legs > 1;
+      replies[j].recovered = outcome.attempts + outcome.hedges > 1;
     });
   }
   for (std::thread& t : scatter) t.join();

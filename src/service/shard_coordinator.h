@@ -3,10 +3,12 @@
 //
 // The POI space is split into S contiguous slices (sorted by (x, y, id)
 // and cut into equal runs, so shard MBRs overlap only at slice
-// boundaries); each slice backs a *replica set* of R independent
-// LspService instances over identical copies of the slice data
+// boundaries); each slice backs a *replica set* of R links to
+// independent replicas over identical copies of the slice data
 // (service/replica_set.h), fronted by a health monitor
-// (service/health.h). The front-end is a plain LspService whose
+// (service/health.h). The cluster builds each link: the configured
+// link_factory's, or an in-process LspService over a copy of the slice
+// that the cluster owns. The front-end is a plain LspService whose
 // execution handler serves the single-node pipeline of core/protocol.h:
 // LspDecodeCandidates, then LspAnswerCandidates. Only the kGNN source
 // differs. Instead of running the kGNN locally, for every candidate
@@ -17,12 +19,12 @@
 //     cost at its aggregate max-distance; shards whose aggregate
 //     min-distance exceeds the tightest such cap are pruned — exactly,
 //     since every POI they hold is then strictly worse than the cap);
-//   * scatters per-shard ShardQueryMessages, each through its replica
-//     set's resilience ladder: health-ordered replica preference,
-//     budget-bounded failover, p99-derived cross-replica hedging, and
-//     a half-open probe when the whole set looks down — all carrying
-//     the request's remaining deadline and a per-shard-derived
-//     idempotency key in the wire-v2 trailer;
+//   * scatters per-shard ShardQueryMessages, each as one ResilientClient
+//     call over its replica set's health-ordered route: retries,
+//     immediate failover, p99-derived cross-replica hedging, and a
+//     half-open probe when the whole set looks down — the request's
+//     remaining deadline bounding the call and riding, with a
+//     per-shard-derived idempotency key, in the wire-v2 trailer;
 //   * gathers the per-shard top-k lists and merges them per candidate by
 //     (cost, poi id) — the same total order the single-node MBM solver
 //     emits, so an S=1 cluster is bit-identical to a plain LspService.
@@ -77,12 +79,12 @@ struct ShardClusterConfig {
   /// LspAnswerCandidates over the merged answers, as a plain LspService
   /// hands them to it over its local kGNN.
   ServiceConfig front;
-  /// Per-replica service config (plaintext kGNN only — keep workers
-  /// modest).
+  /// Per-replica service config of in-process replicas (plaintext kGNN
+  /// only — keep workers modest).
   ServiceConfig shard;
-  /// Retry/hedge/budget policy for each coordinator -> replica link. The
-  /// seed is perturbed per (shard, replica) so link jitter streams are
-  /// independent.
+  /// Retry/budget policy of each replica set's client; the seed is
+  /// perturbed per shard, and `hedge` / `hedge_delay_seconds` below
+  /// replace its hedge fields.
   RetryPolicy link_policy;
   /// Replica health state machine (thresholds, cooldown, probe cadence,
   /// injectable clock).
@@ -97,14 +99,14 @@ struct ShardClusterConfig {
   bool background_prober = false;
   /// Remote transport mode: when set, every (shard, replica) link comes
   /// from this factory (e.g. net/transport TcpLinks dialing a
-  /// LoopbackShardFleet or --listen processes) and no local shard
-  /// databases/services are built; `shard` is ignored. POIs are still
-  /// partitioned locally — the coordinator needs the slice MBRs and
-  /// sizes for exact routing, and remote servers MUST hold the same
-  /// (x, y, id)-sorted slices for answers to stay byte-identical.
+  /// LoopbackShardFleet or --listen processes) instead of an in-process
+  /// LspService; `shard` is ignored. POIs are still partitioned locally
+  /// — the coordinator needs the slice MBRs and sizes for exact routing,
+  /// and remote servers MUST hold the same (x, y, id)-sorted slices for
+  /// answers to stay byte-identical.
   std::function<std::unique_ptr<ServiceLink>(int shard, int replica)>
       link_factory;
-  /// ProbeOnce dial budget per remote replica (remote mode only).
+  /// ProbeOnce budget per replica link (dial-or-reuse over TCP).
   double probe_timeout_seconds = 0.25;
 };
 
@@ -151,12 +153,11 @@ class ShardedLspService {
   ReplicaSet& replica_set(int shard) {
     return *sets_[static_cast<size_t>(shard)];
   }
-  /// Replica 0 of the shard — the PR 7 single-replica accessors.
+  /// Replica 0 of the shard, when replicas are in-process (throws
+  /// std::bad_cast over link_factory links).
   LspService& shard_service(int shard) {
-    return sets_[static_cast<size_t>(shard)]->replica_service(0);
-  }
-  const ResilientClient& link(int shard) const {
-    return sets_[static_cast<size_t>(shard)]->link(0);
+    return dynamic_cast<LspService&>(
+        sets_[static_cast<size_t>(shard)]->link(0));
   }
 
  private:
@@ -168,15 +169,14 @@ class ShardedLspService {
   void ProberLoop();
 
   ShardClusterConfig config_;
+  /// In-process replicas' slice copies; outlive the sets' services.
+  std::vector<std::unique_ptr<LspDatabase>> dbs_;
   std::vector<std::unique_ptr<ReplicaSet>> sets_;
   std::vector<Rect> shard_mbrs_;
   std::vector<size_t> shard_sizes_;
   // ppgnn: stat_counter(degraded_shards_, exact_despite_failures_)
-  // ppgnn: stat_counter(replica_failovers_, replica_hedge_wins_)
   std::atomic<uint64_t> degraded_shards_{0};
   std::atomic<uint64_t> exact_despite_failures_{0};
-  std::atomic<uint64_t> replica_failovers_{0};
-  std::atomic<uint64_t> replica_hedge_wins_{0};
 
   std::mutex prober_mu_;
   std::condition_variable prober_cv_;

@@ -197,6 +197,17 @@ TEST_F(ChaosTest, TerminalErrorIsNotRetried) {
   ASSERT_TRUE(decoded.is_error);
   EXPECT_EQ(decoded.error.code, WireError::kMalformed);
   EXPECT_EQ(client.Stats().terminal_errors, 1u);
+
+  // kInternal is one link's verdict, and a one-link route has no other:
+  // the call ends on it, although a retry would have succeeded.
+  Rng rng(65);
+  ServiceRequest request = WorkloadRequest(rng);
+  ASSERT_TRUE(FailpointSetFromSpec("lsp.candidate=error,times=1").ok());
+  outcome = client.Call(std::move(request));
+  EXPECT_FALSE(outcome.answered);
+  EXPECT_EQ(outcome.attempts, 1);
+  EXPECT_EQ(outcome.error.code, WireError::kInternal);
+  EXPECT_EQ(client.Stats().terminal_errors, 2u);
   service.Shutdown();
 }
 

@@ -13,7 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <fstream>
+#include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -25,6 +30,46 @@
 
 namespace ppgnn {
 namespace {
+
+// A replica that never answers in time: each leg ends in
+// kDeadlineExceeded once the deadline it carries has passed.
+class DeadlineExceededLink : public ServiceLink {
+ public:
+  ~DeadlineExceededLink() override { Close(); }
+
+  bool Submit(ServiceRequest request, Callback done) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    legs_.emplace_back(
+        [seconds = request.deadline_seconds, done = std::move(done)] {
+          std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+          ErrorMessage error;
+          error.code = WireError::kDeadlineExceeded;
+          error.detail = "leg deadline passed";
+          done(ResponseFrame::WrapError(error));
+        });
+    return true;
+  }
+
+  void Close() override {
+    std::vector<std::thread> legs;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      legs.swap(legs_);
+    }
+    for (std::thread& leg : legs) leg.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread> legs_;
+};
+
+size_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
 
 class ShardTest : public ::testing::Test {
  protected:
@@ -374,6 +419,20 @@ TEST_F(ShardTest, HedgeWinKeepsFramesByteIdentical) {
   EXPECT_EQ(stats.degraded_shards, 0u);
   EXPECT_GE(stats.replica_hedge_wins, 1u);
   EXPECT_GE(stats.exact_despite_failures, 1u);
+
+  // The primary fails after the hedge launched, and the backup answers
+  // later still: the primary's kInternal is one replica's verdict, so
+  // the call waits for the hedge instead of ending on it.
+  FailpointClearAll();
+  ShardedLspService racing(*pois_, config);
+  for (int j = 0; j < 2; ++j) {
+    const std::string replica = "shard.replica." + std::to_string(j);
+    ASSERT_TRUE(FailpointAddFromSpec(replica + ".0=delay:20").ok());
+    ASSERT_TRUE(FailpointAddFromSpec(replica + ".0=error").ok());
+    ASSERT_TRUE(FailpointAddFromSpec(replica + ".1=delay:40").ok());
+  }
+  EXPECT_EQ(FrameOf(racing, request), expected);
+  EXPECT_EQ(racing.Stats().degraded_shards, 0u);
 }
 
 // Degraded merge is the last tier: it engages (and is counted) only when
@@ -481,6 +540,58 @@ TEST_F(ShardTest, ProbeRecoversAKilledReplica) {
   std::vector<uint8_t> second = FrameOf(cluster, request);
   EXPECT_EQ(second, first);  // recovery changes no bits either
   EXPECT_GE(set.Stats().replicas[0].served, served_before + 1);
+}
+
+// The request's deadline bounds the whole replica-set call: a replica
+// that answers kDeadlineExceeded only once a leg's deadline has passed
+// must not hold the front for a full deadline per retry.
+TEST_F(ShardTest, RequestDeadlineBoundsTheWholeShardCall) {
+  ShardClusterConfig config = ClusterConfig(1, /*sanitize=*/false);
+  config.link_policy = RetryPolicy();  // 4 attempts, no total budget
+  config.link_factory = [](int, int) -> std::unique_ptr<ServiceLink> {
+    return std::make_unique<DeadlineExceededLink>();
+  };
+  ShardedLspService cluster(*pois_, config);
+  ServiceRequest request = MakeRequest(Variant::kPpgnn, AggregateKind::kSum,
+                                       130, /*sanitize=*/false);
+  request.deadline_seconds = 0.2;
+
+  const auto start = std::chrono::steady_clock::now();
+  ResponseFrame decoded =
+      ResponseFrame::Decode(FrameOf(cluster, request)).value();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_TRUE(decoded.is_error);
+  EXPECT_LT(elapsed, 0.35);
+}
+
+// A hedge that loses leaves nothing behind: hedging every shard leg for
+// 200 queries must not grow the process's memory map.
+TEST_F(ShardTest, LosingHedgesLeaveNoMappingsBehind) {
+  ShardClusterConfig config = ReplicatedConfig(4, 2, /*sanitize=*/false);
+  config.hedge_delay_seconds = 1e-6;
+  ShardedLspService cluster(*pois_, config);
+  std::vector<ServiceRequest> requests;
+  for (uint64_t seed = 140; seed < 150; ++seed) {
+    requests.push_back(MakeRequest(Variant::kPpgnn, AggregateKind::kSum, seed,
+                                   /*sanitize=*/false));
+  }
+  for (int i = 0; i < 20; ++i) FrameOf(cluster, requests[i % 10]);
+
+  const size_t maps_before = MappedRegions();
+  for (int i = 0; i < 200; ++i) {
+    ResponseFrame decoded =
+        ResponseFrame::Decode(FrameOf(cluster, requests[i % 10])).value();
+    ASSERT_FALSE(decoded.is_error) << decoded.error.detail;
+  }
+  EXPECT_LT(MappedRegions(), maps_before + 64);
+
+  uint64_t hedges = 0;
+  for (int j = 0; j < cluster.shards(); ++j) {
+    hedges += cluster.replica_set(j).Stats().hedges_launched;
+  }
+  EXPECT_GT(hedges, 0u);
 }
 
 TEST_F(ShardTest, ParentIdempotencyKeyCoalescesShardLegs) {

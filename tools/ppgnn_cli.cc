@@ -434,19 +434,16 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
         }
         endpoints->push_back(std::move(parsed).value());
       }
-      const uint64_t link_seed = opts.seed ^ 0x7c91ull;
       const int replicas = opts.replicas;
-      cluster_config.link_factory =
-          [endpoints, link_seed, replicas](int shard, int replica) {
-            const auto& endpoint = (*endpoints)[static_cast<size_t>(
-                shard * replicas + replica)];
-            TcpLinkConfig link;
-            link.host = endpoint.first;
-            link.port = endpoint.second;
-            link.seed = link_seed + static_cast<uint64_t>(shard) +
-                        static_cast<uint64_t>(replica) * 1000003ull;
-            return std::make_unique<TcpLink>(link);
-          };
+      cluster_config.link_factory = [endpoints, replicas](int shard,
+                                                          int replica) {
+        const auto& endpoint =
+            (*endpoints)[static_cast<size_t>(shard * replicas + replica)];
+        TcpLinkConfig link;
+        link.host = endpoint.first;
+        link.port = endpoint.second;
+        return std::make_unique<TcpLink>(link);
+      };
       std::printf(
           "Dialing %zu remote shard servers (every server must hold the "
           "matching slice of the same database)\n",
