@@ -312,62 +312,121 @@ std::vector<RankedPoi> ReferenceAnswer(const ProtocolParams& params,
   return answer;
 }
 
+Result<CoordinatorQuery> CoordinatorBuildQuery(
+    Variant variant, const ProtocolParams& params,
+    const std::vector<Point>& real_locations, const Encryptor& enc, Rng& rng,
+    const RequestWireOptions& wire) {
+  PPGNN_RETURN_IF_ERROR(params.Validate());
+  if (real_locations.size() != static_cast<size_t>(params.n))
+    return Status::InvalidArgument("real_locations.size() != n");
+  PPGNN_ASSIGN_OR_RETURN(Plan plan, MakePlan(variant, params));
+  const PartitionPlan& pp = plan.partition;
+
+  // Segment chosen with probability d_bar[i] / d (Eqn 11), then one
+  // position per subgroup inside it.
+  int seg = 1;
+  const int64_t pick = rng.NextInRange(1, plan.set_size);
+  int64_t acc = 0;
+  for (int i = 1; i <= pp.beta(); ++i) {
+    acc += pp.d_bar[i - 1];
+    if (pick <= acc) {
+      seg = i;
+      break;
+    }
+  }
+  std::vector<int> x(pp.alpha);    // 1-based position within the segment
+  std::vector<int> pos(pp.alpha);  // 1-based absolute position
+  for (int j = 0; j < pp.alpha; ++j) {
+    x[j] = static_cast<int>(rng.NextInRange(1, pp.d_bar[seg - 1]));
+    pos[j] = pp.SegmentOffset(seg) - 1 + x[j];
+  }
+  const uint64_t qi = QueryIndex(pp, seg, x);
+
+  // The encrypted indicator. The answer width comes from enc's key: the
+  // LSP packs the answer under the key the query carries.
+  CoordinatorQuery out;
+  const PublicKey& pk = enc.public_key();
+  out.info.answer_width_m =
+      PoiCodec(pk.key_bits).IntsNeeded(static_cast<size_t>(params.k));
+  QueryMessage query;
+  query.k = params.k;
+  query.theta0 = params.theta0;
+  query.aggregate = params.aggregate;
+  query.plan = pp;
+  query.pk = pk;
+  query.deadline_ms = wire.deadline_ms;
+  query.idempotency_key = wire.idempotency_key;
+  if (variant == Variant::kPpgnnOpt) {
+    query.is_opt = true;
+    out.info.omega = ChooseOmega(pp.delta_prime, out.info.answer_width_m);
+    PPGNN_ASSIGN_OR_RETURN(
+        query.opt_indicator,
+        EncryptOptIndicator(enc, qi, pp.delta_prime, out.info.omega, rng));
+  } else {
+    PPGNN_ASSIGN_OR_RETURN(query.indicator,
+                           EncryptIndicator(enc, qi, pp.delta_prime, rng));
+  }
+  PPGNN_ASSIGN_OR_RETURN(out.query, query.Encode());
+
+  // pos_j to every non-coordinator user, then every user's location set.
+  const std::vector<int> subgroup = SubgroupOfUser(pp);
+  for (int u = 1; u < params.n; ++u) {
+    ByteWriter w;
+    w.PutVarint(static_cast<uint64_t>(pos[subgroup[u]]));
+    out.positions.push_back(w.Release());
+  }
+  const DummyGenerator& dummies = params.dummy_generator != nullptr
+                                      ? *params.dummy_generator
+                                      : UniformDummies();
+  out.uploads.reserve(static_cast<size_t>(params.n));
+  for (int u = 0; u < params.n; ++u) {
+    LocationSetMessage msg;
+    msg.user_id = static_cast<uint32_t>(u);
+    msg.locations.resize(static_cast<size_t>(plan.set_size));
+    if (FailpointDrop("user.upload")) {
+      // Dropout degradation: the user never delivered its set, so the
+      // coordinator substitutes a synthetic one around a random anchor
+      // (it does not know the dropped user's location). Same d points,
+      // same wire bytes per slot — the LSP's view is shape-identical.
+      const Point anchor{rng.NextDouble(), rng.NextDouble()};
+      for (Point& p : msg.locations) {
+        p = dummies.Generate(anchor, rng);
+      }
+      out.info.degraded_users++;
+    } else {
+      for (Point& p : msg.locations) {
+        p = dummies.Generate(real_locations[u], rng);
+      }
+      msg.locations[pos[subgroup[u]] - 1] = real_locations[u];
+    }
+    out.uploads.push_back(msg.Encode());
+  }
+  return out;
+}
+
+Result<std::vector<Point>> CoordinatorDecryptAnswer(
+    const std::vector<uint8_t>& answer_bytes, const PublicKey& pk,
+    const Decryptor& dec, bool layered) {
+  PPGNN_ASSIGN_OR_RETURN(AnswerMessage answer,
+                         AnswerMessage::Decode(answer_bytes, pk));
+  std::vector<BigInt> plain;
+  plain.reserve(answer.ciphertexts.size());
+  for (const Ciphertext& ct : answer.ciphertexts) {
+    PPGNN_ASSIGN_OR_RETURN(BigInt value, layered ? dec.DecryptLayered(ct)
+                                                 : dec.Decrypt(ct));
+    plain.push_back(std::move(value));
+  }
+  return PoiCodec(pk.key_bits).Decode(plain);
+}
+
 Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
                               const std::vector<Point>& real_locations,
                               const LspDatabase& lsp, Rng& rng,
                               const KeyPair* fixed_keys) {
   PPGNN_RETURN_IF_ERROR(params.Validate());
-  if (real_locations.size() != static_cast<size_t>(params.n))
-    return Status::InvalidArgument("real_locations.size() != n");
-  if (variant == Variant::kPpgnnOpt && params.key_bits < 192)
-    return Status::InvalidArgument(
-        "PPGNN-OPT needs key_bits >= 192 for level-2 ciphertexts");
-
   CostTracker tracker;
-  QueryInstrumentation info;
-  const int n = params.n;
 
-  // ===== Coordinator (Algorithm 1): plan, positions, query index =====
-  Plan plan;
-  int seg = 1;
-  std::vector<int> x;    // per-subgroup 1-based position within segment
-  std::vector<int> pos;  // per-subgroup 1-based absolute position
-  uint64_t qi = 0;
-  {
-    ScopedTimer timer(&tracker, Party::kUser);
-    PPGNN_ASSIGN_OR_RETURN(plan, MakePlan(variant, params));
-    const PartitionPlan& pp = plan.partition;
-    // Segment chosen with probability d_bar[i] / d (Eqn 11).
-    int64_t pick = rng.NextInRange(1, plan.set_size);
-    int64_t acc = 0;
-    for (int i = 1; i <= pp.beta(); ++i) {
-      acc += pp.d_bar[i - 1];
-      if (pick <= acc) {
-        seg = i;
-        break;
-      }
-    }
-    x.resize(pp.alpha);
-    pos.resize(pp.alpha);
-    for (int j = 0; j < pp.alpha; ++j) {
-      x[j] = static_cast<int>(rng.NextInRange(1, pp.d_bar[seg - 1]));
-      pos[j] = pp.SegmentOffset(seg) - 1 + x[j];
-    }
-    qi = QueryIndex(pp, seg, x);
-  }
-  info.delta_prime = plan.partition.delta_prime;
-
-  // Broadcast pos_j to every non-coordinator user (user 0 coordinates).
-  {
-    std::vector<int> subgroup = SubgroupOfUser(plan.partition);
-    for (int u = 1; u < n; ++u) {
-      ByteWriter w;
-      w.PutVarint(static_cast<uint64_t>(pos[subgroup[u]]));
-      tracker.RecordSend(Link::kUserToUser, w.size());
-    }
-  }
-
-  // ===== Coordinator: keys and encrypted indicator =====
+  // ===== Coordinator: keys =====
   KeyPair keys;
   {
     ScopedTimer timer(&tracker, Party::kUser);
@@ -377,126 +436,65 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
   }
+  Encryptor enc(keys.pub);
   Decryptor dec(keys.pub, keys.sec);
-  PoiCodec codec(params.key_bits);
-  const size_t m = codec.IntsNeeded(static_cast<size_t>(params.k));
-  info.answer_width_m = m;
-
-  QueryMessage query;
-  query.k = params.k;
-  query.theta0 = params.theta0;
-  query.aggregate = params.aggregate;
-  query.plan = plan.partition;
-  query.pk = keys.pub;
   // Offline phase: with params.blinding_pool > 0 the coordinator's
   // device precomputes blinding factors while idle (untimed — a phone
   // does this before the user even forms the query), so the timed user
   // phase below pays only the pooled online cost per indicator
   // ciphertext. The pool draws from the same rng stream; determinism is
   // unaffected, only the accounting boundary moves.
-  Encryptor enc(keys.pub);
   if (params.blinding_pool > 0) {
     const size_t pool = static_cast<size_t>(params.blinding_pool);
     PPGNN_RETURN_IF_ERROR(enc.RefillBlindingPool(1, pool, rng));
     if (variant == Variant::kPpgnnOpt)
       PPGNN_RETURN_IF_ERROR(enc.RefillBlindingPool(2, pool, rng));
   }
+
+  // ===== Coordinator (Algorithm 1): query, pos_j, location sets =====
+  CoordinatorQuery request;
   {
     ScopedTimer timer(&tracker, Party::kUser);
-    if (variant == Variant::kPpgnnOpt) {
-      query.is_opt = true;
-      info.omega = ChooseOmega(plan.partition.delta_prime, m);
-      PPGNN_ASSIGN_OR_RETURN(
-          query.opt_indicator,
-          EncryptOptIndicator(enc, qi, plan.partition.delta_prime, info.omega,
-                              rng));
-    } else {
-      PPGNN_ASSIGN_OR_RETURN(
-          query.indicator,
-          EncryptIndicator(enc, qi, plan.partition.delta_prime, rng));
-    }
+    PPGNN_ASSIGN_OR_RETURN(
+        request,
+        CoordinatorBuildQuery(variant, params, real_locations, enc, rng));
   }
-
-  // ===== Coordinator -> LSP: the query message, over the wire =====
-  PPGNN_ASSIGN_OR_RETURN(std::vector<uint8_t> query_bytes, query.Encode());
-  tracker.RecordSend(Link::kUserToLsp, query_bytes.size());
-
-  // ===== Every user: build and send the location set =====
-  std::vector<std::vector<uint8_t>> upload_bytes(n);
-  {
-    ScopedTimer timer(&tracker, Party::kUser);
-    std::vector<int> subgroup = SubgroupOfUser(plan.partition);
-    const DummyGenerator& dummies = params.dummy_generator != nullptr
-                                        ? *params.dummy_generator
-                                        : UniformDummies();
-    for (int u = 0; u < n; ++u) {
-      LocationSetMessage msg;
-      msg.user_id = static_cast<uint32_t>(u);
-      msg.locations.resize(static_cast<size_t>(plan.set_size));
-      if (FailpointDrop("user.upload")) {
-        // Dropout degradation: the user never delivered its set, so the
-        // coordinator substitutes a synthetic one around a random anchor
-        // (it does not know the dropped user's location). Same d points,
-        // same wire bytes per slot — the LSP's view is shape-identical.
-        const Point anchor{rng.NextDouble(), rng.NextDouble()};
-        for (Point& p : msg.locations) {
-          p = dummies.Generate(anchor, rng);
-        }
-        info.degraded_users++;
-      } else {
-        for (Point& p : msg.locations) {
-          p = dummies.Generate(real_locations[u], rng);
-        }
-        msg.locations[pos[subgroup[u]] - 1] = real_locations[u];
-      }
-      upload_bytes[u] = msg.Encode();
-    }
+  for (const std::vector<uint8_t>& message : request.positions) {
+    tracker.RecordSend(Link::kUserToUser, message.size());
   }
-  for (int u = 0; u < n; ++u) {
-    tracker.RecordSend(Link::kUserToLsp, upload_bytes[u].size());
+  tracker.RecordSend(Link::kUserToLsp, request.query.size());
+  for (const std::vector<uint8_t>& upload : request.uploads) {
+    tracker.RecordSend(Link::kUserToLsp, upload.size());
   }
 
   // ===== LSP (Algorithm 2), through the wire-level entry point =====
+  QueryInstrumentation info = request.info;
   std::vector<uint8_t> answer_bytes;
   {
     ScopedTimer timer(&tracker, Party::kLsp);
     PPGNN_ASSIGN_OR_RETURN(
         answer_bytes,
-        LspHandleQuery(lsp, query_bytes, upload_bytes, params.test,
+        LspHandleQuery(lsp, request.query, request.uploads, params.test,
                        params.sanitize, params.lsp_threads, &info));
   }
   // Work done by spawned LSP workers isn't visible to the main thread's
   // CPU timer; charge it explicitly so LSP cost = total compute.
   tracker.RecordCompute(Party::kLsp, info.lsp_parallel_seconds);
-
-  // ===== LSP -> coordinator: the encrypted answer =====
   tracker.RecordSend(Link::kLspToUser, answer_bytes.size());
 
-  // ===== Coordinator: decrypt, decode =====
+  // ===== Coordinator: decrypt, then broadcast to the other users =====
   AnswerBroadcast broadcast;
   {
     ScopedTimer timer(&tracker, Party::kUser);
-    PPGNN_ASSIGN_OR_RETURN(AnswerMessage received,
-                           AnswerMessage::Decode(answer_bytes, keys.pub));
-    std::vector<BigInt> plain;
-    plain.reserve(received.ciphertexts.size());
-    for (const Ciphertext& ct : received.ciphertexts) {
-      if (variant == Variant::kPpgnnOpt) {
-        PPGNN_ASSIGN_OR_RETURN(BigInt value, dec.DecryptLayered(ct));
-        plain.push_back(std::move(value));
-      } else {
-        PPGNN_ASSIGN_OR_RETURN(BigInt value, dec.Decrypt(ct));
-        plain.push_back(std::move(value));
-      }
-    }
-    PPGNN_ASSIGN_OR_RETURN(broadcast.pois, codec.Decode(plain));
+    PPGNN_ASSIGN_OR_RETURN(
+        broadcast.pois,
+        CoordinatorDecryptAnswer(answer_bytes, keys.pub, dec,
+                                 variant == Variant::kPpgnnOpt));
   }
   info.pois_returned = broadcast.pois.size();
-
-  // ===== Coordinator -> other users: the plaintext answer =====
-  if (n > 1) {
+  if (params.n > 1) {
     std::vector<uint8_t> broadcast_bytes = broadcast.Encode();
-    for (int u = 1; u < n; ++u) {
+    for (int u = 1; u < params.n; ++u) {
       tracker.RecordSend(Link::kUserToUser, broadcast_bytes.size());
     }
   }

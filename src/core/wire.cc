@@ -184,8 +184,31 @@ Result<std::vector<uint8_t>> QueryMessage::Encode() const {
   return w.Release();
 }
 
-Result<QueryMessage> QueryMessage::Decode(const std::vector<uint8_t>& bytes) {
-  PPGNN_RETURN_IF_ERROR(FailpointCheck("wire.query.decode"));
+namespace {
+
+/// Reads `count` level-`level` ciphertexts into `out`; with `out` null it
+/// length-checks them without copying a body.
+Status ReadCiphertexts(ByteReader& r, const PublicKey& pk, int level,
+                       uint64_t count, std::vector<Ciphertext>* out) {
+  for (uint64_t i = 0; i < count; ++i) {
+    if (out != nullptr) {
+      PPGNN_ASSIGN_OR_RETURN(Ciphertext ct, ReadCiphertext(r, pk, level));
+      out->push_back(std::move(ct));
+      continue;
+    }
+    PPGNN_ASSIGN_OR_RETURN(uint64_t len, r.SkipBytes());
+    if (len != pk.CiphertextBytes(level))
+      return Status::InvalidArgument("ciphertext width mismatch on wire");
+  }
+  return Status::OK();
+}
+
+/// The one QueryMessage parser, behind both Decode and PeekQueryHeader.
+/// With `bodies` false the indicator ciphertexts are length-checked but
+/// left out of the result, so a peek stays O(indicator count), never
+/// O(ciphertext bytes), and fails exactly when a full decode would.
+Result<QueryMessage> ReadQuery(const std::vector<uint8_t>& bytes,
+                               bool bodies) {
   ByteReader r(bytes);
   QueryMessage msg;
   PPGNN_ASSIGN_OR_RETURN(uint64_t k64, r.GetVarint());
@@ -249,22 +272,18 @@ Result<QueryMessage> QueryMessage::Decode(const std::vector<uint8_t>& bytes) {
             msg.plan.delta_prime) {
       return Status::InvalidArgument("wire: OPT indicator shape invalid");
     }
-    for (uint64_t i = 0; i < msg.opt_indicator.block_size; ++i) {
-      PPGNN_ASSIGN_OR_RETURN(Ciphertext ct, ReadCiphertext(r, msg.pk, 1));
-      msg.opt_indicator.v1.push_back(std::move(ct));
-    }
-    for (uint64_t i = 0; i < msg.opt_indicator.omega; ++i) {
-      PPGNN_ASSIGN_OR_RETURN(Ciphertext ct, ReadCiphertext(r, msg.pk, 2));
-      msg.opt_indicator.v2.push_back(std::move(ct));
-    }
+    PPGNN_RETURN_IF_ERROR(
+        ReadCiphertexts(r, msg.pk, 1, msg.opt_indicator.block_size,
+                        bodies ? &msg.opt_indicator.v1 : nullptr));
+    PPGNN_RETURN_IF_ERROR(
+        ReadCiphertexts(r, msg.pk, 2, msg.opt_indicator.omega,
+                        bodies ? &msg.opt_indicator.v2 : nullptr));
   } else if (kind == kIndicatorPlain) {
     PPGNN_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
     if (count != msg.plan.delta_prime)
       return Status::InvalidArgument("wire: indicator length != delta'");
-    for (uint64_t i = 0; i < count; ++i) {
-      PPGNN_ASSIGN_OR_RETURN(Ciphertext ct, ReadCiphertext(r, msg.pk, 1));
-      msg.indicator.push_back(std::move(ct));
-    }
+    PPGNN_RETURN_IF_ERROR(ReadCiphertexts(r, msg.pk, 1, count,
+                                          bodies ? &msg.indicator : nullptr));
   } else {
     return Status::InvalidArgument("wire: unknown indicator kind");
   }
@@ -273,100 +292,11 @@ Result<QueryMessage> QueryMessage::Decode(const std::vector<uint8_t>& bytes) {
   return msg;
 }
 
-Result<QueryWireHeader> PeekQueryHeader(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  QueryWireHeader header;
-  if (IsShardQuery(bytes)) {
-    // Plaintext shard fan-out: expose k and the shipped candidate count so
-    // queueing/dedup still work, but leave key material zeroed — the
-    // crypto-calibrated cost model must not price this request.
-    header.is_shard = true;
-    PPGNN_RETURN_IF_ERROR(r.GetU8().status());  // magic
-    PPGNN_ASSIGN_OR_RETURN(uint64_t sk64, r.GetVarint());
-    if (sk64 < 1 || sk64 > kMaxWireK)
-      return Status::InvalidArgument("wire: k out of range");
-    header.k = static_cast<int>(sk64);
-    PPGNN_ASSIGN_OR_RETURN(uint8_t agg, r.GetU8());
-    if (agg > static_cast<uint8_t>(AggregateKind::kMin))
-      return Status::InvalidArgument("wire: bad aggregate kind");
-    PPGNN_ASSIGN_OR_RETURN(header.delta_prime, r.GetVarint());
-    if (header.delta_prime < 1 || header.delta_prime > kMaxWireDeltaPrime)
-      return Status::InvalidArgument("wire: candidate count out of range");
-    for (uint64_t i = 0; i < header.delta_prime; ++i) {
-      PPGNN_RETURN_IF_ERROR(r.GetVarint().status());  // global index
-      PPGNN_ASSIGN_OR_RETURN(uint64_t pts, r.GetVarint());
-      if (pts < 1 || pts > kMaxWireSubgroupSize)
-        return Status::InvalidArgument("wire: candidate size out of range");
-      for (uint64_t j = 0; j < 2 * pts; ++j) {
-        PPGNN_RETURN_IF_ERROR(r.GetDouble().status());
-      }
-    }
-    PPGNN_RETURN_IF_ERROR(
-        ReadQueryTrailer(r, &header.deadline_ms, &header.idempotency_key));
-    return header;
-  }
-  PPGNN_ASSIGN_OR_RETURN(uint64_t k64, r.GetVarint());
-  if (k64 < 1 || k64 > kMaxWireK)
-    return Status::InvalidArgument("wire: k out of range");
-  header.k = static_cast<int>(k64);
-  PPGNN_RETURN_IF_ERROR(r.GetDouble().status());  // theta0
-  PPGNN_RETURN_IF_ERROR(r.GetU8().status());      // aggregate
-  PartitionPlan plan;
-  PPGNN_ASSIGN_OR_RETURN(uint64_t alpha, r.GetVarint());
-  if (alpha < 1 || alpha > 4096)
-    return Status::InvalidArgument("wire: bad alpha");
-  plan.alpha = static_cast<int>(alpha);
-  for (uint64_t j = 0; j < alpha; ++j) {
-    PPGNN_ASSIGN_OR_RETURN(uint64_t nb, r.GetVarint());
-    if (nb < 1 || nb > kMaxWireSubgroupSize)
-      return Status::InvalidArgument("wire: subgroup size out of range");
-  }
-  PPGNN_ASSIGN_OR_RETURN(uint64_t beta, r.GetVarint());
-  if (beta < 1 || beta > 1 << 20)
-    return Status::InvalidArgument("wire: bad beta");
-  for (uint64_t i = 0; i < beta; ++i) {
-    PPGNN_ASSIGN_OR_RETURN(uint64_t db, r.GetVarint());
-    if (db < 1 || db > kMaxWireSegmentSize)
-      return Status::InvalidArgument("wire: segment size out of range");
-    plan.d_bar.push_back(static_cast<int>(db));
-  }
-  PPGNN_ASSIGN_OR_RETURN(header.delta_prime, CheckedPlanDeltaPrime(plan));
+}  // namespace
 
-  PPGNN_ASSIGN_OR_RETURN(uint64_t key_bits, r.GetVarint());
-  if (key_bits < kMinWireKeyBits || key_bits > kMaxWireKeyBits)
-    return Status::InvalidArgument("wire: key_bits out of range");
-  PPGNN_ASSIGN_OR_RETURN(uint64_t pk_len, r.SkipBytes());
-  if (pk_len != (key_bits + 7) / 8)
-    return Status::InvalidArgument("wire: bad public key width");
-  header.key_bits = static_cast<int>(key_bits);
-
-  PPGNN_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
-  uint64_t body_count = 0;
-  if (kind == kIndicatorOpt) {
-    header.is_opt = true;
-    PPGNN_ASSIGN_OR_RETURN(header.omega, r.GetVarint());
-    PPGNN_ASSIGN_OR_RETURN(uint64_t block_size, r.GetVarint());
-    if (header.omega < 1 || header.omega > kMaxWireDeltaPrime ||
-        block_size < 1 || block_size > kMaxWireDeltaPrime ||
-        header.omega * block_size < header.delta_prime) {
-      return Status::InvalidArgument("wire: OPT indicator shape invalid");
-    }
-    body_count = header.omega + block_size;
-  } else if (kind == kIndicatorPlain) {
-    PPGNN_ASSIGN_OR_RETURN(body_count, r.GetVarint());
-    if (body_count != header.delta_prime)
-      return Status::InvalidArgument("wire: indicator length != delta'");
-  } else {
-    return Status::InvalidArgument("wire: unknown indicator kind");
-  }
-  // Skip the ciphertext bodies without touching them: the peek must stay
-  // O(indicator count), never O(ciphertext bytes).
-  for (uint64_t i = 0; i < body_count; ++i) {
-    PPGNN_RETURN_IF_ERROR(r.SkipBytes().status());
-  }
-  PPGNN_RETURN_IF_ERROR(
-      ReadQueryTrailer(r, &header.deadline_ms, &header.idempotency_key));
-  return header;
+Result<QueryMessage> QueryMessage::Decode(const std::vector<uint8_t>& bytes) {
+  PPGNN_RETURN_IF_ERROR(FailpointCheck("wire.query.decode"));
+  return ReadQuery(bytes, /*bodies=*/true);
 }
 
 bool IsShardQuery(const std::vector<uint8_t>& bytes) {
@@ -411,9 +341,11 @@ Result<std::vector<uint8_t>> ShardQueryMessage::Encode() const {
   return w.Release();
 }
 
-Result<ShardQueryMessage> ShardQueryMessage::Decode(
-    const std::vector<uint8_t>& bytes) {
-  PPGNN_RETURN_IF_ERROR(FailpointCheck("wire.shard.decode"));
+namespace {
+
+/// ShardQueryMessage::Decode without its failpoint, so an admission peek
+/// is not counted as a decode.
+Result<ShardQueryMessage> ReadShardQuery(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
   ShardQueryMessage msg;
   PPGNN_ASSIGN_OR_RETURN(uint8_t magic, r.GetU8());
@@ -432,7 +364,7 @@ Result<ShardQueryMessage> ShardQueryMessage::Decode(
     return Status::InvalidArgument("wire: candidate count out of range");
   msg.candidates.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    Candidate c;
+    ShardQueryMessage::Candidate c;
     PPGNN_ASSIGN_OR_RETURN(c.index, r.GetVarint());
     if (c.index > kMaxWireDeltaPrime)
       return Status::InvalidArgument("wire: candidate index out of range");
@@ -455,6 +387,40 @@ Result<ShardQueryMessage> ShardQueryMessage::Decode(
   PPGNN_RETURN_IF_ERROR(
       ReadQueryTrailer(r, &msg.deadline_ms, &msg.idempotency_key));
   return msg;
+}
+
+}  // namespace
+
+Result<ShardQueryMessage> ShardQueryMessage::Decode(
+    const std::vector<uint8_t>& bytes) {
+  PPGNN_RETURN_IF_ERROR(FailpointCheck("wire.shard.decode"));
+  return ReadShardQuery(bytes);
+}
+
+Result<QueryWireHeader> PeekQueryHeader(const std::vector<uint8_t>& bytes) {
+  QueryWireHeader header;
+  if (IsShardQuery(bytes)) {
+    // Plaintext shard fan-out: expose k and the shipped candidate count so
+    // queueing/dedup still work, but leave key material zeroed — the
+    // crypto-calibrated cost model must not price this request.
+    PPGNN_ASSIGN_OR_RETURN(ShardQueryMessage shard, ReadShardQuery(bytes));
+    header.is_shard = true;
+    header.k = shard.k;
+    header.delta_prime = shard.candidates.size();
+    header.deadline_ms = shard.deadline_ms;
+    header.idempotency_key = shard.idempotency_key;
+    return header;
+  }
+  PPGNN_ASSIGN_OR_RETURN(QueryMessage query,
+                         ReadQuery(bytes, /*bodies=*/false));
+  header.k = query.k;
+  header.delta_prime = query.plan.delta_prime;
+  header.key_bits = query.pk.key_bits;
+  header.is_opt = query.is_opt;
+  header.omega = query.opt_indicator.omega;
+  header.deadline_ms = query.deadline_ms;
+  header.idempotency_key = query.idempotency_key;
+  return header;
 }
 
 Result<std::vector<uint8_t>> ShardAnswerMessage::Encode() const {

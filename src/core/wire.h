@@ -92,8 +92,8 @@ struct QueryMessage {
   [[nodiscard]] static Result<QueryMessage> Decode(const std::vector<uint8_t>& bytes);
 };
 
-/// The admission-relevant prefix of an encoded QueryMessage, parsed
-/// without materializing any ciphertext (bodies are length-skipped).
+/// The admission-relevant fields of an encoded QueryMessage, parsed
+/// without materializing any ciphertext (bodies are length-checked only).
 /// This is what cost-aware admission reads *before* deciding to spend
 /// crypto on a request: every field is public wire metadata — none of it
 /// derives from `// ppgnn: secret` data.
@@ -113,10 +113,11 @@ struct QueryWireHeader {
   bool is_shard = false;
 };
 
-/// Bounds-checked header peek over QueryMessage bytes. Validation depth
-/// matches QueryMessage::Decode for everything it reads; a query that
-/// peeks cleanly can still fail full decode (e.g. a wrong-width
-/// ciphertext body), which surfaces later as kMalformed.
+/// Header peek over QueryMessage or ShardQueryMessage bytes. It runs the
+/// decoders' own parsers (minus their failpoints), so it fails exactly
+/// when QueryMessage::Decode or ShardQueryMessage::Decode would: a
+/// malformed query is never priced by admission, and its worker decode
+/// replies kMalformed.
 [[nodiscard]] Result<QueryWireHeader> PeekQueryHeader(
     const std::vector<uint8_t>& bytes);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 
-#include "bigint/fixedbase.h"
 #include "common/failpoint.h"
 
 namespace ppgnn {
@@ -89,18 +88,7 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(error_replies[2]),
       static_cast<unsigned long long>(error_replies[3]),
       static_cast<unsigned long long>(error_replies[4]));
-  char blinding[192];
-  std::snprintf(
-      blinding, sizeof(blinding),
-      " blinding[hit=%llu miss=%llu refilled=%llu pooled=%llu] "
-      "fixedbase[engines=%llu bytes=%llu]",
-      static_cast<unsigned long long>(blinding_pool_hits),
-      static_cast<unsigned long long>(blinding_pool_misses),
-      static_cast<unsigned long long>(blinding_refilled),
-      static_cast<unsigned long long>(blinding_pooled),
-      static_cast<unsigned long long>(fixed_base_engines),
-      static_cast<unsigned long long>(fixed_base_table_bytes));
-  return std::string(buf) + blinding + " | e2e " + latency.ToString() +
+  return std::string(buf) + " | e2e " + latency.ToString() +
          " | wait " + queue_wait.ToString() + " | exec " + execute.ToString();
 }
 
@@ -544,17 +532,6 @@ ServiceStats LspService::Stats() const {
     std::lock_guard<std::mutex> lock(totals_mu_);
     stats.totals = totals_;
   }
-  if (config_.observed_encryptor != nullptr) {
-    const Encryptor::BlindingStats blinding =
-        config_.observed_encryptor->blinding_stats();
-    stats.blinding_pool_hits = blinding.pool_hits;
-    stats.blinding_pool_misses = blinding.pool_misses;
-    stats.blinding_refilled = blinding.refilled;
-    stats.blinding_pooled = blinding.pooled;
-  }
-  const FixedBaseRegistryStats tables = SharedFixedBaseRegistryStats();
-  stats.fixed_base_engines = tables.engines;
-  stats.fixed_base_table_bytes = tables.table_bytes;
   return stats;
 }
 

@@ -98,13 +98,6 @@ struct ServiceConfig {
   /// Shared cost model (e.g. one model across a fleet of services in a
   /// simulation); null = the service owns a private one.
   std::shared_ptr<CostModel> cost_model;
-  /// Client-side Encryptor observed for observability only (the harness
-  /// that owns both the service and its load generator — ppgnn_cli
-  /// --serve, benches — wires it in): Stats() snapshots its blinding
-  /// pool/table counters next to the server-side numbers. Null = the
-  /// blinding fields in ServiceStats stay zero (registry-wide table
-  /// stats are still reported).
-  std::shared_ptr<const Encryptor> observed_encryptor;
 
   /// Test-only: runs on the worker thread right before query execution.
   /// Lets tests hold workers on a latch to force queue-full and
@@ -165,16 +158,6 @@ struct ServiceStats {
   uint64_t hedges = 0;
   /// Served queries whose request carried degraded (substituted) users.
   uint64_t degraded_queries = 0;
-  /// Offline blinding pipeline, snapshotted from the observed client
-  /// Encryptor (see ServiceConfig::observed_encryptor; zero when unset).
-  uint64_t blinding_pool_hits = 0;    ///< Encrypts served from the pool
-  uint64_t blinding_pool_misses = 0;  ///< Encrypts that blinded online
-  uint64_t blinding_refilled = 0;     ///< factors produced offline
-  uint64_t blinding_pooled = 0;       ///< currently pooled factors
-  /// Process-wide shared fixed-base table registry (bigint/fixedbase.h);
-  /// reported regardless of observed_encryptor.
-  uint64_t fixed_base_engines = 0;
-  uint64_t fixed_base_table_bytes = 0;
   /// Resilience ladder of the replicated cluster (zero on plain
   /// services; ShardedLspService fills these in).
   /// Fan-outs where at least one replica leg failed over, hedged, or

@@ -1,10 +1,11 @@
 // Client-side request construction for driving an LspService.
 //
-// Reproduces the coordinator side of Algorithm 1 (partition plan, segment
-// and position draws, encrypted indicator, per-user location sets) and
-// packages the result as a ServiceRequest, so closed-loop load generators
-// (ppgnn_cli --serve, bench_service_throughput, lsp_service_test) can
-// issue genuine protocol traffic without duplicating that logic.
+// Thin wrappers over the coordinator steps of core/protocol.h, the same
+// code RunQuery runs: BuildServiceRequest packages CoordinatorBuildQuery's
+// query and uploads as a ServiceRequest, and ParseServedReply unwraps a
+// ResponseFrame and hands answer frames to CoordinatorDecryptAnswer. The
+// closed-loop load generators (ppgnn_cli --serve, bench_service_throughput,
+// lsp_service_test) issue genuine protocol traffic through them.
 
 #ifndef PPGNN_SERVICE_WORKLOAD_H_
 #define PPGNN_SERVICE_WORKLOAD_H_
@@ -17,16 +18,6 @@
 #include "service/lsp_service.h"
 
 namespace ppgnn {
-
-/// Optional wire-version-2 fields stamped into the encoded QueryMessage
-/// (zero = absent, producing byte-identical version-1 frames). Setting
-/// them here — rather than on the ServiceRequest — exercises the real
-/// end-to-end path: encoded into the query trailer, peeked by admission,
-/// honored by the server.
-struct RequestWireOptions {
-  uint64_t deadline_ms = 0;
-  uint64_t idempotency_key = 0;
-};
 
 /// Builds one well-formed group query + uploads under `keys` for the
 /// given real locations (size params.n). Keys are caller-provided so a
@@ -49,7 +40,8 @@ struct ServedReply {
 };
 
 /// Decodes a ResponseFrame and, for answer frames, decrypts and decodes
-/// the POI list. `layered` selects DecryptLayered (PPGNN-OPT replies).
+/// the POI list. `layered` selects the layered decryption of PPGNN-OPT
+/// replies.
 /// Errors only on transport-level garbage; a structured service error is
 /// a successful parse with ok = false.
 [[nodiscard]] Result<ServedReply> ParseServedReply(const std::vector<uint8_t>& frame_bytes,

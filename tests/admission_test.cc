@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -560,6 +561,38 @@ TEST_F(AdmissionServiceTest, ShedsDoomedRequestBeforeAnyCryptoRuns) {
   EXPECT_EQ(stats.served, 0u);
   // Shedding never started crypto, so nothing was abandoned mid-flight.
   EXPECT_EQ(stats.abandoned_executing, 0u);
+}
+
+TEST_F(AdmissionServiceTest, UndecodableQueryIsMalformedNotShed) {
+  // theta0 = 2.0 fails QueryMessage::Decode, so admission must not price
+  // the query: a shed would reply with a retryable kOverloaded, while the
+  // worker's decode replies with a terminal kMalformed.
+  auto model = std::make_shared<CostModel>();
+  ServiceConfig config;
+  config.workers = 1;
+  config.cost_model = model;
+  LspService service(*db_, config);
+
+  Rng rng(16);
+  Request req = MakeRequest(rng);
+  // A well-formed query with this header would be predicted at 60 s,
+  // past the 30 s budget below.
+  model->SeedPrior(CostFeatures::FromHeader(PeekQueryHeader(req.query).value()),
+                   60.0);
+  QueryMessage query = QueryMessage::Decode(req.query).value();
+  query.theta0 = 2.0;
+  ServiceRequest sreq;
+  sreq.query = query.Encode().value();
+  sreq.uploads = req.uploads;
+  sreq.deadline_seconds = 30.0;
+
+  ResponseFrame decoded =
+      ResponseFrame::Decode(service.Call(std::move(sreq))).value();
+  ASSERT_TRUE(decoded.is_error);
+  EXPECT_EQ(decoded.error.code, WireError::kMalformed);
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST_F(AdmissionServiceTest, GenerousDeadlineIsNotShed) {

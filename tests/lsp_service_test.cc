@@ -859,7 +859,6 @@ TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
   config.workers = 3;
   config.queue_capacity = 16;
   config.sanitize = false;
-  config.observed_encryptor = pooled;
   LspService service(*db_, config);
 
   BlindingRefillerOptions refill;
@@ -917,12 +916,6 @@ TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
   EXPECT_GT(blinding.pool_hits + blinding.pool_misses, 0u);
   EXPECT_EQ(blinding.generic_evals, 0u);
   EXPECT_GT(refiller.stats().passes, 0u);
-
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.blinding_pool_hits, blinding.pool_hits);
-  EXPECT_EQ(stats.blinding_pool_misses, blinding.pool_misses);
-  EXPECT_GT(stats.fixed_base_engines, 0u);
-  EXPECT_GT(stats.fixed_base_table_bytes, 0u);
 }
 
 // Regression (pre-fix failing): two refillers racing TopUpOnce against

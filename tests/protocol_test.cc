@@ -32,6 +32,17 @@ class ProtocolTest : public ::testing::Test {
     return params;
   }
 
+  // SmallParams sized for 512-bit keys but run under the fixture's
+  // 256-bit keys, unsanitized: k = 4 then needs two packed integers under
+  // the key the answer is encrypted with, so the answer width must come
+  // from that key, not from params.key_bits.
+  static ProtocolParams KeySizeMismatchParams() {
+    ProtocolParams params = SmallParams();
+    params.key_bits = 512;
+    params.sanitize = false;
+    return params;
+  }
+
   static std::vector<Point> Group(int n, uint64_t seed) {
     Rng rng(seed);
     std::vector<Point> out(n);
@@ -95,15 +106,18 @@ TEST_F(ProtocolTest, EffectiveDeltaSingleUser) {
 TEST_F(ProtocolTest, PpgnnGroupMatchesPlaintextReference) {
   ExpectMatchesReference(Variant::kPpgnn, SmallParams(), 11);
   ExpectMatchesReference(Variant::kPpgnn, SmallParams(), 12);
+  ExpectMatchesReference(Variant::kPpgnn, KeySizeMismatchParams(), 11);
 }
 
 TEST_F(ProtocolTest, PpgnnOptMatchesPlaintextReference) {
   ExpectMatchesReference(Variant::kPpgnnOpt, SmallParams(), 13);
   ExpectMatchesReference(Variant::kPpgnnOpt, SmallParams(), 14);
+  ExpectMatchesReference(Variant::kPpgnnOpt, KeySizeMismatchParams(), 12);
 }
 
 TEST_F(ProtocolTest, NaiveMatchesPlaintextReference) {
   ExpectMatchesReference(Variant::kNaive, SmallParams(), 15);
+  ExpectMatchesReference(Variant::kNaive, KeySizeMismatchParams(), 13);
 }
 
 TEST_F(ProtocolTest, SingleUserQueryMatchesKnn) {
@@ -243,6 +257,19 @@ TEST_F(ProtocolTest, FreshKeysPerQueryAlsoWork) {
   auto outcome = RunQuery(Variant::kPpgnn, params, group, *db_, rng);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_GE(outcome->pois.size(), 1u);
+
+  // PPGNN-OPT takes the same 128-bit floor: its layered answer under a
+  // fresh 128-bit key still decrypts to the plaintext reference.
+  Rng opt_rng(133);
+  auto opt = RunQuery(Variant::kPpgnnOpt, params, group, *db_, opt_rng);
+  ASSERT_TRUE(opt.ok()) << opt.status();
+  Rng ref_rng(0);
+  auto reference = ReferenceAnswer(params, group, *db_, ref_rng);
+  ASSERT_EQ(opt->pois.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_NEAR(opt->pois[i].x, reference[i].poi.location.x, 1e-8);
+    EXPECT_NEAR(opt->pois[i].y, reference[i].poi.location.y, 1e-8);
+  }
 }
 
 TEST_F(ProtocolTest, AnswerWidthMatchesCodec) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "crypto/poi_codec.h"
@@ -628,6 +629,73 @@ TEST_F(WireTest, PeekQueryHeaderEveryTruncationFailsCleanly) {
     EXPECT_FALSE(PeekQueryHeader(prefix).ok()) << "cut=" << cut;
   }
   EXPECT_TRUE(PeekQueryHeader(bytes).ok());
+}
+
+TEST_F(WireTest, PeekQueryHeaderFailsExactlyWhenDecodeFails) {
+  // Admission prices a query by its peeked header, so a header the
+  // decoders reject must not peek cleanly: it would be shed as a
+  // retryable kOverloaded instead of answered as a terminal kMalformed.
+  std::vector<std::vector<uint8_t>> inputs;
+  for (double theta0 : {std::numeric_limits<double>::quiet_NaN(), 2.0}) {
+    QueryMessage msg = PlainQuery();
+    msg.theta0 = theta0;
+    inputs.push_back(msg.Encode().value());
+  }
+  {
+    QueryMessage msg = PlainQuery();
+    msg.aggregate = static_cast<AggregateKind>(7);
+    inputs.push_back(msg.Encode().value());
+  }
+  {
+    // The last indicator ciphertext one byte short of its fixed width.
+    ByteWriter w = ForgedHeader(8, 2, {2, 2}, {2, 2});
+    w.PutU8(0);  // plain indicator
+    w.PutVarint(8);
+    for (int i = 0; i < 7; ++i) AppendLevelCiphertext(w, 1);
+    w.PutBytes(std::vector<uint8_t>(keys_->pub.CiphertextBytes(1) - 1, 1));
+    inputs.push_back(w.Release());
+  }
+  {
+    // A public key whose top byte is zero: right width, not full-width.
+    std::vector<uint8_t> bytes = PlainQuery().Encode().value();
+    const std::vector<uint8_t> pk =
+        keys_->pub.n.ToBytesPadded(keys_->pub.ByteSize()).value();
+    auto at = std::search(bytes.begin(), bytes.end(), pk.begin(), pk.end());
+    ASSERT_NE(at, bytes.end());
+    *at = 0;
+    inputs.push_back(bytes);
+  }
+  {
+    // A shard query naming candidate 1 twice.
+    ByteWriter w;
+    w.PutU8(0x00);  // shard magic
+    w.PutVarint(2);
+    w.PutU8(0);  // kSum
+    w.PutVarint(2);
+    for (int i = 0; i < 2; ++i) {
+      w.PutVarint(1);
+      w.PutVarint(1);
+      w.PutDouble(0.1);
+      w.PutDouble(0.2);
+    }
+    inputs.push_back(w.Release());
+  }
+  {
+    ShardQueryMessage msg;
+    msg.k = 2;
+    msg.candidates.push_back(
+        {0, {{std::numeric_limits<double>::infinity(), 0.2}}});
+    inputs.push_back(msg.Encode().value());
+  }
+  ASSERT_EQ(inputs.size(), 7u);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::vector<uint8_t>& bytes = inputs[i];
+    const bool decodes = IsShardQuery(bytes)
+                             ? ShardQueryMessage::Decode(bytes).ok()
+                             : QueryMessage::Decode(bytes).ok();
+    EXPECT_FALSE(decodes) << "input " << i;
+    EXPECT_EQ(PeekQueryHeader(bytes).ok(), decodes) << "input " << i;
+  }
 }
 
 // --- version-gated retry_after_ms hint on error frames ---

@@ -23,8 +23,13 @@
 //             [plus the options above]
 //   Stands up the concurrent LspService front-end and drives it with
 //   `--clients` closed-loop client threads issuing `--requests` queries
-//   each, then prints throughput, the latency histogram summary, and the
-//   service counters.
+//   each, then prints throughput, the latency histogram summary, the
+//   service counters and the clients' blinding/fixed-base counters. After
+//   the timed run every decrypted answer is checked against the
+//   plaintext reference; the exit code is nonzero on a client error or on
+//   more wrong answers than the cluster reported degraded merges (a
+//   shard with no live replica makes a merge inexact by design). Answers
+//   to requests with dropped-out users have no reference and are skipped.
 //
 //   --shards N           partition the POI space into N shards behind a
 //                        scatter-gather coordinator (ShardedLspService).
@@ -70,7 +75,7 @@
 //   require every process to build the same database (same --db file or
 //   same --db-size/--seed).
 //
-//   ppgnn_cli --serve --shards N --replicas R \
+//   ppgnn_cli --serve --shards N --replicas R
 //             --connect-shard HOST:PORT ...
 //   Instead of in-process shard services, the coordinator dials one
 //   listed endpoint per (shard, replica), shard-major: the (j, r)
@@ -352,9 +357,25 @@ int RunListenMode(const CliOptions& opts, std::vector<Poi> pois) {
   return 0;
 }
 
+// The plaintext reference check: `pois` must be ReferenceAnswer's POIs
+// for `group`, up to the wire format's coordinate quantization.
+bool MatchesReference(const ProtocolParams& params,
+                      const std::vector<Point>& group, const LspDatabase& lsp,
+                      const std::vector<Point>& pois) {
+  Rng ref_rng(0);
+  const std::vector<RankedPoi> reference =
+      ReferenceAnswer(params, group, lsp, ref_rng);
+  bool match = reference.size() == pois.size();
+  for (size_t i = 0; match && i < reference.size(); ++i) {
+    match = std::abs(reference[i].poi.location.x - pois[i].x) < 1e-8 &&
+            std::abs(reference[i].poi.location.y - pois[i].y) < 1e-8;
+  }
+  return match;
+}
+
 // Stands up an LspService over `lsp` and drives it with closed-loop
-// client threads, each reproducing the coordinator side of Algorithm 1
-// via BuildServiceRequest. Returns a process exit code.
+// client threads, each running the coordinator side of Algorithm 1 via
+// BuildServiceRequest. Returns a process exit code.
 int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
                  const LspDatabase& lsp, Variant variant,
                  const KeyPair& keys) {
@@ -372,8 +393,7 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   // Offline/online split: one pooled Encryptor shared by every client
   // thread, kept warm by a background refiller. The clients hold the
   // secret key, so the refiller's exponentiations take the CRT-split
-  // fixed-base path. The service observes the encryptor for its stats
-  // surface only.
+  // fixed-base path.
   const bool layered = variant == Variant::kPpgnnOpt;
   std::shared_ptr<const Encryptor> pooled_enc;
   std::unique_ptr<BlindingRefiller> refiller;
@@ -385,7 +405,6 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
     refill.low_watermark = std::max<size_t>(refill.target / 2, 1);
     refill.seed = opts.seed ^ 0xb11dull;
     refiller = std::make_unique<BlindingRefiller>(pooled_enc, refill);
-    config.observed_encryptor = pooled_enc;
     std::printf(
         "Blinding pool: target %d per level; expected online cost "
         "%.1f us/ct pooled vs %.2f ms fixed-base vs %.2f ms naive "
@@ -497,6 +516,9 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
       static_cast<unsigned long long>(opts.wire_deadline_ms));
 
   std::atomic<uint64_t> answers{0}, service_errors{0}, client_errors{0};
+  // (group, decrypted answer) per client, checked after the timed run.
+  std::vector<std::vector<std::pair<std::vector<Point>, std::vector<Point>>>>
+      answered(static_cast<size_t>(opts.clients));
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(opts.clients));
@@ -519,6 +541,7 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
           client_errors.fetch_add(1);
           continue;
         }
+        const bool dropout = request->degraded_users > 0;
         std::vector<uint8_t> frame;
         if (use_resilient) {
           frame = resilient.Call(std::move(request).value()).frame;
@@ -532,6 +555,10 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
           client_errors.fetch_add(1);
         } else if (reply->ok) {
           answers.fetch_add(1);
+          if (!dropout) {
+            answered[static_cast<size_t>(c)].emplace_back(
+                std::move(group), std::move(reply->pois));
+          }
         } else {
           service_errors.fetch_add(1);
         }
@@ -556,9 +583,9 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
               static_cast<unsigned long long>(answers.load()),
               static_cast<unsigned long long>(service_errors.load()),
               static_cast<unsigned long long>(client_errors.load()));
-  std::printf("%s\n", (cluster != nullptr ? cluster->Stats() : single->Stats())
-                          .ToString()
-                          .c_str());
+  const ServiceStats stats =
+      cluster != nullptr ? cluster->Stats() : single->Stats();
+  std::printf("%s\n", stats.ToString().c_str());
   if (use_resilient) {
     std::printf("%s\n", resilient.Stats().ToString().c_str());
   }
@@ -570,8 +597,39 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
                 static_cast<unsigned long long>(refill.refilled),
                 static_cast<unsigned long long>(refill.errors));
   }
+  // Client-side crypto: the pooled encryptor's blinding pipeline (zero
+  // without --blinding-pool) and the process-wide fixed-base tables.
+  const Encryptor::BlindingStats blinding =
+      pooled_enc != nullptr ? pooled_enc->blinding_stats()
+                            : Encryptor::BlindingStats{};
+  const FixedBaseRegistryStats tables = SharedFixedBaseRegistryStats();
+  std::printf(
+      "client: blinding[hit=%llu miss=%llu refilled=%llu pooled=%llu] "
+      "fixedbase[engines=%llu bytes=%llu]\n",
+      static_cast<unsigned long long>(blinding.pool_hits),
+      static_cast<unsigned long long>(blinding.pool_misses),
+      static_cast<unsigned long long>(blinding.refilled),
+      static_cast<unsigned long long>(blinding.pooled),
+      static_cast<unsigned long long>(tables.engines),
+      static_cast<unsigned long long>(tables.table_bytes));
   FailpointClearAll();
-  return client_errors.load() == 0 ? 0 : 1;
+
+  uint64_t checked = 0;
+  uint64_t wrong = 0;
+  for (const auto& client_answers : answered) {
+    for (const auto& [group, pois] : client_answers) {
+      ++checked;
+      if (!MatchesReference(opts.params, group, lsp, pois)) ++wrong;
+    }
+  }
+  const bool reference_ok = wrong <= stats.degraded_shards;
+  std::printf(
+      "Plaintext reference check: %s (%llu answers checked, %llu wrong, "
+      "%llu degraded merges)\n",
+      reference_ok ? "PASS" : "FAIL", static_cast<unsigned long long>(checked),
+      static_cast<unsigned long long>(wrong),
+      static_cast<unsigned long long>(stats.degraded_shards));
+  return client_errors.load() == 0 && reference_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -742,13 +800,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(outcome->info.sanitize_tests),
       outcome->info.sanitize_seconds * 1e3);
 
-  Rng ref_rng(0);
-  auto reference = ReferenceAnswer(opts.params, group, lsp, ref_rng);
-  bool match = reference.size() == outcome->pois.size();
-  for (size_t i = 0; match && i < reference.size(); ++i) {
-    match = std::abs(reference[i].poi.location.x - outcome->pois[i].x) < 1e-8 &&
-            std::abs(reference[i].poi.location.y - outcome->pois[i].y) < 1e-8;
-  }
+  const bool match = MatchesReference(opts.params, group, lsp, outcome->pois);
   std::printf("Plaintext reference check: %s\n", match ? "PASS" : "FAIL");
   return match ? 0 : 1;
 }
