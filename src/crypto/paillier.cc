@@ -1,7 +1,6 @@
 #include "crypto/paillier.h"
 
 #include <algorithm>
-#include <array>
 
 #include "bigint/modular.h"
 #include "bigint/prime.h"
@@ -16,42 +15,10 @@
 
 namespace ppgnn {
 
-namespace {
-// Highest memoized power of N: level-3 ciphertexts (the deepest any test
-// or protocol path goes) live in Z_{N^4}.
-constexpr int kMaxCachedNPow = 4;
-// Guards lazy creation and fills of every NPowCache. NPow is off the hot
-// path (Encryptor/Decryptor hold their own per-level caches), so one
-// global mutex is plenty.
-std::mutex g_npow_mu;
-}  // namespace
-
-struct PublicKey::NPowCache {
-  BigInt n;  // modulus the powers below were computed for
-  std::array<BigInt, kMaxCachedNPow + 1> pow;
-  std::array<bool, kMaxCachedNPow + 1> ready{};
-};
-
 BigInt PublicKey::NPow(int s) const {
-  if (s <= 0) return BigInt(1);
-  if (s > kMaxCachedNPow) {
-    BigInt out = NPow(kMaxCachedNPow);
-    for (int i = kMaxCachedNPow; i < s; ++i) out = out * n;
-    return out;
-  }
-  std::lock_guard<std::mutex> lock(g_npow_mu);
-  if (npow_cache_ == nullptr || npow_cache_->n != n) {
-    npow_cache_ = std::make_shared<NPowCache>();
-    npow_cache_->n = n;
-  }
-  NPowCache& cache = *npow_cache_;
-  for (int i = 1; i <= s; ++i) {
-    if (!cache.ready[i]) {
-      cache.pow[i] = i == 1 ? n : cache.pow[i - 1] * n;
-      cache.ready[i] = true;
-    }
-  }
-  return cache.pow[s];
+  BigInt out(1);
+  for (int i = 0; i < s; ++i) out = out * n;
+  return out;
 }
 
 Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng) {
@@ -492,8 +459,8 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
   std::unique_ptr<LevelCache>& slot = levels_[idx];
   if (slot == nullptr) {
     auto cache = std::make_unique<LevelCache>();
-    const BigInt n_s = pk_.NPow(static_cast<int>(idx));
-    const BigInt modulus = n_s * pk_.n;  // N^{s+1}
+    cache->n_s = pk_.NPow(static_cast<int>(idx));
+    const BigInt modulus = cache->n_s * pk_.n;  // N^{s+1}
     cache->p_pow = BigInt(1);
     cache->q_pow = BigInt(1);
     for (size_t i = 0; i <= idx; ++i) {
@@ -508,7 +475,7 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
     cache->p_ctx = adopt(MontgomeryContext::Create(cache->p_pow));
     cache->q_ctx = adopt(MontgomeryContext::Create(cache->q_pow));
     cache->n_ctx = adopt(MontgomeryContext::Create(modulus));
-    cache->lambda_inv = ModInverse(sk_.lambda, n_s);
+    cache->lambda_inv = ModInverse(sk_.lambda, cache->n_s);
     slot = std::move(cache);
   }
   return *slot;
@@ -580,7 +547,7 @@ Result<BigInt> Decryptor::Decrypt(const Ciphertext& c) const {
   PPGNN_ASSIGN_OR_RETURN(BigInt a, PowLambda(c.value, s));
   PPGNN_ASSIGN_OR_RETURN(BigInt lambda_m, internal::ExtractDjLog(a, pk_.n, s));
   PPGNN_RETURN_IF_ERROR(lv.lambda_inv.status());
-  return ModMul(lambda_m, lv.lambda_inv.value(), pk_.NPow(s));
+  return ModMul(lambda_m, lv.lambda_inv.value(), lv.n_s);
 }
 
 Result<BigInt> Decryptor::DecryptLayered(const Ciphertext& outer) const {

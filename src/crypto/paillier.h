@@ -67,9 +67,8 @@ struct PublicKey {
   BigInt n;
   int key_bits = 0;
 
-  /// N^s (s >= 1). Memoized (thread-safe) for s <= 4 — the highest power
-  /// any supported ciphertext level touches; the cache rides along with
-  /// copies of the key.
+  /// N^s (s >= 0). Not memoized: the Encryptor and Decryptor derive each
+  /// level's powers once and keep them in their per-level caches.
   BigInt NPow(int s) const;
 
   /// Wire size in bytes of a level-s ciphertext: ceil((s+1)*key_bits / 8).
@@ -82,13 +81,6 @@ struct PublicKey {
   }
   /// Byte size of the serialized public key (ceiling of key_bits / 8).
   size_t ByteSize() const { return (static_cast<size_t>(key_bits) + 7) / 8; }
-
- private:
-  struct NPowCache;
-  // Shared across copies (the cached powers depend only on n; validity is
-  // re-checked against n on every lookup, so post-copy mutation of n is
-  // safe — it just forks a fresh cache).
-  mutable std::shared_ptr<NPowCache> npow_cache_;
 };
 
 /// Secret key: Carmichael value lambda = lcm(p-1, q-1) plus the factors.
@@ -355,10 +347,11 @@ class Decryptor {
   Result<BigInt> DecryptLayered(const Ciphertext& outer) const;
 
  private:
-  /// Per-level decryption constants: p^{s+1}/q^{s+1} with their
+  /// Per-level decryption constants: N^s, p^{s+1}/q^{s+1} with their
   /// Montgomery contexts (CRT path), the N^{s+1} context (direct path),
   /// and lambda^{-1} mod N^s.
   struct LevelCache {
+    BigInt n_s;    // N^s
     BigInt p_pow;  // p^{s+1}
     BigInt q_pow;  // q^{s+1}
     std::unique_ptr<MontgomeryContext> p_ctx;

@@ -205,6 +205,7 @@ ChaosProxy::Plan ChaosProxy::DrawPlan() {
 
 void ChaosProxy::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    sessions_.Reap();
     Result<OwnedFd> accepted =
         TcpAccept(listen_fd_.get(), config_.tick_seconds);
     if (!accepted.ok()) continue;  // tick or transient accept error
@@ -222,11 +223,10 @@ void ChaosProxy::AcceptLoop() {
     if (!session->plan.delay && !session->plan.cut && !session->plan.split) {
       clean_connections_.fetch_add(1, std::memory_order_relaxed);
     }
-    Session* raw = session.get();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;  // raced Shutdown; drop the connection
-    sessions_.push_back(std::move(session));
-    raw->pump = std::thread([this, raw] { PumpSession(raw); });
+    // A session started after Shutdown set stop_ sees it at once;
+    // Shutdown joins this loop before it joins the sessions.
+    sessions_.Spawn(std::move(session),
+                    [this](Session& s) { PumpSession(&s); });
   }
 }
 
@@ -268,8 +268,7 @@ void ChaosProxy::PumpSession(Session* session) {
     return true;
   };
 
-  while (!stop_.load(std::memory_order_acquire) &&
-         !session->done.load(std::memory_order_acquire)) {
+  while (!stop_.load(std::memory_order_acquire)) {
     int fds[2];
     {
       std::lock_guard<std::mutex> lock(session->fd_mu);
@@ -349,7 +348,6 @@ void ChaosProxy::PumpSession(Session* session) {
     if (finished) break;
   }
 
-  session->done.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> lock(session->fd_mu);
   // Orderly teardown for every exit path that did not already reset.
   if (session->client.valid()) (void)::shutdown(session->client.get(), SHUT_RDWR);
@@ -372,29 +370,16 @@ ChaosProxyStats ChaosProxy::Stats() const {
 }
 
 void ChaosProxy::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  stop_.store(true, std::memory_order_release);
+  if (stop_.exchange(true, std::memory_order_acq_rel)) return;  // idempotent
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions.swap(sessions_);
-  }
-  for (auto& session : sessions) {
-    std::lock_guard<std::mutex> lock(session->fd_mu);
-    // Wake a pump blocked in poll; its loop exits on the stop flag.
-    if (session->client.valid())
-      (void)::shutdown(session->client.get(), SHUT_RDWR);
-    if (session->upstream.valid())
-      (void)::shutdown(session->upstream.get(), SHUT_RDWR);
-  }
-  for (auto& session : sessions) {
-    if (session->pump.joinable()) session->pump.join();
-  }
+  // Wake a pump blocked in poll; its loop exits on the stop flag.
+  sessions_.JoinAll([](Session& session) {
+    std::lock_guard<std::mutex> lock(session.fd_mu);
+    if (session.client.valid())
+      (void)::shutdown(session.client.get(), SHUT_RDWR);
+    if (session.upstream.valid())
+      (void)::shutdown(session.upstream.get(), SHUT_RDWR);
+  });
   listen_fd_.Reset();
 }
 

@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -48,6 +47,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "net/transport/socket.h"
+#include "net/transport/thread_per_item.h"
 
 namespace ppgnn {
 
@@ -151,8 +151,6 @@ class ChaosProxy {
     // ppgnn: guarded_by(upstream, fd_mu)
     OwnedFd upstream;
     Plan plan;
-    std::thread pump;
-    std::atomic<bool> done{false};
   };
 
   void AcceptLoop();
@@ -171,16 +169,12 @@ class ChaosProxy {
   std::thread accept_thread_;
 
   mutable std::mutex mu_;
-  // ppgnn: guarded_by(sessions_, mu_)
-  std::vector<std::unique_ptr<Session>> sessions_;
   // ppgnn: guarded_by(rng_, mu_)
   Rng rng_;
   // ppgnn: guarded_by(rule_hits_, mu_)
   std::vector<uint64_t> rule_hits_;  ///< matching connections seen per rule
   // ppgnn: guarded_by(rule_fired_, mu_)
   std::vector<uint64_t> rule_fired_;  ///< times each rule actually fired
-  // ppgnn: guarded_by(shut_down_, mu_)
-  bool shut_down_ = false;
 
   // ppgnn: stat_counter(connections_, clean_connections_, delays_)
   // ppgnn: stat_counter(drops_, rsts_, blackholes_, splits_)
@@ -194,6 +188,10 @@ class ChaosProxy {
   std::atomic<uint64_t> splits_{0};
   std::atomic<uint64_t> bytes_forwarded_{0};
   std::atomic<uint64_t> bytes_swallowed_{0};
+
+  /// One pump thread per proxied connection, reaped by the accept loop.
+  /// Last: its threads use every member above.
+  ThreadPerItem<Session> sessions_;
 };
 
 }  // namespace ppgnn

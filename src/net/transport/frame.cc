@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/bytes.h"
+#include "core/wire.h"
 
 namespace ppgnn {
 
@@ -101,8 +102,16 @@ Result<TransportRequest> TransportRequest::Decode(
   }
   PPGNN_ASSIGN_OR_RETURN(req.query, r.GetBytes());
   PPGNN_ASSIGN_OR_RETURN(req.deadline_ms, r.GetVarint());
+  // The query trailer's ceiling: the server turns this budget into a
+  // clock deadline, and the reply cache keeps the answer until then.
+  if (req.deadline_ms > kMaxWireMillis) {
+    return Status::InvalidArgument("envelope deadline_ms exceeds 2^30 ms");
+  }
   PPGNN_ASSIGN_OR_RETURN(req.idempotency_key, r.GetU64());
   PPGNN_ASSIGN_OR_RETURN(uint64_t degraded, r.GetVarint());
+  if (degraded > UINT32_MAX) {
+    return Status::InvalidArgument("envelope degraded_users exceeds 32 bits");
+  }
   req.degraded_users = static_cast<uint32_t>(degraded);
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after request envelope");

@@ -105,7 +105,7 @@ class FrameReader {
 struct TransportRequest {
   std::vector<uint8_t> query;
   std::vector<std::vector<uint8_t>> uploads;
-  uint64_t deadline_ms = 0;  ///< remaining budget; 0 = none
+  uint64_t deadline_ms = 0;  ///< remaining budget; 0 = none; <= 2^30
   uint64_t idempotency_key = 0;
   uint32_t degraded_users = 0;
 

@@ -40,20 +40,16 @@ TcpLink::~TcpLink() { Close(); }
 
 bool TcpLink::Submit(ServiceRequest request, Callback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  ReapFinishedWorkers();
-
-  auto finished = std::make_shared<std::atomic<bool>>(false);
+  workers_.Reap();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!closed_) {
-      workers_.emplace_back();
-      Worker& w = workers_.back();
-      w.finished = finished;
-      w.thread = std::thread([this, finished, request = std::move(request),
-                              done = std::move(done)]() mutable {
-        RunExchange(std::move(request), std::move(done));
-        finished->store(true, std::memory_order_release);
-      });
+      workers_.Spawn(
+          std::make_unique<Exchange>(
+              Exchange{std::move(request), std::move(done)}),
+          [this](Exchange& e) {
+            RunExchange(std::move(e.request), std::move(e.done));
+          });
       return true;
     }
   }
@@ -106,10 +102,14 @@ void TcpLink::RunExchange(ServiceRequest request, Callback done) {
   TransportRequest env;
   env.query = std::move(request.query);
   env.uploads = std::move(request.uploads);
-  env.deadline_ms = request.deadline_seconds > 0.0
-                        ? static_cast<uint64_t>(
-                              std::llround(request.deadline_seconds * 1000.0))
-                        : 0;
+  // Capped at the wire ceiling, which the server's envelope decoder
+  // enforces, before rounding.
+  env.deadline_ms =
+      request.deadline_seconds > 0.0
+          ? static_cast<uint64_t>(std::llround(
+                std::min(request.deadline_seconds * 1000.0,
+                         static_cast<double>(kMaxWireMillis))))
+          : 0;
   env.idempotency_key = request.idempotency_key;
   env.degraded_users = request.degraded_users;
   const std::vector<uint8_t> payload = env.Encode();
@@ -244,45 +244,20 @@ void TcpLink::RecordCost(Link link, uint64_t logical, uint64_t framed) {
   }
 }
 
-void TcpLink::ReapFinishedWorkers() {
-  std::vector<Worker> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = workers_.begin();
-    while (it != workers_.end()) {
-      if (it->finished->load(std::memory_order_acquire)) {
-        done.push_back(std::move(*it));
-        it = workers_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (Worker& w : done) {
-    if (w.thread.joinable()) w.thread.join();
-  }
-}
-
 void TcpLink::Close() {
-  std::vector<Worker> workers;
   std::vector<OwnedFd> idle;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      // Idempotent; still join anything left from a racing Submit.
-    }
     closed_ = true;
     observer_ = nullptr;
-    workers.swap(workers_);
     idle.swap(idle_);
     // Sever in-flight exchanges: their blocked reads wake with EOF and
     // resolve their callbacks with structured errors.
     for (int fd : active_fds_) (void)::shutdown(fd, SHUT_RDWR);
   }
   idle.clear();  // closes pooled fds
-  for (Worker& w : workers) {
-    if (w.thread.joinable()) w.thread.join();
-  }
+  // Idempotent; no Submit starts a worker once closed_ is set.
+  workers_.JoinAll();
 }
 
 TcpLinkStats TcpLink::Stats() const {

@@ -27,14 +27,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/cost.h"
 #include "net/transport/socket.h"
+#include "net/transport/thread_per_item.h"
 #include "service/link.h"
 #include "service/lsp_service.h"
 
@@ -87,9 +86,10 @@ class TcpLink : public ServiceLink {
   TcpLinkStats Stats() const;
 
  private:
-  struct Worker {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> finished;
+  /// One Submit, handed to its worker thread.
+  struct Exchange {
+    ServiceRequest request;
+    Callback done;
   };
 
   /// The whole exchange for one request; runs on a worker thread.
@@ -103,9 +103,6 @@ class TcpLink : public ServiceLink {
   void NotifyConnectivity(bool up);
   std::vector<uint8_t> SynthesizeError(WireError code, std::string detail);
   void RecordCost(Link link, uint64_t logical, uint64_t framed);
-  /// Joins workers that have finished; called opportunistically from
-  /// Submit and exhaustively from Close.
-  void ReapFinishedWorkers();
 
   const TcpLinkConfig config_;
 
@@ -114,8 +111,6 @@ class TcpLink : public ServiceLink {
   std::vector<OwnedFd> idle_;
   // ppgnn: guarded_by(active_fds_, mu_)
   std::vector<int> active_fds_;
-  // ppgnn: guarded_by(workers_, mu_)
-  std::vector<Worker> workers_;
   // ppgnn: guarded_by(observer_, mu_)
   std::function<void(bool)> observer_;
   // ppgnn: guarded_by(closed_, mu_)
@@ -134,6 +129,10 @@ class TcpLink : public ServiceLink {
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<uint64_t> io_timeouts_{0};
   std::atomic<uint64_t> pooled_reuses_{0};
+
+  /// Reaped at each Submit, joined by Close. Last: its threads use every
+  /// member above.
+  ThreadPerItem<Exchange> workers_;
 };
 
 }  // namespace ppgnn

@@ -36,16 +36,16 @@ Status TcpShardServer::Start() {
 
 void TcpShardServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    conns_.Reap();
     Result<OwnedFd> conn_fd = TcpAccept(listen_fd_.get(), config_.tick_seconds);
     if (!conn_fd.ok()) continue;  // tick (deadline) or transient accept error
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_unique<Connection>();
     conn->fd = std::move(conn_fd).value();
-    Connection* raw = conn.get();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;  // raced Shutdown; drop the connection
-    conns_.push_back(std::move(conn));
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    // A connection started after Shutdown set stop_ sees it at once;
+    // Shutdown joins this loop before it joins the connections.
+    conns_.Spawn(std::move(conn),
+                 [this](Connection& c) { ServeConnection(&c); });
   }
 }
 
@@ -98,8 +98,8 @@ void TcpShardServer::ServeConnection(Connection* conn) {
   resynced_bytes_.fetch_add(reader.resynced_bytes(),
                             std::memory_order_relaxed);
   connections_closed_.fetch_add(1, std::memory_order_relaxed);
-  // Half-close our side; the fd itself is reclaimed when Shutdown
-  // destroys the Connection after joining this thread.
+  // Half-close our side now; the fd itself is closed when the accept
+  // loop (or Shutdown) reaps this thread.
   (void)::shutdown(conn->fd.get(), SHUT_RDWR);
 }
 
@@ -157,30 +157,16 @@ TcpServerStats TcpShardServer::Stats() const {
 }
 
 void TcpShardServer::Shutdown(double drain_deadline_seconds) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-  }
-  stop_.store(true, std::memory_order_release);
+  if (stop_.exchange(true, std::memory_order_acq_rel)) return;  // idempotent
   if (accept_thread_.joinable()) accept_thread_.join();
 
   // Drain the wrapped service first: in-flight Calls complete (or flush
   // with kShuttingDown) and their replies still go out on live sockets.
   service_.Shutdown(drain_deadline_seconds);
 
-  std::vector<std::unique_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns.swap(conns_);
-  }
-  for (auto& conn : conns) {
-    // Wake any reader blocked in poll; EOF ends its loop.
-    (void)::shutdown(conn->fd.get(), SHUT_RDWR);
-  }
-  for (auto& conn : conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
+  // Wake any reader blocked in poll; EOF ends its loop.
+  conns_.JoinAll(
+      [](Connection& c) { (void)::shutdown(c.fd.get(), SHUT_RDWR); });
   listen_fd_.Reset();
 }
 

@@ -9,6 +9,9 @@
 // at a time — concurrency is connections, which is exactly how the
 // client side (TcpLink's per-request pooled connections) drives it.
 //
+// A connection's thread ends when its peer hangs up (or on any of the
+// failures below); the accept loop then reaps it, closing its fd.
+//
 // Failure containment, per connection:
 //   * Envelope that fails to decode -> a structured kMalformed
 //     ResponseFrame reply (the peer learns *why*; the connection
@@ -28,13 +31,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/transport/socket.h"
+#include "net/transport/thread_per_item.h"
 #include "service/lsp_service.h"
 
 namespace ppgnn {
@@ -90,7 +92,6 @@ class TcpShardServer {
  private:
   struct Connection {
     OwnedFd fd;
-    std::thread thread;
   };
 
   void AcceptLoop();
@@ -107,12 +108,6 @@ class TcpShardServer {
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
 
-  std::mutex mu_;
-  // ppgnn: guarded_by(conns_, mu_)
-  std::vector<std::unique_ptr<Connection>> conns_;
-  // ppgnn: guarded_by(shut_down_, mu_)
-  bool shut_down_ = false;
-
   // ppgnn: stat_counter(connections_accepted_, connections_closed_)
   // ppgnn: stat_counter(frames_served_, malformed_envelopes_)
   // ppgnn: stat_counter(fatal_framing_, stalled_connections_)
@@ -125,6 +120,10 @@ class TcpShardServer {
   std::atomic<uint64_t> stalled_connections_{0};
   std::atomic<uint64_t> resynced_bytes_{0};
   std::atomic<uint64_t> send_failures_{0};
+
+  /// One reader thread per accepted connection. Last: its threads use
+  /// every member above.
+  ThreadPerItem<Connection> conns_;
 };
 
 }  // namespace ppgnn

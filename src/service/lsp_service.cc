@@ -39,14 +39,6 @@ AimdLimiter::Options LimiterOptions(const ServiceConfig& config) {
   return options;
 }
 
-ReplyCache::Options CacheOptions(const ServiceConfig& config) {
-  ReplyCache::Options options;
-  options.capacity = config.reply_cache_capacity;
-  options.ttl_seconds = config.reply_cache_ttl_seconds;
-  options.in_flight_grace_seconds = config.reply_cache_in_flight_grace_seconds;
-  return options;
-}
-
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -99,7 +91,7 @@ LspService::LspService(Handler handler, ServiceConfig config)
                       ? config_.cost_model
                       : std::make_shared<CostModel>()),
       limiter_(LimiterOptions(config_)),
-      reply_cache_(CacheOptions(config_)) {
+      reply_cache_({.grace_seconds = config_.reply_cache_grace_seconds}) {
   const int workers = std::max(config_.workers, 1);
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -179,7 +171,7 @@ bool LspService::Submit(ServiceRequest request, Callback done) {
   // Dedup routing first: joining an in-flight duplicate or replaying a
   // cached answer costs (nearly) nothing, so it happens even when a
   // fresh request would be shed.
-  if (config_.enable_dedup && dedup_key != 0) {
+  if (dedup_key != 0) {
     ReplyCache::AdmitResult routed = reply_cache_.AdmitOrAttach(
         dedup_key, MakeLeg(now, done), pending.deadline);
     if (!routed.expired_waiters.empty()) {

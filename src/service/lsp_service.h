@@ -27,6 +27,9 @@
 //   * Idempotent dedup: a request carrying an idempotency key joins the
 //     in-flight original with the same key (one execution, every leg
 //     replied) or replays the cached answer frame of a completed one.
+//     Key 0 is never coalesced. The request's deadline, plus
+//     `reply_cache_grace_seconds`, is how long its entry is kept
+//     (service/reply_cache.h).
 //   * Observability: counters, queue-wait / execute / end-to-end latency
 //     histograms, and summed QueryInstrumentation via Stats().
 //
@@ -78,20 +81,18 @@ struct ServiceConfig {
   /// Predicted-cost-vs-deadline shedding at Submit and again at dequeue.
   /// Only applies to requests that carry a deadline.
   bool cost_admission = true;
-  /// Idempotency-key reply coalescing.
-  bool enable_dedup = true;
   /// AIMD: execute-stage p99 target and concurrency bounds.
   /// max_concurrency 0 = use `workers`.
   double target_p99_seconds = 0.5;
   int min_concurrency = 1;
   int max_concurrency = 0;
   int aimd_window = 32;
-  size_t reply_cache_capacity = 1024;
-  double reply_cache_ttl_seconds = 30.0;
-  /// How long past its deadline an in-flight dedup entry may linger before
-  /// it is presumed abandoned: the key is released to the next retry and
-  /// any joined waiters are errored out (kDeadlineExceeded).
-  double reply_cache_in_flight_grace_seconds = 1.0;
+  /// How long a dedup entry outlives its request's deadline. Past it an
+  /// in-flight entry is presumed abandoned (the key is released to the
+  /// next retry and joined waiters get kDeadlineExceeded) and a completed
+  /// reply stops replaying. A deadline-less reply is kept this long after
+  /// it completes.
+  double reply_cache_grace_seconds = 1.0;
   /// Test override for the kOverloaded retry_after_ms hint; 0 = computed
   /// from the backlog and the observed mean execute time.
   uint64_t retry_after_hint_ms = 0;

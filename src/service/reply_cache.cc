@@ -5,16 +5,21 @@
 
 namespace ppgnn {
 
-ReplyCache::ReplyCache(const Options& options) : options_(options) {}
+ReplyCache::ReplyCache(const Options& options)
+    : grace_(std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(std::max(options.grace_seconds, 0.0)))),
+      max_bytes_(options.max_bytes) {}
 
-bool ReplyCache::InFlightExpiredLocked(const Entry& entry,
-                                       Clock::time_point now) const {
-  if (entry.completed) return false;
-  if (entry.deadline == Clock::time_point::max()) return false;
-  const auto grace = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(
-          std::max(options_.in_flight_grace_seconds, 0.0)));
-  return now - entry.deadline > grace;
+ReplyCache::Clock::time_point ReplyCache::GraceAfter(
+    Clock::time_point t) const {
+  if (t >= Clock::time_point::max() - grace_) return Clock::time_point::max();
+  return t + grace_;
+}
+
+void ReplyCache::EraseLocked(Entries::iterator it) {
+  if (it->second.completed) completed_bytes_ -= it->second.frame.size();
+  by_expiry_.erase(it->second.expiry);
+  entries_.erase(it);
 }
 
 ReplyCache::AdmitResult ReplyCache::AdmitOrAttach(uint64_t key, Waiter waiter,
@@ -22,26 +27,23 @@ ReplyCache::AdmitResult ReplyCache::AdmitOrAttach(uint64_t key, Waiter waiter,
   AdmitResult result;
   std::lock_guard<std::mutex> lock(mu_);
   const Clock::time_point now = Clock::now();
-  EvictLocked(now, &result.expired_waiters);
-  auto it = entries_.find(key);
-  if (it != entries_.end() && InFlightExpiredLocked(it->second, now)) {
-    // The primary for this key is presumed dead (deadline + grace long
-    // gone without Complete/Abort). Its joiners get errored out by the
-    // caller and the newcomer takes over as a fresh primary — without
-    // this, an abandoned query pins its idempotency key forever and
-    // every retry "joins" an execution that will never finish.
+  // The sweep: everything whose lifetime has run out goes, in expiry
+  // order, whatever was admitted before it. An expired in-flight entry's
+  // primary is presumed dead; its joiners are errored out by the caller,
+  // and a retry of its key takes over below as a fresh primary.
+  while (!by_expiry_.empty() && by_expiry_.begin()->first <= now) {
+    auto it = entries_.find(by_expiry_.begin()->second);
     for (Waiter& w : it->second.waiters) {
       if (w) result.expired_waiters.push_back(std::move(w));
     }
-    entries_.erase(it);
-    it = entries_.end();
+    EraseLocked(it);
   }
+  auto it = entries_.find(key);
   if (it == entries_.end()) {
     Entry entry;
-    entry.deadline = deadline;
     entry.generation = next_generation_++;
+    entry.expiry = by_expiry_.emplace(GraceAfter(deadline), key);
     result.generation = entry.generation;
-    in_flight_order_.emplace_back(key, entry.generation);
     entries_.emplace(key, std::move(entry));
     result.admission = Admission::kPrimary;
     return result;
@@ -67,15 +69,25 @@ std::vector<ReplyCache::Waiter> ReplyCache::Complete(
     return waiters;
   }
   waiters = std::move(it->second.waiters);
-  if (cache_for_replay) {
-    it->second.completed = true;
-    it->second.frame = frame;
-    it->second.waiters.clear();
-    it->second.completed_at = Clock::now();
-    completed_order_.push_back(key);
-    EvictLocked(it->second.completed_at, nullptr);
-  } else {
-    entries_.erase(it);
+  if (!cache_for_replay) {
+    EraseLocked(it);
+    return waiters;
+  }
+  Entry& entry = it->second;
+  entry.completed = true;
+  entry.frame = frame;
+  entry.waiters.clear();
+  completed_bytes_ += frame.size();
+  if (entry.expiry->first == Clock::time_point::max()) {
+    // No deadline: the reply is kept for the grace after completion.
+    by_expiry_.erase(entry.expiry);
+    entry.expiry = by_expiry_.emplace(GraceAfter(Clock::now()), key);
+  }
+  // Over the byte budget, the completed replies that expire soonest go.
+  for (auto slot = by_expiry_.begin();
+       completed_bytes_ > max_bytes_ && slot != by_expiry_.end();) {
+    auto victim = entries_.find((slot++)->second);
+    if (victim->second.completed) EraseLocked(victim);
   }
   return waiters;
 }
@@ -90,65 +102,22 @@ std::vector<ReplyCache::Waiter> ReplyCache::Abort(uint64_t key,
     return waiters;
   }
   waiters = std::move(it->second.waiters);
-  entries_.erase(it);
+  EraseLocked(it);
   return waiters;
 }
 
 size_t ReplyCache::CompletedEntries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return completed_order_.size();
+  size_t n = 0;
+  for (const auto& kv : entries_) n += kv.second.completed ? 1 : 0;
+  return n;
 }
 
 size_t ReplyCache::InFlightEntries() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    if (!entry.completed) ++n;
-  }
+  for (const auto& kv : entries_) n += kv.second.completed ? 0 : 1;
   return n;
-}
-
-void ReplyCache::EvictLocked(Clock::time_point now,
-                             std::vector<Waiter>* expired_waiters) {
-  const auto ttl = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(std::max(options_.ttl_seconds, 0.0)));
-  while (!completed_order_.empty()) {
-    const uint64_t key = completed_order_.front();
-    auto it = entries_.find(key);
-    // A key can linger in completed_order_ after its entry was replaced;
-    // only a still-completed entry counts against capacity/TTL.
-    const bool stale = it == entries_.end() || !it->second.completed;
-    const bool over_capacity = completed_order_.size() > options_.capacity;
-    const bool expired =
-        !stale && options_.ttl_seconds > 0 && now - it->second.completed_at >= ttl;
-    if (!stale && !over_capacity && !expired) break;
-    if (!stale) entries_.erase(it);
-    completed_order_.pop_front();
-  }
-  if (expired_waiters == nullptr) return;
-  // Sweep dead in-flight entries from the admission-order front. Entries
-  // whose slot is stale (completed, erased, or superseded by a newer
-  // generation of the same key) are just dropped from the queue; a live
-  // not-yet-expired entry stops the sweep — deadlines are approximately
-  // admission-ordered, and the same-key purge in AdmitOrAttach catches
-  // any straggler exactly when its key is next touched.
-  while (!in_flight_order_.empty()) {
-    const auto [key, generation] = in_flight_order_.front();
-    auto it = entries_.find(key);
-    const bool stale = it == entries_.end() || it->second.completed ||
-                       it->second.generation != generation;
-    if (stale) {
-      in_flight_order_.pop_front();
-      continue;
-    }
-    if (!InFlightExpiredLocked(it->second, now)) break;
-    for (Waiter& w : it->second.waiters) {
-      if (w) expired_waiters->push_back(std::move(w));
-    }
-    entries_.erase(it);
-    in_flight_order_.pop_front();
-  }
 }
 
 }  // namespace ppgnn

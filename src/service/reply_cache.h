@@ -7,6 +7,23 @@
 // fired with a copy of the original's frame when it completes) or
 // *replays* the cached frame of an already-completed request.
 //
+// Every query is encrypted under a key pair its users just generated, so
+// a reply can only ever serve a duplicate of the same request, and the
+// client's whole call ends at that request's deadline. The request alone
+// therefore decides how long its entry lives:
+//   * An in-flight entry lives until its deadline plus the grace, then
+//     counts as abandoned (worker cancelled at the deadline, shard link
+//     died mid-fan-out): it is purged and its joined waiters are handed
+//     back, so the key does not replay as an "in-flight join" to every
+//     future retry forever. Without a deadline it lives until its
+//     primary Completes or Aborts it.
+//   * A completed reply lives until its request's deadline plus the
+//     grace; without a deadline, for the grace after completion.
+// One expiry-ordered index holds every entry, and one sweep at each
+// admission drops whatever has expired. Completed frames are also bounded
+// by a byte budget: past it, the completed replies that expire soonest go
+// first. In-flight entries are never evicted.
+//
 // Semantics, chosen so client-visible retry behavior stays honest:
 //   * Only answers are cached for replay. An error completion is
 //     delivered to any joiners (they were racing the same doomed
@@ -14,15 +31,9 @@
 //     same key runs fresh rather than replaying a stale failure.
 //   * The cached frame is the pre-transport one: corruption injected on
 //     one delivery leg must not poison the cache.
-//   * Completed entries are evicted by TTL and by capacity (FIFO).
-//   * An in-flight entry lives until its primary Completes/Aborts it —
-//     or until its deadline (plus a grace window) passes, at which point
-//     it is presumed abandoned (worker cancelled at the deadline, shard
-//     link died mid-fan-out) and purged, so the key does not replay as
-//     an "in-flight join" to every future retry forever. Each in-flight
-//     incarnation carries a generation token; a stale primary that
-//     resurfaces after its entry was purged and re-admitted cannot
-//     complete (or abort) the successor's entry.
+//   * Each in-flight incarnation carries a generation token; a stale
+//     primary that resurfaces after its entry was purged and re-admitted
+//     cannot complete (or abort) the successor's entry.
 //
 // Thread-safe. Callbacks are never invoked under the internal lock —
 // mutating calls return the waiters due and the caller delivers them.
@@ -32,8 +43,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -52,13 +63,15 @@ class ReplyCache {
   };
 
   struct Options {
-    size_t capacity = 1024;     ///< completed entries kept for replay
-    double ttl_seconds = 30.0;  ///< completed-entry lifetime
-    /// How long past its deadline an in-flight entry is still presumed
-    /// alive (covers a worker that is just finishing up as the monitor
-    /// cancels it). Beyond deadline + grace the entry counts as
-    /// abandoned and is purged on the next admission that sees it.
-    double in_flight_grace_seconds = 1.0;
+    /// How long an entry outlives its request's deadline (covers a worker
+    /// that is just finishing up as the monitor cancels it, and a
+    /// duplicate still in transit); for a deadline-less request, how
+    /// long its completed reply is kept.
+    double grace_seconds = 1.0;
+    /// Budget for the bytes of completed frames. LspService keeps this
+    /// default: far above what deadline-bounded lifetimes leave cached,
+    /// it is a guard against a burst, not a tuning knob.
+    size_t max_bytes = size_t{64} << 20;
   };
 
   struct AdmitResult {
@@ -78,9 +91,8 @@ class ReplyCache {
 
   /// Routes one request. kPrimary leaves `waiter` with the caller (the
   /// primary replies through its normal path); kJoined keeps it until the
-  /// primary's Complete/Abort. `deadline` bounds the in-flight lifetime:
-  /// past deadline + grace the entry is purgeable. The default (no
-  /// deadline) keeps the entry alive until Complete/Abort, as before.
+  /// primary's Complete/Abort. `deadline` (time_point::max() = none) sets
+  /// the entry's lifetime, as the header comment describes.
   AdmitResult AdmitOrAttach(
       uint64_t key, Waiter waiter,
       Clock::time_point deadline = Clock::time_point::max());
@@ -106,37 +118,34 @@ class ReplyCache {
   size_t InFlightEntries() const;
 
  private:
+  /// Expiry time -> key, soonest first; time_point::max() = never.
+  using ExpiryIndex = std::multimap<Clock::time_point, uint64_t>;
+
   struct Entry {
     bool completed = false;
-    std::vector<uint8_t> frame;       // valid when completed
-    std::vector<Waiter> waiters;      // valid while in flight
-    Clock::time_point completed_at{};
-    Clock::time_point deadline = Clock::time_point::max();
+    std::vector<uint8_t> frame;   // valid when completed
+    std::vector<Waiter> waiters;  // valid while in flight
     uint64_t generation = 0;
+    ExpiryIndex::iterator expiry;  // this entry's slot in by_expiry_
   };
+  using Entries = std::unordered_map<uint64_t, Entry>;
 
+  /// `t` plus the grace, saturating at time_point::max().
+  Clock::time_point GraceAfter(Clock::time_point t) const;
+
+  /// Removes the entry from both containers. Requires mu_ held.
   // ppgnn: requires(mu_)
-  bool InFlightExpiredLocked(const Entry& entry, Clock::time_point now) const;
+  void EraseLocked(Entries::iterator it);
 
-  /// Drops expired / over-capacity completed entries; when
-  /// `expired_waiters` is non-null, also sweeps dead in-flight entries
-  /// from the front of the admission-order queue, appending their
-  /// waiters. Requires mu_ held.
-  // ppgnn: requires(mu_)
-  void EvictLocked(Clock::time_point now,
-                   std::vector<Waiter>* expired_waiters);
-
-  const Options options_;
+  const Clock::duration grace_;
+  const size_t max_bytes_;
   mutable std::mutex mu_;
   // ppgnn: guarded_by(entries_, mu_)
-  std::unordered_map<uint64_t, Entry> entries_;
-  // ppgnn: guarded_by(completed_order_, mu_)
-  std::deque<uint64_t> completed_order_;  // FIFO eviction of completed keys
-  // In-flight keys in admission order, tagged with the generation they
-  // were admitted under so a purged-and-readmitted key is not swept by
-  // its predecessor's queue position.
-  // ppgnn: guarded_by(in_flight_order_, mu_)
-  std::deque<std::pair<uint64_t, uint64_t>> in_flight_order_;
+  Entries entries_;
+  // ppgnn: guarded_by(by_expiry_, mu_)
+  ExpiryIndex by_expiry_;
+  // ppgnn: guarded_by(completed_bytes_, mu_)
+  size_t completed_bytes_ = 0;
   // ppgnn: guarded_by(next_generation_, mu_)
   uint64_t next_generation_ = 1;
 };

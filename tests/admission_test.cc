@@ -249,10 +249,10 @@ TEST(AimdLimiterTest, ClampsDegenerateOptions) {
 
 // --- ReplyCache ---
 
-ReplyCache::Options CacheOptions(size_t capacity, double ttl) {
+ReplyCache::Options CacheOptions(size_t max_bytes, double grace) {
   ReplyCache::Options o;
-  o.capacity = capacity;
-  o.ttl_seconds = ttl;
+  o.max_bytes = max_bytes;
+  o.grace_seconds = grace;
   return o;
 }
 
@@ -332,7 +332,7 @@ TEST(ReplyCacheTest, CapacityEvictsOldestCompleted) {
             ReplyCache::Admission::kReplayed);
 }
 
-TEST(ReplyCacheTest, TtlEvictsCompletedEntries) {
+TEST(ReplyCacheTest, GraceEvictsDeadlinelessCompletedEntries) {
   ReplyCache cache(CacheOptions(16, 0.02));
   auto primary = cache.AdmitOrAttach(11, nullptr);
   ASSERT_EQ(primary.admission, ReplyCache::Admission::kPrimary);
@@ -386,7 +386,7 @@ TEST(ReplyCacheTest, DoubleCompleteIsIgnored) {
 // for erroring out.
 TEST(ReplyCacheTest, RetryTakesOverAbandonedPrimaryPastDeadline) {
   ReplyCache::Options o = CacheOptions(16, 30.0);
-  o.in_flight_grace_seconds = 0.0;
+  o.grace_seconds = 0.0;
   ReplyCache cache(o);
   // Admit with a deadline slightly in the future so the joiner can attach
   // while the entry is still live, then let the deadline lapse.
@@ -424,7 +424,7 @@ TEST(ReplyCacheTest, RetryTakesOverAbandonedPrimaryPastDeadline) {
 
 TEST(ReplyCacheTest, DeadlinelessInFlightEntriesAreNeverPurged) {
   ReplyCache::Options o = CacheOptions(16, 30.0);
-  o.in_flight_grace_seconds = 0.0;
+  o.grace_seconds = 0.0;
   ReplyCache cache(o);
   ASSERT_EQ(cache.AdmitOrAttach(8, nullptr).admission,
             ReplyCache::Admission::kPrimary);
@@ -438,7 +438,7 @@ TEST(ReplyCacheTest, DeadlinelessInFlightEntriesAreNeverPurged) {
 // dead key's waiters do not wait for someone to retry that exact key.
 TEST(ReplyCacheTest, AdmissionSweepPurgesAbandonedOtherKeys) {
   ReplyCache::Options o = CacheOptions(16, 30.0);
-  o.in_flight_grace_seconds = 0.0;
+  o.grace_seconds = 0.0;
   ReplyCache cache(o);
   const auto deadline =
       ReplyCache::Clock::now() + std::chrono::milliseconds(40);
@@ -463,7 +463,7 @@ TEST(ReplyCacheTest, AdmissionSweepPurgesAbandonedOtherKeys) {
 
 TEST(ReplyCacheTest, StaleGenerationAbortIsIgnored) {
   ReplyCache::Options o = CacheOptions(16, 30.0);
-  o.in_flight_grace_seconds = 0.0;
+  o.grace_seconds = 0.0;
   ReplyCache cache(o);
   const auto expired_deadline =
       ReplyCache::Clock::now() - std::chrono::milliseconds(10);
@@ -476,6 +476,61 @@ TEST(ReplyCacheTest, StaleGenerationAbortIsIgnored) {
   EXPECT_TRUE(cache.Abort(6, dead.generation).empty());
   EXPECT_EQ(cache.AdmitOrAttach(6, [](std::vector<uint8_t>) {}).admission,
             ReplyCache::Admission::kJoined);
+}
+
+// Regression (pre-fix failing): the sweep walked in-flight entries in
+// admission order and stopped at the first live one, so an abandoned
+// entry admitted after a deadline-less one, or after one with a later
+// deadline, stayed hidden and its joiners were never answered.
+TEST(ReplyCacheTest, SweepReachesAbandonedEntriesBehindLiveOnes) {
+  for (bool blocker_has_deadline : {false, true}) {
+    SCOPED_TRACE(blocker_has_deadline ? "later deadline" : "no deadline");
+    ReplyCache cache(CacheOptions(16, 0.0));
+    const auto now = ReplyCache::Clock::now();
+    ASSERT_EQ(cache
+                  .AdmitOrAttach(1, nullptr,
+                                 blocker_has_deadline
+                                     ? now + std::chrono::seconds(30)
+                                     : ReplyCache::Clock::time_point::max())
+                  .admission,
+              ReplyCache::Admission::kPrimary);
+    ASSERT_EQ(
+        cache.AdmitOrAttach(2, nullptr, now + std::chrono::milliseconds(40))
+            .admission,
+        ReplyCache::Admission::kPrimary);
+    int joiner_calls = 0;
+    ASSERT_EQ(cache
+                  .AdmitOrAttach(2,
+                                 [&](std::vector<uint8_t>) { ++joiner_calls; })
+                  .admission,
+              ReplyCache::Admission::kJoined);
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+
+    auto other = cache.AdmitOrAttach(3, nullptr);
+    EXPECT_EQ(other.admission, ReplyCache::Admission::kPrimary);
+    ASSERT_EQ(other.expired_waiters.size(), 1u);
+    other.expired_waiters[0]({});
+    EXPECT_EQ(joiner_calls, 1);
+    EXPECT_EQ(cache.InFlightEntries(), 2u);  // keys 1 and 3
+  }
+}
+
+// A completed reply lives until its request's deadline plus the grace:
+// a duplicate that arrives later cannot belong to a call still waiting.
+TEST(ReplyCacheTest, CompletedReplyExpiresAtItsRequestDeadline) {
+  ReplyCache cache(CacheOptions(16, 0.0));
+  const auto deadline =
+      ReplyCache::Clock::now() + std::chrono::milliseconds(40);
+  auto primary = cache.AdmitOrAttach(12, nullptr, deadline);
+  ASSERT_EQ(primary.admission, ReplyCache::Admission::kPrimary);
+  (void)cache.Complete(12, primary.generation, {0x12},
+                       /*cache_for_replay=*/true);
+  EXPECT_EQ(cache.AdmitOrAttach(12, nullptr, deadline).admission,
+            ReplyCache::Admission::kReplayed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_EQ(cache.AdmitOrAttach(12, nullptr).admission,
+            ReplyCache::Admission::kPrimary);
+  EXPECT_EQ(cache.CompletedEntries(), 0u);
 }
 
 // --- service-level admission behavior ---
@@ -694,7 +749,6 @@ TEST_F(AdmissionServiceTest, DedupJoinsInFlightAndRepliesBothLegsIdentically) {
 TEST_F(AdmissionServiceTest, DedupDisabledRunsEveryCopy) {
   ServiceConfig config;
   config.workers = 1;
-  config.enable_dedup = false;
   LspService service(*db_, config);
 
   Rng rng(13);
@@ -703,7 +757,6 @@ TEST_F(AdmissionServiceTest, DedupDisabledRunsEveryCopy) {
     ServiceRequest sreq;
     sreq.query = req.query;
     sreq.uploads = req.uploads;
-    sreq.idempotency_key = 0xF00Dull;
     auto frame = service.Call(std::move(sreq));
     EXPECT_FALSE(ResponseFrame::Decode(frame).value().is_error);
   }
@@ -721,7 +774,7 @@ TEST_F(AdmissionServiceTest, DedupDisabledRunsEveryCopy) {
 TEST_F(AdmissionServiceTest, RetryPurgesAbandonedDedupPrimary) {
   ServiceConfig config;
   config.workers = 1;
-  config.reply_cache_in_flight_grace_seconds = 0.0;
+  config.reply_cache_grace_seconds = 0.0;
   std::mutex m;
   std::condition_variable cv;
   bool release = false;

@@ -851,8 +851,9 @@ TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
   // The Encryptor thread-safety contract under real contention (TSan
   // tier): one pooled Encryptor shared by concurrent client threads
   // building requests against the service worker pool, while a
-  // BlindingRefiller thread refills the same pools and Stats() snapshots
-  // the blinding counters mid-flight.
+  // BlindingRefiller thread refills the same pools and the clients
+  // snapshot the service's Stats() mid-flight. The blinding counters are
+  // read once every thread has stopped.
   auto pooled = std::make_shared<const Encryptor>(*keys_);
 
   ServiceConfig config;

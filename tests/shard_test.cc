@@ -595,10 +595,11 @@ TEST_F(ShardTest, LosingHedgesLeaveNoMappingsBehind) {
 }
 
 TEST_F(ShardTest, ParentIdempotencyKeyCoalescesShardLegs) {
-  // Front dedup off so the handler really runs twice; the derived
-  // per-shard keys must then coalesce the second fan-out at the shards.
+  // The front keeps no completed reply, so the handler really runs
+  // twice; the derived per-shard keys must then coalesce the second
+  // fan-out at the shards.
   ShardClusterConfig config = ClusterConfig(2, /*sanitize=*/false);
-  config.front.enable_dedup = false;
+  config.front.reply_cache_grace_seconds = 0;
   ShardedLspService cluster(*pois_, config);
 
   RequestWireOptions wire;

@@ -18,10 +18,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "core/protocol.h"
 #include "core/wire.h"
 #include "net/transport/chaos_proxy.h"
@@ -190,6 +193,29 @@ TEST(FrameTest, RequestEnvelopeRejectsTrailingBytes) {
   std::vector<uint8_t> bytes = env.Encode();
   bytes.push_back(0x00);
   EXPECT_FALSE(TransportRequest::Decode(bytes).ok());
+}
+
+// The envelope's deadline shares the query trailer's 2^30 ms ceiling, and
+// degraded_users must fit its 32-bit field. Both bounds are inclusive.
+TEST(FrameTest, RequestEnvelopeRejectsOutOfRangeFields) {
+  auto envelope = [](uint64_t deadline_ms, uint64_t degraded_users) {
+    ByteWriter w;
+    w.PutVarint(0);  // no uploads
+    w.PutBytes(Payload(8));
+    w.PutVarint(deadline_ms);
+    w.PutU64(7);
+    w.PutVarint(degraded_users);
+    return w.Release();
+  };
+  Result<TransportRequest> at_bounds =
+      TransportRequest::Decode(envelope(kMaxWireMillis, UINT32_MAX));
+  ASSERT_TRUE(at_bounds.ok()) << at_bounds.status().ToString();
+  EXPECT_EQ(at_bounds.value().deadline_ms, kMaxWireMillis);
+  EXPECT_EQ(at_bounds.value().degraded_users, UINT32_MAX);
+  EXPECT_FALSE(TransportRequest::Decode(envelope(kMaxWireMillis + 1, 0)).ok());
+  EXPECT_FALSE(TransportRequest::Decode(envelope(uint64_t{1} << 50, 0)).ok());
+  EXPECT_FALSE(
+      TransportRequest::Decode(envelope(0, uint64_t{UINT32_MAX} + 1)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +498,128 @@ TEST_F(TransportTest, MidFrameRstFailsOneExchangeThenTheLinkRecovers) {
 
   link.Close();
   reference.Shutdown();
+  proxy.Shutdown();
+  server.Shutdown(5.0);
+  service.Shutdown();
+}
+
+/// Sends one request envelope on a raw connection and reads the reply.
+ResponseFrame RawExchange(int fd, const TransportRequest& env) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const std::vector<uint8_t> framed =
+      EncodeTransportFrame(FrameType::kRequest, env.Encode());
+  Status sent = SendAll(fd, framed.data(), framed.size(), deadline);
+  if (!sent.ok()) {
+    ADD_FAILURE() << sent.ToString();
+    return {};
+  }
+  FrameReader reader;
+  TransportFrame frame;
+  std::vector<uint8_t> buf(4096);
+  while (reader.Poll(&frame) != FrameReader::PollResult::kFrame) {
+    Result<size_t> got = RecvSome(fd, buf.data(), buf.size(), deadline);
+    if (!got.ok() || got.value() == 0) {
+      ADD_FAILURE() << "no response frame";
+      return {};
+    }
+    reader.Feed(buf.data(), got.value());
+  }
+  Result<ResponseFrame> decoded = ResponseFrame::Decode(frame.payload);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return decoded.ok() ? decoded.value() : ResponseFrame{};
+}
+
+// Regression (pre-fix failing): the envelope's deadline_ms had no bound,
+// and 2^50 ms overflowed the server's conversion to a clock deadline — an
+// immediate "deadline expired in queue" reply, and undefined behaviour
+// that UBSan aborts on. It is a malformed request now, and the
+// connection survives it.
+TEST_F(TransportTest, OutOfRangeEnvelopeDeadlineIsMalformed) {
+  LspDatabase db(*pois_);
+  LspService service(db, ShardServiceConfig());
+  TcpShardServer server(service, {});
+  ASSERT_TRUE(server.Start().ok());
+  Result<OwnedFd> conn = TcpConnect("127.0.0.1", server.port(), 1.0);
+  ASSERT_TRUE(conn.ok());
+
+  auto envelope = [](uint64_t deadline_ms) {
+    ServiceRequest request = MakeRequest(AggregateKind::kSum, 103);
+    TransportRequest env;
+    env.query = std::move(request.query);
+    env.uploads = std::move(request.uploads);
+    env.deadline_ms = deadline_ms;
+    return env;
+  };
+  const ResponseFrame rejected =
+      RawExchange(conn.value().get(), envelope(uint64_t{1} << 50));
+  ASSERT_TRUE(rejected.is_error);
+  EXPECT_EQ(rejected.error.code, WireError::kMalformed)
+      << WireErrorToString(rejected.error.code);
+  EXPECT_FALSE(RawExchange(conn.value().get(), envelope(30000)).is_error);
+
+  const TcpServerStats stats = server.Stats();
+  EXPECT_EQ(stats.malformed_envelopes, 1u);
+  EXPECT_EQ(stats.frames_served, 1u);
+  conn.value().Reset();
+  server.Shutdown(5.0);
+  service.Shutdown();
+}
+
+size_t OpenFds() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Regression (pre-fix failing): a closed connection kept its fd and its
+// finished thread until Shutdown — on the server, and on the proxy for
+// both of a session's sockets — so a long-lived listener ran out of
+// descriptors as its peers reconnected.
+TEST_F(TransportTest, ClosedConnectionsGiveBackTheirFds) {
+  LspDatabase db(*pois_);
+  LspService service(db, ShardServiceConfig());
+  TcpShardServer server(service, {});
+  ASSERT_TRUE(server.Start().ok());
+  ChaosProxy::Config proxy_config;
+  proxy_config.upstream_port = server.port();
+  ChaosProxy proxy(std::move(proxy_config));
+  ASSERT_TRUE(proxy.Start().ok());
+
+  auto deadline = std::chrono::steady_clock::now();
+  auto wait_for = [&](const std::function<bool()>& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return done();
+  };
+  constexpr uint64_t kCycles = 200;
+  constexpr size_t kSlack = 16;
+  uint64_t server_conns = 0;
+  for (const bool proxied : {false, true}) {
+    SCOPED_TRACE(proxied ? "through the proxy" : "direct");
+    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    const size_t before = OpenFds();
+    for (uint64_t i = 0; i < kCycles; ++i) {
+      Result<OwnedFd> conn = TcpConnect(
+          "127.0.0.1", proxied ? proxy.port() : server.port(), 1.0);
+      ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+      // Paced, so the listen backlog never overflows.
+      ++server_conns;
+      ASSERT_TRUE(wait_for(
+          [&] { return server.Stats().connections_accepted == server_conns; }));
+    }  // each connection closes as it leaves scope
+    // Every server-side thread has ended (a proxied one once its proxy
+    // session hung up); the accept loops reap them within a tick.
+    ASSERT_TRUE(wait_for(
+        [&] { return server.Stats().connections_closed == server_conns; }));
+    EXPECT_TRUE(wait_for([&] { return OpenFds() <= before + kSlack; }))
+        << OpenFds() - before << " fds more than before";
+  }
   proxy.Shutdown();
   server.Shutdown(5.0);
   service.Shutdown();

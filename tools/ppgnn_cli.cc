@@ -61,7 +61,6 @@
 //                        target (default 500)
 //   --max-concurrency N  AIMD upper bound; 0 = the worker count
 //   --no-cost-admission  disable predicted-cost-vs-deadline shedding
-//   --no-dedup           disable idempotency-key reply coalescing
 //   --wire-deadline-ms N stamp each query's deadline into the wire
 //                        trailer (exercises end-to-end deadline
 //                        propagation instead of the local budget)
@@ -151,7 +150,6 @@ struct CliOptions {
   double target_p99_ms = 500.0;
   int max_concurrency = 0;
   bool no_cost_admission = false;
-  bool no_dedup = false;
   uint64_t wire_deadline_ms = 0;
 };
 
@@ -172,7 +170,7 @@ void PrintUsageAndExit(const char* argv0) {
                "          [--blinding-pool N]\n"
                "          [--fail POINT=POLICY]... [--retry-budget-ms X]\n"
                "          [--target-p99-ms X] [--max-concurrency N]\n"
-               "          [--no-cost-admission] [--no-dedup]\n"
+               "          [--no-cost-admission]\n"
                "          [--wire-deadline-ms N]\n",
                argv0);
   std::exit(2);
@@ -281,8 +279,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       opts.max_concurrency = std::atoi(next());
     } else if (flag == "--no-cost-admission") {
       opts.no_cost_admission = true;
-    } else if (flag == "--no-dedup") {
-      opts.no_dedup = true;
     } else if (flag == "--wire-deadline-ms") {
       opts.wire_deadline_ms = static_cast<uint64_t>(std::atoll(next()));
     } else if (flag == "--help" || flag == "-h") {
@@ -388,7 +384,6 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   config.target_p99_seconds = opts.target_p99_ms / 1e3;
   config.max_concurrency = opts.max_concurrency;
   config.cost_admission = !opts.no_cost_admission;
-  config.enable_dedup = !opts.no_dedup;
 
   // Offline/online split: one pooled Encryptor shared by every client
   // thread, kept warm by a background refiller. The clients hold the
@@ -503,15 +498,14 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   std::printf(
       "Serving: %d workers, queue=%zu, deadline=%s, %d clients x %d "
       "requests (lsp_threads=%d)%s\n"
-      "Admission: cost=%s dedup=%s target_p99=%.0fms max_concurrency=%d "
+      "Admission: cost=%s target_p99=%.0fms max_concurrency=%d "
       "wire_deadline=%llums\n",
       opts.workers, opts.queue_capacity,
       opts.deadline_seconds > 0 ? std::to_string(opts.deadline_seconds).c_str()
                                 : "none",
       opts.clients, opts.requests_per_client, opts.params.lsp_threads,
       use_resilient ? ", resilient client" : "",
-      opts.no_cost_admission ? "off" : "on", opts.no_dedup ? "off" : "on",
-      opts.target_p99_ms,
+      opts.no_cost_admission ? "off" : "on", opts.target_p99_ms,
       opts.max_concurrency > 0 ? opts.max_concurrency : opts.workers,
       static_cast<unsigned long long>(opts.wire_deadline_ms));
 
