@@ -8,6 +8,8 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "bench_util.h"
 #include "ppgnn.h"
@@ -131,8 +133,8 @@ BENCHMARK(BM_PaillierEncryptL1Pooled)
 //
 // Four variants of the same Encrypt call, isolating each acceleration
 // layer: the seed's fresh square-and-multiply blinding, the shared
-// fixed-base comb, CRT-split evaluation for secret-key holders, and the
-// pooled online path. All variants produce bit-identical ciphertexts
+// fixed-base comb, reduced-exponent CRT evaluation for secret-key
+// holders, and the pooled online path. All variants produce bit-identical ciphertexts
 // for the same RNG stream (paillier_test.cc enforces this), so the
 // comparison is pure cost. Args are {key_bits, level}; EXPERIMENTS.md
 // records the resulting curves and CostModel's encrypt constants are
@@ -194,8 +196,9 @@ BENCHMARK(BM_Encrypt_FixedBase)
     ->Args({2048, 2});
 
 void BM_Encrypt_Crt(benchmark::State& state) {
-  // Secret-key holder: blinding evaluated mod p^{s+1} and q^{s+1} with
-  // half-width fixed-base engines, recombined by CRT.
+  // Secret-key holder: blinding evaluated as h^{t mod (p-1)} mod p^{s+1}
+  // and h^{t mod (q-1)} mod q^{s+1} on half-width fixed-base tables,
+  // recombined by CRT with a precomputed coefficient.
   PaillierFixtureState& fx = SharedPaillierFixture(
       static_cast<int>(state.range(0)));
   Encryptor enc(fx.keys);
@@ -276,6 +279,52 @@ BENCHMARK(BM_RefillBlindingPool_Crt)
     ->Args({1024, 2})
     ->Args({2048, 1})
     ->Args({2048, 2});
+
+KeyPair FreshBenchKey(int key_bits) {
+  // One stream per process: no key is ever handed out twice.
+  static Rng* rng = new Rng(17);
+  return bench::ValueOrDie(GenerateKeyPair(key_bits, *rng));
+}
+
+void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
+  // What the users pay per fresh-key query for the encrypted indicator:
+  // a new Encryptor, its blinding bases and fixed-base tables, and one
+  // indicator's encryptions at the paper defaults — PPGNN's 101 level-1
+  // ciphertexts, or OPT's 17 level-1 plus 6 level-2 (delta' = 101,
+  // omega = 6). Every iteration uses a key no earlier iteration used, so
+  // the public-key variant cannot hit the shared table registry. Args are
+  // {key_bits, key_holder, opt}; keys are generated before the timed loop.
+  const int key_bits = static_cast<int>(state.range(0));
+  const bool key_holder = state.range(1) != 0;
+  const bool opt = state.range(2) != 0;
+  std::vector<KeyPair> keys;
+  for (benchmark::IterationCount i = 0; i < state.max_iterations; ++i) {
+    keys.push_back(FreshBenchKey(key_bits));
+  }
+  Rng rng(23);
+  size_t next = 0;
+  for (auto _ : state) {
+    const KeyPair& key = keys[next++];
+    std::optional<Encryptor> enc;
+    if (key_holder) {
+      enc.emplace(key);
+    } else {
+      enc.emplace(key.pub);
+    }
+    const int level1 = opt ? 17 : 101;
+    for (int i = 0; i < level1; ++i) {
+      benchmark::DoNotOptimize(
+          bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 1)));
+    }
+    for (int i = 0; opt && i < 6; ++i) {
+      benchmark::DoNotOptimize(
+          bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 2)));
+    }
+  }
+}
+BENCHMARK(BM_Encrypt_FreshKeyIndicator)
+    ->ArgsProduct({{1024, 2048}, {0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PaillierDecryptL1NoCrt(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));

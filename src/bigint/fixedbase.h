@@ -16,12 +16,15 @@
 // squaring-free: tables[j+1][1] = tables[j][2^w - 1] * tables[j][1].
 //
 // Memory per engine: ceil(max_exponent_bits/w) * (2^w - 1) entries of
-// modulus width — ~1.7 MB for the level-1 blinding base of a 1024-bit
-// key at w = 5 (see DESIGN.md section 12 for the width/latency trade-off).
-// That only pays off for a base that is fixed across many calls (the key
-// regime: blinding bases live as long as the key), so engines are shared
-// process-wide through SharedFixedBaseEngine below rather than rebuilt
-// per Encryptor.
+// modulus width — ~1.7 MB for the level-1 public blinding base of a
+// 1024-bit key at w = 5 (see DESIGN.md section 12 for the width/latency
+// trade-off). That only pays off for a base that is fixed across many
+// calls (the key regime: blinding bases live as long as the key). A
+// public-key Encryptor therefore shares its engines process-wide through
+// SharedFixedBaseEngine below rather than rebuilding them per Encryptor.
+// A key holder's half-width engines (crypto/paillier.h) are derived from
+// the secret factors, so they are owned by their Encryptor instead and
+// die with it.
 //
 // Results are bit-identical to the generic ladder: exact residue
 // arithmetic over the same modulus, every evaluation order yields the
@@ -96,9 +99,9 @@ class FixedBaseEngine {
 };
 
 /// Process-wide engine cache keyed by (base, modulus): the first caller
-/// pays the table build, every later Encryptor over the same key reuses
-/// it — the DotEngine context-caching idea lifted to process scope,
-/// because keys are long-lived and request-scoped objects are not.
+/// pays the table build, every later public-key Encryptor over the same
+/// key reuses it — the DotEngine context-caching idea lifted to process
+/// scope, because keys are long-lived and request-scoped objects are not.
 /// Returns an engine covering at least `min_exponent_bits` (an existing
 /// narrower engine is replaced by a wider rebuild), or null if the
 /// modulus does not admit a Montgomery context (even modulus: callers

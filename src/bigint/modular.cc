@@ -97,8 +97,14 @@ Result<BigInt> ModExp(const BigInt& base, const BigInt& exponent,
 
 Result<BigInt> CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
                           const BigInt& m2) {
-  // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2).
   PPGNN_ASSIGN_OR_RETURN(BigInt m1_inv, ModInverse(m1, m2));
+  return CrtCombinePrecomputed(r1, m1, r2, m2, m1_inv);
+}
+
+BigInt CrtCombinePrecomputed(const BigInt& r1, const BigInt& m1,
+                             const BigInt& r2, const BigInt& m2,
+                             const BigInt& m1_inv) {
+  // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2).
   BigInt diff = (r2 - r1).Mod(m2);
   BigInt h = ModMul(diff, m1_inv, m2);
   return r1.Mod(m1) + m1 * h;

@@ -42,6 +42,13 @@ BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
 Result<BigInt> CrtCombine(const BigInt& r1, const BigInt& m1, const BigInt& r2,
                           const BigInt& m2);
 
+/// CrtCombine with its coefficient m1_inv = m1^{-1} mod m2 computed once
+/// by the caller (ModInverse): callers that recombine over the same pair
+/// of moduli many times skip the extended Euclid on every call.
+BigInt CrtCombinePrecomputed(const BigInt& r1, const BigInt& m1,
+                             const BigInt& r2, const BigInt& m2,
+                             const BigInt& m1_inv);
+
 }  // namespace ppgnn
 
 #endif  // PPGNN_BIGINT_MODULAR_H_

@@ -1,6 +1,7 @@
 #include "core/protocol.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "common/bytes.h"
@@ -427,7 +428,12 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
   CostTracker tracker;
 
   // ===== Coordinator: keys =====
+  // The users generate the key pair and keep p and q, so they encrypt as
+  // key holders (reduced-exponent CRT blinding) and decrypt with CRT.
+  // Both contexts' set-up is user work, timed with the keys.
   KeyPair keys;
+  std::optional<Encryptor> enc;
+  std::optional<Decryptor> dec;
   {
     ScopedTimer timer(&tracker, Party::kUser);
     if (fixed_keys != nullptr) {
@@ -435,9 +441,9 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
     } else {
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
+    enc.emplace(keys);
+    dec.emplace(keys.pub, keys.sec);
   }
-  Encryptor enc(keys.pub);
-  Decryptor dec(keys.pub, keys.sec);
   // Offline phase: with params.blinding_pool > 0 the coordinator's
   // device precomputes blinding factors while idle (untimed — a phone
   // does this before the user even forms the query), so the timed user
@@ -446,9 +452,9 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
   // unaffected, only the accounting boundary moves.
   if (params.blinding_pool > 0) {
     const size_t pool = static_cast<size_t>(params.blinding_pool);
-    PPGNN_RETURN_IF_ERROR(enc.RefillBlindingPool(1, pool, rng));
+    PPGNN_RETURN_IF_ERROR(enc->RefillBlindingPool(1, pool, rng));
     if (variant == Variant::kPpgnnOpt)
-      PPGNN_RETURN_IF_ERROR(enc.RefillBlindingPool(2, pool, rng));
+      PPGNN_RETURN_IF_ERROR(enc->RefillBlindingPool(2, pool, rng));
   }
 
   // ===== Coordinator (Algorithm 1): query, pos_j, location sets =====
@@ -457,7 +463,7 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
     ScopedTimer timer(&tracker, Party::kUser);
     PPGNN_ASSIGN_OR_RETURN(
         request,
-        CoordinatorBuildQuery(variant, params, real_locations, enc, rng));
+        CoordinatorBuildQuery(variant, params, real_locations, *enc, rng));
   }
   for (const std::vector<uint8_t>& message : request.positions) {
     tracker.RecordSend(Link::kUserToUser, message.size());
@@ -488,7 +494,7 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
     ScopedTimer timer(&tracker, Party::kUser);
     PPGNN_ASSIGN_OR_RETURN(
         broadcast.pois,
-        CoordinatorDecryptAnswer(answer_bytes, keys.pub, dec,
+        CoordinatorDecryptAnswer(answer_bytes, keys.pub, *dec,
                                  variant == Variant::kPpgnnOpt));
   }
   info.pois_returned = broadcast.pois.size();

@@ -6,12 +6,15 @@
 #include "bigint/prime.h"
 #include "common/failpoint.h"
 
-// ppgnn: secret(lambda, p, q, sk_, crt_p_pow, crt_q_pow, crt_p_engine, crt_q_engine)
+// ppgnn: secret(lambda, p, q, sk_, p_pow, q_pow, crt_coeff, crt_coeff_)
+// ppgnn: secret(p_half_, q_half_, r_pow, r_pow_s, r_minus_1, r_base, r_table, r_ctx)
 //
-// The crt_* members are precomputed from the secret factors (moduli
-// p^{s+1}/q^{s+1} and the fixed-base tables over them), so they carry the
-// same taint as p and q themselves: control flow branches on the `crt` /
-// `crt_engines` configuration booleans instead, never on these values.
+// The key holder's blinding members and the Decryptor's CRT constants
+// are precomputed from the secret factors (moduli p^{s+1}/q^{s+1}, the
+// orders p-1/q-1, the half-width bases, the fixed-base tables over them
+// and the CRT coefficients), so they carry the same taint as p and q
+// themselves: control flow branches on configuration booleans
+// (`uses_tables_`, `use_crt_`) instead, never on these values.
 
 namespace ppgnn {
 
@@ -124,12 +127,91 @@ Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
 
 }  // namespace
 
+namespace internal {
+
+Result<KeyHolderBlinding> KeyHolderBlinding::Create(
+    const PublicKey& pk, const SecretKey& sk, int level,
+    const EncryptorOptions& options) {
+  if (level < 1) return Status::InvalidArgument("ciphertext level must be >= 1");
+  const BigInt n_s = pk.NPow(level);
+  KeyHolderBlinding out;
+  out.uses_tables_ = options.use_fixed_base;
+  PPGNN_ASSIGN_OR_RETURN(out.p_half_, MakeHalf(sk.p, n_s, level, options));
+  PPGNN_ASSIGN_OR_RETURN(out.q_half_, MakeHalf(sk.q, n_s, level, options));
+  PPGNN_ASSIGN_OR_RETURN(out.crt_coeff_,
+                         ModInverse(out.p_half_.r_pow, out.q_half_.r_pow));
+  return out;
+}
+
+Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
+    const BigInt& r, const BigInt& n_s, int level,
+    const EncryptorOptions& options) {
+  Half half;
+  BigInt r_pow_s(1);  // r^level
+  for (int i = 0; i < level; ++i) r_pow_s = r_pow_s * r;
+  half.r_pow = r_pow_s * r;
+  half.r_minus_1 = r - BigInt(1);
+  PPGNN_ASSIGN_OR_RETURN(MontgomeryContext ctx,
+                         MontgomeryContext::Create(half.r_pow));
+  // (Z/r^{s+1})* has order r^s (r - 1), so 2^{N^s} mod r^{s+1} needs only
+  // the exponent N^s mod r^s (r - 1).
+  PPGNN_ASSIGN_OR_RETURN(
+      half.r_base,
+      ModExp(BigInt(2), n_s.Mod(r_pow_s * half.r_minus_1), ctx));
+  if (options.use_fixed_base) {
+    PPGNN_ASSIGN_OR_RETURN(
+        FixedBaseEngine table,
+        FixedBaseEngine::Create(half.r_base, half.r_pow,
+                                half.r_minus_1.BitLength(),
+                                options.fixed_base_window));
+    half.r_table = std::make_unique<const FixedBaseEngine>(std::move(table));
+  } else {
+    half.r_ctx = std::make_unique<MontgomeryContext>(std::move(ctx));
+  }
+  return half;
+}
+
+Result<BigInt> KeyHolderBlinding::HalfPow(const Half& half,
+                                          const BigInt& t) const {
+  const BigInt reduced = t.Mod(half.r_minus_1);
+  if (uses_tables_) return half.r_table->Pow(reduced);
+  return ModExp(half.r_base, reduced, *half.r_ctx);
+}
+
+Result<BigInt> KeyHolderBlinding::Pow(const BigInt& t) const {
+  PPGNN_ASSIGN_OR_RETURN(BigInt blind_p, HalfPow(p_half_, t));
+  PPGNN_ASSIGN_OR_RETURN(BigInt blind_q, HalfPow(q_half_, t));
+  return CrtCombinePrecomputed(blind_p, p_half_.r_pow, blind_q,
+                               q_half_.r_pow, crt_coeff_);
+}
+
+size_t KeyHolderBlinding::table_bytes() const {
+  if (!uses_tables_) return 0;
+  return p_half_.r_table->table_bytes() + q_half_.r_table->table_bytes();
+}
+
+}  // namespace internal
+
 Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
     int level) const {
   const LevelCache& lc = Level(level);
   std::lock_guard<std::mutex> lock(level_mu_);
   if (lc.blinding != nullptr) return lc.blinding.get();
   auto b = std::make_unique<LevelCache::Blinding>();
+  // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
+  if (sk_ != nullptr && opts_.use_crt) {
+    // Key holder: reduced exponents over p^{s+1} and q^{s+1}, on tables
+    // this Encryptor owns. A key whose factors admit no Montgomery
+    // context (not a real key pair) keeps the public-key path below.
+    Result<internal::KeyHolderBlinding> key_holder =
+        internal::KeyHolderBlinding::Create(pk_, *sk_, level, opts_);
+    if (key_holder.ok()) {
+      b->key_holder = std::make_unique<const internal::KeyHolderBlinding>(
+          std::move(key_holder).value());
+      lc.blinding = std::move(b);
+      return lc.blinding.get();
+    }
+  }
   // h_s = g^{N^s} mod N^{s+1} with g = 2: a unit modulo every odd
   // semiprime N, and deterministic — the base (hence every fixed-base
   // table derived from it) is a pure function of the public key.
@@ -140,46 +222,11 @@ Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
     PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, lc.modulus));
   }
   if (opts_.use_fixed_base && lc.ctx != nullptr) {
-    // Shared process-wide: every Encryptor over this key (and every
-    // request-scoped Encryptor the workload layer creates) reuses one
-    // table build. Null on registry failure -> generic ladder below.
+    // Shared process-wide: every public-key Encryptor over this key (and
+    // every request-scoped one) reuses one table build. Null on registry
+    // failure -> generic ladder below.
     b->engine = SharedFixedBaseEngine(b->h, lc.modulus, BlindingExponentBits(),
                                       opts_.fixed_base_window);
-  }
-  // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
-  if (sk_ != nullptr && opts_.use_crt) {
-    // CRT split mirroring the decrypt side: blind mod p^{s+1} and
-    // q^{s+1} at half width, recombine. Exact, so bit-identical to the
-    // direct h^t mod N^{s+1}.
-    BigInt p_pow(1);
-    BigInt q_pow(1);
-    for (int i = 0; i <= level; ++i) {
-      p_pow = p_pow * sk_->p;
-      q_pow = q_pow * sk_->q;
-    }
-    Result<MontgomeryContext> p_ctx = MontgomeryContext::Create(p_pow);
-    Result<MontgomeryContext> q_ctx = MontgomeryContext::Create(q_pow);
-    if (p_ctx.ok() && q_ctx.ok()) {
-      b->crt_p_pow = std::move(p_pow);
-      b->crt_q_pow = std::move(q_pow);
-      b->crt_p_ctx =
-          std::make_unique<MontgomeryContext>(std::move(p_ctx).value());
-      b->crt_q_ctx =
-          std::make_unique<MontgomeryContext>(std::move(q_ctx).value());
-      b->crt = true;
-      if (opts_.use_fixed_base) {
-        b->crt_p_engine =
-            SharedFixedBaseEngine(b->h.Mod(b->crt_p_pow), b->crt_p_pow,
-                                  BlindingExponentBits(),
-                                  opts_.fixed_base_window);
-        b->crt_q_engine =
-            SharedFixedBaseEngine(b->h.Mod(b->crt_q_pow), b->crt_q_pow,
-                                  BlindingExponentBits(),
-                                  opts_.fixed_base_window);
-        b->crt_engines =
-            b->crt_p_engine != nullptr && b->crt_q_engine != nullptr;
-      }
-    }
   }
   lc.blinding = std::move(b);
   return lc.blinding.get();
@@ -189,26 +236,15 @@ Result<BigInt> Encryptor::MakeBlinding(int level, Rng& rng) const {
   const LevelCache& lc = Level(level);
   PPGNN_ASSIGN_OR_RETURN(const LevelCache::Blinding* b, EnsureBlinding(level));
   // One fixed-width draw regardless of path: the bit-identity guarantee
-  // (naive == fixed-base == CRT on the same RNG stream) requires every
-  // configuration to consume the same randomness AND compute the same
-  // exact residue h_s^t.
+  // (naive == fixed-base == key holder on the same RNG stream) requires
+  // every configuration to consume the same randomness AND compute the
+  // same exact residue h_s^t.
   const BigInt t = BigInt::Random(BlindingExponentBits(), rng);
   op_count_.fetch_add(1, std::memory_order_relaxed);
-  if (b->crt) {
-    BigInt blind_p;
-    BigInt blind_q;
-    if (b->crt_engines) {
-      fixed_base_evals_.fetch_add(1, std::memory_order_relaxed);
-      PPGNN_ASSIGN_OR_RETURN(blind_p, b->crt_p_engine->Pow(t));
-      PPGNN_ASSIGN_OR_RETURN(blind_q, b->crt_q_engine->Pow(t));
-    } else {
-      generic_evals_.fetch_add(1, std::memory_order_relaxed);
-      PPGNN_ASSIGN_OR_RETURN(
-          blind_p, ModExp(b->h.Mod(b->crt_p_pow), t, *b->crt_p_ctx));
-      PPGNN_ASSIGN_OR_RETURN(
-          blind_q, ModExp(b->h.Mod(b->crt_q_pow), t, *b->crt_q_ctx));
-    }
-    return CrtCombine(blind_p, b->crt_p_pow, blind_q, b->crt_q_pow);
+  if (b->key_holder != nullptr) {
+    (b->key_holder->uses_tables() ? fixed_base_evals_ : generic_evals_)
+        .fetch_add(1, std::memory_order_relaxed);
+    return b->key_holder->Pow(t);
   }
   if (b->engine != nullptr) {
     fixed_base_evals_.fetch_add(1, std::memory_order_relaxed);
@@ -285,11 +321,10 @@ Encryptor::BlindingStats Encryptor::blinding_stats() const {
     for (const auto& lc : levels_) {
       if (lc == nullptr || lc->blinding == nullptr) continue;
       const LevelCache::Blinding& b = *lc->blinding;
-      if (b.engine != nullptr) stats.table_bytes += b.engine->table_bytes();
-      if (b.crt_engines) {
-        stats.table_bytes += b.crt_p_engine->table_bytes();
-        stats.table_bytes += b.crt_q_engine->table_bytes();
+      if (b.key_holder != nullptr) {
+        stats.table_bytes += b.key_holder->table_bytes();
       }
+      if (b.engine != nullptr) stats.table_bytes += b.engine->table_bytes();
     }
   }
   return stats;
@@ -475,6 +510,7 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
     cache->p_ctx = adopt(MontgomeryContext::Create(cache->p_pow));
     cache->q_ctx = adopt(MontgomeryContext::Create(cache->q_pow));
     cache->n_ctx = adopt(MontgomeryContext::Create(modulus));
+    if (use_crt_) cache->crt_coeff = ModInverse(cache->p_pow, cache->q_pow);
     cache->lambda_inv = ModInverse(sk_.lambda, cache->n_s);
     slot = std::move(cache);
   }
@@ -490,6 +526,7 @@ Result<BigInt> Decryptor::PowLambda(const BigInt& c, int s) const {
   // CRT split: exponentiate modulo p^{s+1} and q^{s+1} (half-width
   // arithmetic), then recombine. p^{s+1} and q^{s+1} are coprime and
   // their product is N^{s+1}.
+  PPGNN_RETURN_IF_ERROR(lv.crt_coeff.status());
   BigInt a_p, a_q;
   if (lv.p_ctx != nullptr) {
     PPGNN_ASSIGN_OR_RETURN(a_p, ModExp(c.Mod(lv.p_pow), sk_.lambda, *lv.p_ctx));
@@ -501,7 +538,8 @@ Result<BigInt> Decryptor::PowLambda(const BigInt& c, int s) const {
   } else {
     PPGNN_ASSIGN_OR_RETURN(a_q, ModExp(c.Mod(lv.q_pow), sk_.lambda, lv.q_pow));
   }
-  return CrtCombine(a_p, lv.p_pow, a_q, lv.q_pow);
+  return CrtCombinePrecomputed(a_p, lv.p_pow, a_q, lv.q_pow,
+                               lv.crt_coeff.value());
 }
 
 namespace internal {

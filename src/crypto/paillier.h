@@ -27,14 +27,21 @@
 // residues with a bias negligible in the 64 slack bits, so ciphertext
 // indistinguishability rests on the same DCR assumption as the scheme
 // itself. What the shortcut buys is a *fixed* base that lives as long as
-// the key: the exponentiation runs on a shared fixed-base window table
-// (bigint/fixedbase.h) instead of a full square-and-multiply ladder,
-// and secret-key holders additionally split it across p^{s+1} / q^{s+1}
-// with CRT recombination, mirroring the decrypt side. Every
-// configuration (generic ladder, fixed-base, CRT) computes the same
-// exact residue h_s^t, so ciphertexts are bit-identical for the same
-// RNG stream regardless of EncryptorOptions — the chaos/dedup/replay
-// machinery depends on that, and paillier_test enforces it.
+// the key, so the exponentiation runs on a fixed-base window table
+// (bigint/fixedbase.h) instead of a full square-and-multiply ladder.
+// A public-key Encryptor shares one full-width table per (key, level)
+// through the process-wide registry. A key holder (the querying users
+// in PPGNN, who generate the key pair) never builds that table: h_s is
+// an N^s-th power, so its order modulo p^{s+1} divides p - 1, and
+// h_s^t = h_s^{t mod (p-1)} mod p^{s+1} (likewise for q). The key holder
+// therefore evaluates two (key_bits/2)-bit exponents over half-width
+// moduli, on tables its Encryptor owns, and recombines by CRT with a
+// coefficient computed once per level (internal::KeyHolderBlinding).
+// Every configuration (generic ladder, fixed-base, key holder) draws t
+// the same way and computes the same exact residue h_s^t, so
+// ciphertexts are bit-identical for the same RNG stream regardless of
+// EncryptorOptions — the chaos/dedup/replay machinery depends on that,
+// and paillier_test enforces it.
 //
 // Exponentiation engine: an Encryptor (and Decryptor) owns one
 // MontgomeryContext per ciphertext level (and per CRT modulus), built
@@ -114,15 +121,64 @@ Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng);
 /// alternatives exist as differential references (every configuration
 /// produces bit-identical ciphertexts for the same RNG stream).
 struct EncryptorOptions {
-  /// Evaluate h_s^t on shared fixed-base window tables. false = the
-  /// retained generic-ladder reference path.
+  /// Evaluate h_s^t on fixed-base window tables. false = the retained
+  /// generic-ladder reference path.
   bool use_fixed_base = true;
   /// Table digit width in bits; 0 = auto (see bigint/fixedbase.h).
   int fixed_base_window = 0;
-  /// Split blinding across p^{s+1}/q^{s+1} with CRT recombination.
-  /// Only effective on Encryptors constructed with the secret key.
+  /// Key holders blind with reduced exponents modulo p^{s+1}/q^{s+1}
+  /// and CRT recombination. Only effective on Encryptors constructed
+  /// with the secret key; false = the public-key path.
   bool use_crt = true;
 };
+
+namespace internal {
+
+/// A key holder's blinding at one ciphertext level: h_s^t mod N^{s+1}
+/// evaluated as the CRT recombination of h_s^{t mod (p-1)} mod p^{s+1}
+/// and h_s^{t mod (q-1)} mod q^{s+1}. Exact because h_s = 2^{N^s} is an
+/// N^s-th power, whose order modulo p^{s+1} divides p - 1. Each base is
+/// derived on its own half, 2^{N^s mod p^s(p-1)} mod p^{s+1}, so nothing
+/// is computed modulo N^{s+1}. The tables (when enabled) are sized to
+/// bits(p - 1) and owned here, not by the process-wide registry: they are
+/// derived from p and q and die with the key. Immutable once built;
+/// Pow is const and thread-safe. Exposed for testing.
+class KeyHolderBlinding {
+ public:
+  static Result<KeyHolderBlinding> Create(const PublicKey& pk,
+                                          const SecretKey& sk, int level,
+                                          const EncryptorOptions& options);
+
+  /// h_s^t mod N^{level+1} for any t >= 0.
+  Result<BigInt> Pow(const BigInt& t) const;
+
+  /// Whether Pow runs on fixed-base tables (else the generic ladder).
+  bool uses_tables() const { return uses_tables_; }
+  /// Resident bytes of the two half-width tables (0 on the ladder).
+  size_t table_bytes() const;
+
+ private:
+  /// One secret prime r of the key: h_s modulo r^{level+1}.
+  struct Half {
+    BigInt r_pow;      // r^{level+1}
+    BigInt r_minus_1;  // r - 1, a multiple of the order of r_base
+    BigInt r_base;     // h_s mod r^{level+1}
+    std::unique_ptr<const FixedBaseEngine> r_table;  // tables config
+    std::unique_ptr<MontgomeryContext> r_ctx;        // ladder config
+  };
+  static Result<Half> MakeHalf(const BigInt& r, const BigInt& n_s, int level,
+                               const EncryptorOptions& options);
+  Result<BigInt> HalfPow(const Half& half, const BigInt& t) const;
+
+  KeyHolderBlinding() = default;
+
+  bool uses_tables_ = false;
+  Half p_half_;
+  Half q_half_;
+  BigInt crt_coeff_;  // (p^{level+1})^{-1} mod q^{level+1}
+};
+
+}  // namespace internal
 
 /// Encryption/evaluation context bound to a public key. The RNG for
 /// blinding randomness is passed per call. Holds one cached
@@ -137,9 +193,10 @@ class Encryptor {
  public:
   explicit Encryptor(PublicKey pk);
   Encryptor(PublicKey pk, const EncryptorOptions& options);
-  /// Secret-key holder's context (the querying user owns the key pair in
-  /// PPGNN): enables the CRT-accelerated blinding path. The secret key
-  /// is copied; the Encryptor never exposes it.
+  /// Secret-key holder's context (the querying users own the key pair in
+  /// PPGNN): enables the reduced-exponent CRT blinding path
+  /// (internal::KeyHolderBlinding). The secret key is copied; the
+  /// Encryptor never exposes it.
   explicit Encryptor(const KeyPair& keys,
                      const EncryptorOptions& options = EncryptorOptions());
 
@@ -243,10 +300,12 @@ class Encryptor {
     uint64_t pool_hits = 0;      ///< Encrypt served from the pool
     uint64_t pool_misses = 0;    ///< Encrypt fell through to an online path
     uint64_t refilled = 0;       ///< factors produced by RefillBlindingPool
-    uint64_t fixed_base_evals = 0;  ///< h^t via fixed-base tables (CRT or not)
+    uint64_t fixed_base_evals = 0;  ///< h^t via fixed-base tables (any path)
     uint64_t generic_evals = 0;     ///< h^t via the generic ladder
     size_t pooled = 0;           ///< currently pooled, summed over levels
-    size_t table_bytes = 0;      ///< fixed-base tables reachable from here
+    /// Fixed-base tables reachable from here: a key holder's own tables,
+    /// or the shared registry tables a public-key Encryptor uses.
+    size_t table_bytes = 0;
   };
   BlindingStats blinding_stats() const;
 
@@ -260,23 +319,18 @@ class Encryptor {
     BigInt modulus;  // N^{level+1}
     std::unique_ptr<MontgomeryContext> ctx;
 
-    /// Blinding-base machinery, built lazily on first use (evaluation-only
-    /// Encryptors — e.g. the LSP's selection path — never pay for it):
-    /// h = h_s, the shared fixed-base engine over it, and, for secret-key
-    /// holders, the CRT split. Immutable once built; guarded by level_mu_
-    /// during construction.
+    /// Blinding-base machinery, built lazily at the first Encrypt or
+    /// refill of the level (evaluation-only Encryptors — e.g. the LSP's
+    /// selection path — never pay for it). A key holder gets its own
+    /// reduced-exponent CRT tables and never touches h modulo N^{s+1};
+    /// a public-key Encryptor gets h = h_s and the shared engine over
+    /// it. Immutable once built; guarded by level_mu_ during
+    /// construction.
     struct Blinding {
+      std::unique_ptr<const internal::KeyHolderBlinding> key_holder;
+      // Public-key path (key_holder == null).
       BigInt h;  // g^{N^s} mod N^{s+1}, g = 2
       std::shared_ptr<const FixedBaseEngine> engine;  // null on naive config
-      // CRT split (crt == true only when all pieces exist).
-      bool crt = false;
-      bool crt_engines = false;  // fixed-base tables on both CRT halves
-      BigInt crt_p_pow;  // p^{level+1}
-      BigInt crt_q_pow;  // q^{level+1}
-      std::unique_ptr<MontgomeryContext> crt_p_ctx;
-      std::unique_ptr<MontgomeryContext> crt_q_ctx;
-      std::shared_ptr<const FixedBaseEngine> crt_p_engine;
-      std::shared_ptr<const FixedBaseEngine> crt_q_engine;
     };
     mutable std::unique_ptr<Blinding> blinding;
   };
@@ -298,8 +352,8 @@ class Encryptor {
 
   PublicKey pk_;
   EncryptorOptions opts_;
-  /// Secret key copy for the CRT blinding split; null for public-only
-  /// Encryptors.
+  /// Secret key copy for the key-holder blinding path; null for
+  /// public-only Encryptors.
   std::unique_ptr<SecretKey> sk_;
   mutable std::atomic<uint64_t> op_count_{0};
   mutable std::mutex level_mu_;
@@ -332,8 +386,8 @@ class Encryptor {
 /// modulo p^{s+1} and q^{s+1} and recombines by CRT — about twice as fast
 /// as working modulo N^{s+1} directly (half-width modular multiplies).
 /// Pass use_crt = false to force the direct path (kept for differential
-/// testing). Per-level moduli, Montgomery contexts, and lambda inverses
-/// are derived once and cached (thread-safe).
+/// testing). Per-level moduli, Montgomery contexts, the CRT coefficient
+/// and lambda inverses are derived once and cached (thread-safe).
 class Decryptor {
  public:
   Decryptor(PublicKey pk, SecretKey sk, bool use_crt = true);
@@ -348,12 +402,14 @@ class Decryptor {
 
  private:
   /// Per-level decryption constants: N^s, p^{s+1}/q^{s+1} with their
-  /// Montgomery contexts (CRT path), the N^{s+1} context (direct path),
-  /// and lambda^{-1} mod N^s.
+  /// Montgomery contexts and CRT coefficient (CRT path), the N^{s+1}
+  /// context (direct path), and lambda^{-1} mod N^s.
   struct LevelCache {
     BigInt n_s;    // N^s
     BigInt p_pow;  // p^{s+1}
     BigInt q_pow;  // q^{s+1}
+    // p_pow^{-1} mod q_pow (CRT path only)
+    Result<BigInt> crt_coeff = Status::Internal("unset");
     std::unique_ptr<MontgomeryContext> p_ctx;
     std::unique_ptr<MontgomeryContext> q_ctx;
     std::unique_ptr<MontgomeryContext> n_ctx;  // modulus N^{s+1}

@@ -46,7 +46,7 @@ struct CostFeatures {
 enum class EncryptPath {
   kNaive,      ///< fresh square-and-multiply blinding (seed behaviour)
   kFixedBase,  ///< shared Lim-Lee comb over the cached blinding base
-  kCrt,        ///< fixed-base mod p^{s+1}/q^{s+1} + CRT (secret-key holder)
+  kCrt,        ///< key holder: t mod (p-1), (q-1) on half-width tables + CRT
   kPooled,     ///< blinding factor popped from the offline pool
 };
 

@@ -15,7 +15,7 @@ Result<ServiceRequest> BuildServiceRequest(
         "encryptor does not wrap the request key pair");
   std::optional<Encryptor> own_enc;
   const Encryptor& enc =
-      encryptor != nullptr ? *encryptor : own_enc.emplace(keys.pub);
+      encryptor != nullptr ? *encryptor : own_enc.emplace(keys);
   PPGNN_ASSIGN_OR_RETURN(
       CoordinatorQuery built,
       CoordinatorBuildQuery(variant, params, real_locations, enc, rng, wire));

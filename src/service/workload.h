@@ -22,11 +22,13 @@ namespace ppgnn {
 /// Builds one well-formed group query + uploads under `keys` for the
 /// given real locations (size params.n). Keys are caller-provided so a
 /// load generator can reuse one pair across requests instead of paying
-/// per-request key generation. `encryptor`, when non-null, must wrap
-/// keys.pub and is used for the indicator ciphertexts instead of a
-/// per-request Encryptor — pass a long-lived pooled instance (kept warm
-/// by a BlindingRefiller) so request building pays the pooled online
-/// cost instead of a fresh blinding exponentiation per ciphertext.
+/// per-request key generation. Without `encryptor`, each request
+/// encrypts under its own key-holder Encryptor(keys), whose blinding
+/// tables are built for that request and die with it. `encryptor`, when
+/// non-null, must wrap keys.pub and is used instead — pass a long-lived
+/// pooled instance (kept warm by a BlindingRefiller) so request building
+/// pays the pooled online cost instead of a fresh blinding
+/// exponentiation per ciphertext.
 [[nodiscard]] Result<ServiceRequest> BuildServiceRequest(
     Variant variant, const ProtocolParams& params,
     const std::vector<Point>& real_locations, const KeyPair& keys, Rng& rng,

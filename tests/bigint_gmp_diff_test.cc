@@ -15,6 +15,7 @@
 #include "bigint/multiexp.h"
 #include "bigint/prime.h"
 #include "common/random.h"
+#include "crypto/paillier.h"
 
 namespace ppgnn {
 namespace {
@@ -160,6 +161,76 @@ TEST(GmpDiffTest, FixedBasePow) {
       EXPECT_EQ(engine.Pow(e).value().ToHex(), out.ToHex())
           << "iter " << iter << " window " << window << " bits "
           << e.BitLength() << "/" << capacity;
+    }
+  }
+}
+
+// Sets *modulus = N^{s+1} and *out = h_s^t mod N^{s+1}, with
+// h_s = 2^{N^s} mod N^{s+1}: the blinding factor of a level-s ciphertext,
+// straight from the definition.
+void GmpBlinding(const KeyPair& keys, int level, const BigInt& t,
+                 GmpInt* modulus, GmpInt* out) {
+  GmpInt n(keys.pub.n), t_g(t), n_s, h;
+  mpz_pow_ui(n_s.v_, n.v_, static_cast<unsigned long>(level));
+  mpz_mul(modulus->v_, n_s.v_, n.v_);
+  mpz_set_ui(h.v_, 2);
+  mpz_powm(h.v_, h.v_, n_s.v_, modulus->v_);
+  mpz_powm(out->v_, h.v_, t_g.v_, modulus->v_);
+}
+
+TEST(GmpDiffTest, KeyHolderEncryptMatchesDefinition) {
+  // A key holder blinds with t mod (p-1) and t mod (q-1) over p^{s+1} and
+  // q^{s+1}; the ciphertext must still be (1+N)^m * h_s^t mod N^{s+1} for
+  // the full t that Encrypt draws first from its RNG.
+  Rng rng(14);
+  for (int key_bits : {128, 256, 512}) {
+    const KeyPair keys = GenerateKeyPair(key_bits, rng).value();
+    const Encryptor enc(keys);
+    for (int level = 1; level <= 3; ++level) {
+      for (int i = 0; i < 3; ++i) {
+        const BigInt m = BigInt::RandomBelow(keys.pub.NPow(level), rng);
+        Rng draw = rng;
+        const BigInt t = BigInt::Random(key_bits + 64, draw);
+        const Ciphertext ct = enc.Encrypt(m, rng, level).value();
+        GmpInt modulus, out, n(keys.pub.n), m_g(m), g;
+        GmpBlinding(keys, level, t, &modulus, &out);
+        mpz_add_ui(g.v_, n.v_, 1);
+        mpz_powm(g.v_, g.v_, m_g.v_, modulus.v_);
+        mpz_mul(out.v_, out.v_, g.v_);
+        mpz_mod(out.v_, out.v_, modulus.v_);
+        EXPECT_EQ(ct.value.ToHex(), out.ToHex())
+            << key_bits << "-bit key, level " << level << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(GmpDiffTest, KeyHolderBlindingOnEdgeExponents) {
+  // The reductions t mod (p-1) and t mod (q-1) on exponents that reduce
+  // to zero modulo p - 1 (0, p - 1, 3(p - 1)) and on the widest draw,
+  // 2^{key_bits+64} - 1, with and without tables.
+  Rng rng(15);
+  for (int key_bits : {128, 256, 512}) {
+    const KeyPair keys = GenerateKeyPair(key_bits, rng).value();
+    const BigInt p1 = keys.sec.p - BigInt(1);
+    const BigInt widest = (BigInt(1) << (key_bits + 64)) - BigInt(1);
+    for (bool tables : {true, false}) {
+      EncryptorOptions options;
+      options.use_fixed_base = tables;
+      for (int level = 1; level <= 3; ++level) {
+        const internal::KeyHolderBlinding blinding =
+            internal::KeyHolderBlinding::Create(keys.pub, keys.sec, level,
+                                                options)
+                .value();
+        EXPECT_EQ(blinding.uses_tables(), tables);
+        for (const BigInt& t : {BigInt(0), p1, BigInt(3) * p1, widest}) {
+          GmpInt modulus, out;
+          GmpBlinding(keys, level, t, &modulus, &out);
+          EXPECT_EQ(blinding.Pow(t).value().ToHex(), out.ToHex())
+              << key_bits << "-bit key, level " << level << ", tables "
+              << tables << ", t bits " << t.BitLength();
+        }
+      }
     }
   }
 }

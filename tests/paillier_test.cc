@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "bigint/fixedbase.h"
 #include "bigint/modular.h"
 
 namespace ppgnn {
@@ -443,6 +444,46 @@ TEST_F(PaillierTest, CrtEncryptorDecryptsAndPools) {
     }
   }
   EXPECT_EQ(enc.PooledBlindingCount(2), 0u);
+}
+
+TEST_F(PaillierTest, KeyHolderOwnsTwoHalfWidthTablesPerLevel) {
+  // A key holder blinds on two tables per level, sized to bits(p - 1)
+  // over p^{s+1} and q^{s+1}, that its Encryptor owns: no full-width
+  // table, and nothing enters the process-wide registry.
+  const FixedBaseRegistryStats registry_before = SharedFixedBaseRegistryStats();
+  const uint64_t created_before = FixedBaseEngine::created_count();
+  Encryptor enc(*keys_);
+  Rng rng(91);
+  for (int level : {1, 2}) {
+    ASSERT_TRUE(enc.Encrypt(BigInt(1), rng, level).ok());
+    ASSERT_TRUE(enc.Encrypt(BigInt(0), rng, level).ok());
+    EXPECT_EQ(FixedBaseEngine::created_count(),
+              created_before + 2 * static_cast<uint64_t>(level))
+        << "level " << level;
+  }
+  const FixedBaseRegistryStats registry_after = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(registry_after.hits, registry_before.hits);
+  EXPECT_EQ(registry_after.misses, registry_before.misses);
+  EXPECT_EQ(registry_after.evictions, registry_before.evictions);
+  EXPECT_EQ(registry_after.engines, registry_before.engines);
+  EXPECT_EQ(registry_after.table_bytes, registry_before.table_bytes);
+
+  size_t expected_bytes = 0;
+  for (int level : {1, 2}) {
+    for (const BigInt& r : {keys_->sec.p, keys_->sec.q}) {
+      BigInt r_pow(1);
+      for (int i = 0; i <= level; ++i) r_pow = r_pow * r;
+      const FixedBaseEngine table =
+          FixedBaseEngine::Create(BigInt(2), r_pow,
+                                  (r - BigInt(1)).BitLength())
+              .value();
+      expected_bytes += table.table_bytes();
+    }
+  }
+  const Encryptor::BlindingStats stats = enc.blinding_stats();
+  EXPECT_EQ(stats.table_bytes, expected_bytes);
+  EXPECT_EQ(stats.fixed_base_evals, 4u);
+  EXPECT_EQ(stats.generic_evals, 0u);
 }
 
 TEST(PaillierSoakTest, ManyRandomRoundTrips) {

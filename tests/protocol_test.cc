@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/fixedbase.h"
 #include "spatial/dataset.h"
 
 namespace ppgnn {
@@ -269,6 +270,32 @@ TEST_F(ProtocolTest, FreshKeysPerQueryAlsoWork) {
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_NEAR(opt->pois[i].x, reference[i].poi.location.x, 1e-8);
     EXPECT_NEAR(opt->pois[i].y, reference[i].poi.location.y, 1e-8);
+  }
+}
+
+TEST_F(ProtocolTest, FreshKeyQueriesLeaveTheTableRegistryAlone) {
+  // The users hold p and q, so RunQuery blinds as a key holder, on tables
+  // its own Encryptor builds and drops: a fresh key per query adds no
+  // full-width table to the process-wide registry.
+  ProtocolParams params = SmallParams();
+  params.sanitize = false;
+  for (Variant variant : {Variant::kPpgnn, Variant::kPpgnnOpt}) {
+    const FixedBaseRegistryStats before = SharedFixedBaseRegistryStats();
+    auto group = Group(params.n, 141);
+    Rng rng(142);
+    auto outcome = RunQuery(variant, params, group, *db_, rng);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    const FixedBaseRegistryStats after = SharedFixedBaseRegistryStats();
+    EXPECT_EQ(after.engines, before.engines) << VariantToString(variant);
+    EXPECT_EQ(after.misses, before.misses) << VariantToString(variant);
+    Rng ref_rng(0);
+    auto reference = ReferenceAnswer(params, group, *db_, ref_rng);
+    ASSERT_EQ(outcome->pois.size(), reference.size())
+        << VariantToString(variant);
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_NEAR(outcome->pois[i].x, reference[i].poi.location.x, 1e-8);
+      EXPECT_NEAR(outcome->pois[i].y, reference[i].poi.location.y, 1e-8);
+    }
   }
 }
 

@@ -54,7 +54,12 @@
 //                        pays the pooled online encryption cost instead
 //                        of a fresh blinding exponentiation per
 //                        ciphertext (DESIGN.md section 12). 0 = each
-//                        request builds its own fixed-base Encryptor.
+//                        request builds its own key-holder Encryptor.
+//                        The final `client:` line reports the pooled
+//                        Encryptor's blinding counters and, under
+//                        fixedbase[bytes=...], the bytes of its own two
+//                        half-width tables per ciphertext level; both
+//                        read 0 without a pool.
 //
 // Overload-resilience knobs (serve mode):
 //   --target-p99-ms X    AIMD concurrency limiter's execute-stage p99
@@ -387,8 +392,8 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
 
   // Offline/online split: one pooled Encryptor shared by every client
   // thread, kept warm by a background refiller. The clients hold the
-  // secret key, so the refiller's exponentiations take the CRT-split
-  // fixed-base path.
+  // secret key, so the refiller's exponentiations take the key-holder
+  // path: reduced exponents on half-width tables, recombined by CRT.
   const bool layered = variant == Variant::kPpgnnOpt;
   std::shared_ptr<const Encryptor> pooled_enc;
   std::unique_ptr<BlindingRefiller> refiller;
@@ -402,13 +407,13 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
     refiller = std::make_unique<BlindingRefiller>(pooled_enc, refill);
     std::printf(
         "Blinding pool: target %d per level; expected online cost "
-        "%.1f us/ct pooled vs %.2f ms fixed-base vs %.2f ms naive "
+        "%.1f us/ct pooled vs %.2f ms key-holder CRT vs %.2f ms naive "
         "(%d-bit keys, level 1)\n",
         opts.blinding_pool,
         1e6 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
                                                 EncryptPath::kPooled),
         1e3 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
-                                                EncryptPath::kFixedBase),
+                                                EncryptPath::kCrt),
         1e3 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
                                                 EncryptPath::kNaive),
         opts.params.key_bits);
@@ -591,21 +596,20 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
                 static_cast<unsigned long long>(refill.refilled),
                 static_cast<unsigned long long>(refill.errors));
   }
-  // Client-side crypto: the pooled encryptor's blinding pipeline (zero
-  // without --blinding-pool) and the process-wide fixed-base tables.
+  // Client-side crypto: the pooled encryptor's blinding pipeline and its
+  // own half-width fixed-base tables (all zero without --blinding-pool:
+  // each request's key-holder Encryptor then builds and drops its own).
   const Encryptor::BlindingStats blinding =
       pooled_enc != nullptr ? pooled_enc->blinding_stats()
                             : Encryptor::BlindingStats{};
-  const FixedBaseRegistryStats tables = SharedFixedBaseRegistryStats();
   std::printf(
       "client: blinding[hit=%llu miss=%llu refilled=%llu pooled=%llu] "
-      "fixedbase[engines=%llu bytes=%llu]\n",
+      "fixedbase[bytes=%llu]\n",
       static_cast<unsigned long long>(blinding.pool_hits),
       static_cast<unsigned long long>(blinding.pool_misses),
       static_cast<unsigned long long>(blinding.refilled),
       static_cast<unsigned long long>(blinding.pooled),
-      static_cast<unsigned long long>(tables.engines),
-      static_cast<unsigned long long>(tables.table_bytes));
+      static_cast<unsigned long long>(blinding.table_bytes));
   FailpointClearAll();
 
   uint64_t checked = 0;
