@@ -450,18 +450,41 @@ void BM_MbmGnnQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MbmGnnQuery)->Arg(1)->Arg(8)->Arg(32);
 
-void BM_SpmGnnQuery(benchmark::State& state) {
-  static RTree tree = RTree::Build(GenerateSequoiaLike(kSequoiaSize, 7));
-  SpmGnnSolver solver(&tree);
-  Rng rng(8);
-  const int n = static_cast<int>(state.range(0));
-  std::vector<Point> group(n);
-  for (Point& p : group) p = {rng.NextDouble(), rng.NextDouble()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Query(group, 8, AggregateKind::kSum));
+// The kGNN layer of one paper-default LSP query: all delta' = 101
+// candidates (n = 8, d = 25, delta = 100, k = 8, sum) over the 62,556-POI
+// set, on one tree (/1) or on each of the four slices a cluster's shards
+// hold (/4). nodes_visited is the node pops per query, summed over trees.
+void BM_MbmGnnCandidates(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(0));
+  std::vector<RTree> trees;
+  for (std::vector<Poi>& slice : PartitionPoisForShards(
+           GenerateSequoiaLike(kSequoiaSize, 7), shards)) {
+    trees.push_back(RTree::Build(std::move(slice)));
   }
+  Rng rng(12);
+  std::vector<LocationSet> location_sets(8);
+  for (LocationSet& set : location_sets) {
+    set.resize(25);
+    for (Point& p : set) p = {rng.NextDouble(), rng.NextDouble()};
+  }
+  const PartitionPlan plan = bench::ValueOrDie(SolvePartition(8, 25, 100));
+  const std::vector<std::vector<Point>> candidates =
+      bench::ValueOrDie(GenerateCandidateQueries(plan, location_sets));
+  uint64_t nodes_visited = 0;
+  for (auto _ : state) {
+    nodes_visited = 0;
+    for (const RTree& tree : trees) {
+      MbmGnnSolver solver(&tree);
+      for (const std::vector<Point>& candidate : candidates) {
+        benchmark::DoNotOptimize(
+            solver.Query(candidate, 8, AggregateKind::kSum));
+        nodes_visited += solver.last_nodes_visited();
+      }
+    }
+  }
+  state.counters["nodes_visited"] = static_cast<double>(nodes_visited);
 }
-BENCHMARK(BM_SpmGnnQuery)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_MbmGnnCandidates)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---- sanitation (C_s of Table 2) ----
 

@@ -36,7 +36,10 @@ class GnnSolver {
   virtual const char* name() const = 0;
 };
 
-/// MBM over an R-tree. The tree must outlive the solver.
+/// MBM over an R-tree. The tree must outlive the solver. Answers come in
+/// (cost, POI id) order, the order BruteForceGnnSolver sorts by. Entries
+/// keyed above the k-th smallest POI cost queued so far are never queued,
+/// which changes no pop (see gnn.cc).
 class MbmGnnSolver : public GnnSolver {
  public:
   explicit MbmGnnSolver(const RTree* tree) : tree_(tree) {}
@@ -48,30 +51,6 @@ class MbmGnnSolver : public GnnSolver {
   /// Nodes popped by the last Query (instrumentation for benchmarks;
   /// atomic so concurrent queries from a parallel LSP don't race).
   // ppgnn: stat_counter(last_nodes_visited_)
-  uint64_t last_nodes_visited() const {
-    return last_nodes_visited_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const RTree* tree_;
-  mutable std::atomic<uint64_t> last_nodes_visited_{0};
-};
-
-/// The Single Point Method (SPM) of Papadias et al. — the other classic
-/// kGNN algorithm the MBM paper proposes. It orders the R-tree traversal
-/// by distance to the group centroid q* and terminates via the triangle
-/// inequality: for sum, F(p) >= n*dis(p,q*) - sum_i dis(q_i,q*); for
-/// max/min, F(p) >= dis(p,q*) - max_i dis(q_i,q*). Exact for all three
-/// aggregates; typically visits more nodes than MBM for spread-out
-/// groups (see bench_micro), which is why the paper's LSP uses MBM.
-class SpmGnnSolver : public GnnSolver {
- public:
-  explicit SpmGnnSolver(const RTree* tree) : tree_(tree) {}
-
-  std::vector<RankedPoi> Query(const std::vector<Point>& queries, int k,
-                               AggregateKind kind) const override;
-  const char* name() const override { return "SPM"; }
-
   uint64_t last_nodes_visited() const {
     return last_nodes_visited_.load(std::memory_order_relaxed);
   }

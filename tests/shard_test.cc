@@ -300,6 +300,41 @@ TEST_F(ShardTest, FourShardClusterReproducesSingleShardFrames) {
   }
 }
 
+TEST_F(ShardTest, TiedCostsKeepClusterFramesBitIdentical) {
+  // 600 POIs on a 16 x 16 grid, so many share a point and tie in cost.
+  // Each shard's MBM list must come out in the (cost, id) order the
+  // front merges by, or a tie reorders or drops POIs against the plain
+  // service.
+  Rng rng(910);
+  std::vector<uint32_t> ids(600);
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  rng.Shuffle(ids);
+  std::vector<Poi> grid;
+  for (uint32_t id : ids) {
+    grid.push_back({id, {static_cast<double>(rng.NextBelow(16)) / 16.0,
+                         static_cast<double>(rng.NextBelow(16)) / 16.0}});
+  }
+  LspDatabase db(grid);
+  LspService plain(db, FrontConfig(/*sanitize=*/false));
+  ShardedLspService one(grid, ClusterConfig(1, /*sanitize=*/false));
+  ShardedLspService two(grid, ClusterConfig(2, /*sanitize=*/false));
+  uint64_t seed = 920;
+  for (AggregateKind aggregate :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    for (int request_no = 0; request_no < 10; ++request_no) {
+      ServiceRequest request = MakeRequest(Variant::kPpgnn, aggregate, seed++,
+                                           /*sanitize=*/false);
+      std::vector<uint8_t> plain_frame = plain.Call(request);
+      EXPECT_EQ(FrameOf(one, request), plain_frame)
+          << "S=1 aggregate=" << AggregateKindToString(aggregate)
+          << " request " << request_no;
+      EXPECT_EQ(FrameOf(two, request), plain_frame)
+          << "S=2 aggregate=" << AggregateKindToString(aggregate)
+          << " request " << request_no;
+    }
+  }
+}
+
 TEST_F(ShardTest, ClusterAnswerMatchesPlainSolverTopK) {
   std::vector<Point> real;
   ServiceRequest request = MakeRequest(Variant::kPpgnn, AggregateKind::kSum,
