@@ -450,17 +450,9 @@ void BM_MbmGnnQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MbmGnnQuery)->Arg(1)->Arg(8)->Arg(32);
 
-// The kGNN layer of one paper-default LSP query: all delta' = 101
-// candidates (n = 8, d = 25, delta = 100, k = 8, sum) over the 62,556-POI
-// set, on one tree (/1) or on each of the four slices a cluster's shards
-// hold (/4). nodes_visited is the node pops per query, summed over trees.
-void BM_MbmGnnCandidates(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  std::vector<RTree> trees;
-  for (std::vector<Poi>& slice : PartitionPoisForShards(
-           GenerateSequoiaLike(kSequoiaSize, 7), shards)) {
-    trees.push_back(RTree::Build(std::move(slice)));
-  }
+// The delta' = 101 candidate queries of one paper-default LSP query
+// (n = 8, d = 25, delta = 100), from random location sets.
+std::vector<std::vector<Point>> PaperDefaultCandidates() {
   Rng rng(12);
   std::vector<LocationSet> location_sets(8);
   for (LocationSet& set : location_sets) {
@@ -468,8 +460,21 @@ void BM_MbmGnnCandidates(benchmark::State& state) {
     for (Point& p : set) p = {rng.NextDouble(), rng.NextDouble()};
   }
   const PartitionPlan plan = bench::ValueOrDie(SolvePartition(8, 25, 100));
-  const std::vector<std::vector<Point>> candidates =
-      bench::ValueOrDie(GenerateCandidateQueries(plan, location_sets));
+  return bench::ValueOrDie(GenerateCandidateQueries(plan, location_sets));
+}
+
+// The kGNN layer of one paper-default LSP query: all delta' = 101
+// candidates (k = 8, sum) over the 62,556-POI set, on one tree (/1) or on
+// each of the four slices a cluster's shards hold (/4). nodes_visited is
+// the node pops per query, summed over trees.
+void BM_MbmGnnCandidates(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(0));
+  std::vector<RTree> trees;
+  for (std::vector<Poi>& slice : PartitionPoisForShards(
+           GenerateSequoiaLike(kSequoiaSize, 7), shards)) {
+    trees.push_back(RTree::Build(std::move(slice)));
+  }
+  const std::vector<std::vector<Point>> candidates = PaperDefaultCandidates();
   uint64_t nodes_visited = 0;
   for (auto _ : state) {
     nodes_visited = 0;
@@ -504,6 +509,34 @@ void BM_SanitizeCandidate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SanitizeCandidate)->Arg(10)->Arg(50)->Arg(100);  // theta0 * 1000
+
+// The sanitation layer of one paper-default LSP query: the MBM answers of
+// all 101 candidates (k = 8, sum) over the 62,556-POI set, each sanitized
+// at theta0 = 0.05 from its own seed, as the LSP does. samples and tests
+// are per query.
+void BM_SanitizeCandidates(benchmark::State& state) {
+  const RTree tree = RTree::Build(GenerateSequoiaLike(kSequoiaSize, 7));
+  const MbmGnnSolver solver(&tree);
+  const std::vector<std::vector<Point>> candidates = PaperDefaultCandidates();
+  std::vector<std::vector<RankedPoi>> answers;
+  for (const std::vector<Point>& candidate : candidates) {
+    answers.push_back(solver.Query(candidate, 8, AggregateKind::kSum));
+  }
+  const AnswerSanitizer sanitizer =
+      bench::ValueOrDie(AnswerSanitizer::Create(0.05, TestConfig{}));
+  SanitizeStats stats;
+  for (auto _ : state) {
+    stats = {};
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      Rng mc(LspSanitizeSeed(candidates[i], 8));
+      benchmark::DoNotOptimize(sanitizer.Sanitize(
+          answers[i], candidates[i], AggregateKind::kSum, mc, &stats));
+    }
+  }
+  state.counters["samples"] = static_cast<double>(stats.samples_drawn);
+  state.counters["tests"] = static_cast<double>(stats.tests_run);
+}
+BENCHMARK(BM_SanitizeCandidates)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ppgnn

@@ -106,6 +106,22 @@ uint64_t InequalityAttack::CountSatisfied(Rng& rng, uint64_t samples,
   double xs[kBlock];
   double ys[kBlock];
   double prev[kBlock];  // the previous POI's cost at each sample
+  double dist[kBlock];  // the current POI's distance to each sample
+  // dist[s] = Dis(poi, sample s) for the first `count` samples, one pass
+  // per POI. It is exact: each Euclidean lane runs Distance's operations
+  // in Distance's order (two subtractions, two products, one sum, one
+  // square root), and sqrtpd is correctly rounded like sqrtsd, so every
+  // distance equals Distance's bit for bit. That assumes no FMA fuses the
+  // products into the sum, which ppgnn_geo's -ffp-contract=off ensures in
+  // every build. The survivors keep their order and the draws are
+  // untouched, so hits, verdicts and the Rng position equal those of the
+  // sample-at-a-time loop. An oracle sees each pair in sample order.
+  auto distances = [&](const Point& poi, size_t count) {
+    if (oracle_ == nullptr) return EuclideanDistances(poi, xs, ys, count, dist);
+    for (size_t s = 0; s < count; ++s) {
+      dist[s] = oracle_->Distance(poi, {xs[s], ys[s]});
+    }
+  };
   uint64_t hits = 0;
   while (samples > 0) {
     const size_t count =
@@ -121,19 +137,21 @@ uint64_t InequalityAttack::CountSatisfied(Rng& rng, uint64_t samples,
     }
     size_t alive = count;
     WithCombine(kind_, has_colluders_, [&](auto combine) {
+      distances(ranked_answer_[0], count);
       for (size_t s = 0; s < count; ++s) {
-        prev[s] = combine(partial_[0], Dis(ranked_answer_[0], {xs[s], ys[s]}));
+        prev[s] = combine(partial_[0], dist[s]);
       }
-      // One inequality at a time across the block, packing the samples
-      // that satisfy it to the front without a branch. A sample leaves at
-      // its first violated inequality, where Satisfies returns, so an
-      // oracle sees the same (POI, sample) pairs.
+      // One inequality at a time across the block: the POI's distance to
+      // every survivor, then a branch-free pass packing the samples that
+      // satisfy it to the front. A sample leaves at its first violated
+      // inequality, where Satisfies returns, so an oracle sees the same
+      // (POI, sample) pairs.
       for (size_t i = 1; i < len && alive > 0; ++i) {
-        const Point& poi = ranked_answer_[i];
+        distances(ranked_answer_[i], alive);
         const double partial = partial_[i];
         size_t kept = 0;
         for (size_t s = 0; s < alive; ++s) {
-          const double cost = combine(partial, Dis(poi, {xs[s], ys[s]}));
+          const double cost = combine(partial, dist[s]);
           const bool satisfied = !(prev[s] > cost);
           xs[kept] = xs[s];
           ys[kept] = ys[s];

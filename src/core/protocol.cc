@@ -91,7 +91,8 @@ Result<Plan> MakePlan(Variant variant, const ProtocolParams& params) {
 Result<LspCandidates> LspDecodeCandidates(
     const std::vector<uint8_t>& query_bytes,
     const std::vector<std::vector<uint8_t>>& upload_bytes,
-    QueryInstrumentation& info, const std::atomic<bool>* cancel) {
+    const TestConfig& test_config, bool sanitize, QueryInstrumentation& info,
+    const std::atomic<bool>* cancel) {
   LspCandidates out;
   PPGNN_ASSIGN_OR_RETURN(out.query, QueryMessage::Decode(query_bytes));
   info.delta_prime = out.query.plan.delta_prime;
@@ -105,7 +106,10 @@ Result<LspCandidates> LspDecodeCandidates(
     sets[msg.user_id] = std::move(msg.locations);
   }
   PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.process"));
-  out.users = sets.size();
+  if (sanitize && sets.size() > 1) {
+    PPGNN_ASSIGN_OR_RETURN(out.sanitizer, AnswerSanitizer::Create(
+                                              out.query.theta0, test_config));
+  }
   PPGNN_ASSIGN_OR_RETURN(out.candidates,
                          GenerateCandidateQueries(out.query.plan, sets, cancel));
   return out;
@@ -116,8 +120,7 @@ Result<LspCandidates> LspDecodeCandidates(
 /// identical regardless of the thread count.
 Result<std::vector<uint8_t>> LspAnswerCandidates(
     const LspCandidates& request, const KgnnSource& kgnn,
-    const DistanceOracle* oracle, const TestConfig& test_config,
-    bool sanitize, int lsp_threads, QueryInstrumentation& info,
+    const DistanceOracle* oracle, int lsp_threads, QueryInstrumentation& info,
     const std::atomic<bool>* cancel) {
   const QueryMessage& query = request.query;
   const std::vector<std::vector<Point>>& candidates = request.candidates;
@@ -127,15 +130,7 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
   // share them read-only — no hot-path context derivation.
   Encryptor enc(query.pk);
 
-  AnswerSanitizer* sanitizer_ptr = nullptr;
-  Result<AnswerSanitizer> sanitizer =
-      Status::FailedPrecondition("sanitizer unused");
-  if (sanitize && request.users > 1) {
-    sanitizer = AnswerSanitizer::Create(query.theta0, test_config);
-    PPGNN_RETURN_IF_ERROR(sanitizer.status());
-    sanitizer_ptr = &sanitizer.value();
-  }
-
+  const std::optional<AnswerSanitizer>& sanitizer = request.sanitizer;
   PoiCodec codec(query.pk.key_bits);
   const size_t m = codec.IntsNeeded(static_cast<size_t>(query.k));
   AnswerMatrix matrix;
@@ -164,12 +159,12 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
       }
       const std::vector<Point>& candidate = candidates[i];
       std::vector<RankedPoi> answer = kgnn(i, candidate);
-      if (sanitizer_ptr != nullptr) {
+      if (sanitizer.has_value()) {
         double t0 = ThreadCpuSeconds();
         Rng candidate_rng(LspSanitizeSeed(candidate, query.k));
-        answer = sanitizer_ptr->Sanitize(answer, candidate, query.aggregate,
-                                         candidate_rng, &worker_stats[worker],
-                                         oracle);
+        answer = sanitizer->Sanitize(answer, candidate, query.aggregate,
+                                     candidate_rng, &worker_stats[worker],
+                                     oracle);
         worker_sanitize_seconds[worker] += ThreadCpuSeconds() - t0;
       }
       std::vector<Point> points;
@@ -231,6 +226,11 @@ Status ProtocolParams::Validate() const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (theta0 <= 0.0 || theta0 > 1.0)
     return Status::InvalidArgument("theta0 must lie in (0, 1]");
+  // The LSP sizes every Z-test by Eqn 17 and refuses a theta0 it cannot
+  // size, so refuse it here, before the users encrypt anything.
+  if (n > 1 && sanitize) {
+    PPGNN_RETURN_IF_ERROR(RequiredSampleSize(theta0, test).status());
+  }
   if (key_bits < 128 || key_bits % 2 != 0)
     return Status::InvalidArgument("key_bits must be even and >= 128");
   if (lsp_threads < 1 || lsp_threads > 256)
@@ -247,9 +247,10 @@ Result<std::vector<uint8_t>> LspHandleQuery(
     QueryInstrumentation* info, const std::atomic<bool>* cancel) {
   QueryInstrumentation local_info;
   if (info == nullptr) info = &local_info;
-  PPGNN_ASSIGN_OR_RETURN(
-      LspCandidates request,
-      LspDecodeCandidates(query_bytes, upload_bytes, *info, cancel));
+  PPGNN_ASSIGN_OR_RETURN(LspCandidates request,
+                         LspDecodeCandidates(query_bytes, upload_bytes,
+                                             test_config, sanitize, *info,
+                                             cancel));
   const int k = request.query.k;
   const AggregateKind aggregate = request.query.aggregate;
   return LspAnswerCandidates(
@@ -257,8 +258,7 @@ Result<std::vector<uint8_t>> LspHandleQuery(
       [&lsp, k, aggregate](size_t, const std::vector<Point>& candidate) {
         return lsp.solver().Query(candidate, k, aggregate);
       },
-      lsp.distance_oracle(), test_config, sanitize, lsp_threads, *info,
-      cancel);
+      lsp.distance_oracle(), lsp_threads, *info, cancel);
 }
 
 Result<std::vector<uint8_t>> LspHandleShardQuery(
@@ -304,11 +304,10 @@ std::vector<RankedPoi> ReferenceAnswer(const ProtocolParams& params,
       lsp.solver().Query(quantized, params.k, params.aggregate);
   if (params.sanitize && params.n > 1) {
     auto sanitizer = AnswerSanitizer::Create(params.theta0, params.test);
-    if (sanitizer.ok()) {
-      Rng rng(LspSanitizeSeed(quantized, params.k));
-      answer = sanitizer->Sanitize(answer, quantized, params.aggregate, rng,
-                                   nullptr, lsp.distance_oracle());
-    }
+    if (!sanitizer.ok()) return {};
+    Rng rng(LspSanitizeSeed(quantized, params.k));
+    answer = sanitizer->Sanitize(answer, quantized, params.aggregate, rng,
+                                 nullptr, lsp.distance_oracle());
   }
   return answer;
 }

@@ -31,11 +31,13 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
 #include "core/params.h"
+#include "core/sanitize.h"
 #include "core/wire.h"
 #include "crypto/paillier.h"
 #include "geo/distance_oracle.h"
@@ -191,22 +193,28 @@ struct CoordinatorQuery {
     int lsp_threads = 1, QueryInstrumentation* info = nullptr,
     const std::atomic<bool>* cancel = nullptr);
 
-/// Algorithm 2 up to the kGNN: the decoded query and its delta'
-/// candidate queries (GenerateCandidateQueries order, one location per
-/// user).
+/// Algorithm 2 up to the kGNN: the decoded query, its delta' candidate
+/// queries (GenerateCandidateQueries order, one location per user) and
+/// the answer sanitizer sized for the query's theta0.
 struct LspCandidates {
   QueryMessage query;
   std::vector<std::vector<Point>> candidates;
-  size_t users = 0;  ///< location sets; only a group (> 1) is sanitized
+  /// Set when the answers are sanitized: sanitation is on and the query
+  /// has more than one location set.
+  std::optional<AnswerSanitizer> sanitizer;
 };
 
 /// The LSP's decode step: decodes the query and the uploads, fires the
-/// `lsp.process` failpoint and generates the candidate queries. Sets
+/// `lsp.process` failpoint, sizes the sanitizer (Eqn 17, under
+/// `test_config`) when the group's answers are sanitized, and generates
+/// the candidate queries. A theta0 Eqn 17 cannot size fails here with
+/// InvalidArgument, before any kGNN or shard leg runs. Sets
 /// info.delta_prime.
 [[nodiscard]] Result<LspCandidates> LspDecodeCandidates(
     const std::vector<uint8_t>& query_bytes,
     const std::vector<std::vector<uint8_t>>& upload_bytes,
-    QueryInstrumentation& info, const std::atomic<bool>* cancel = nullptr);
+    const TestConfig& test_config, bool sanitize, QueryInstrumentation& info,
+    const std::atomic<bool>* cancel = nullptr);
 
 /// The kGNN black box of Algorithm 2: the ranked top-k answer of
 /// candidate `index` (`candidate` is request.candidates[index]). Called
@@ -216,14 +224,14 @@ using KgnnSource = std::function<std::vector<RankedPoi>(
 
 /// The LSP's answer step, shared by the single node and the sharded front
 /// so their answers are byte-identical by construction. `lsp_threads`
-/// workers take each candidate's answer from `kgnn`, sanitize it under
-/// `oracle` (the metric it was ranked by; null = Euclidean) and pack it;
-/// then the private selection runs and the AnswerMessage is encoded.
-/// Adds the sanitation counters and lsp_parallel_seconds to `info`.
+/// workers take each candidate's answer from `kgnn`, sanitize it with
+/// request.sanitizer when set, under `oracle` (the metric it was ranked
+/// by; null = Euclidean), and pack it; then the private selection runs
+/// and the AnswerMessage is encoded. Adds the sanitation counters and
+/// lsp_parallel_seconds to `info`.
 [[nodiscard]] Result<std::vector<uint8_t>> LspAnswerCandidates(
     const LspCandidates& request, const KgnnSource& kgnn,
-    const DistanceOracle* oracle, const TestConfig& test_config,
-    bool sanitize, int lsp_threads, QueryInstrumentation& info,
+    const DistanceOracle* oracle, int lsp_threads, QueryInstrumentation& info,
     const std::atomic<bool>* cancel = nullptr);
 
 /// Shard-side entry point for the scatter-gather cluster: decodes a
@@ -247,7 +255,10 @@ uint64_t LspSanitizeSeed(const std::vector<Point>& locations, int k);
 /// The plaintext reference: what the sanitized kGNN answer for the real
 /// locations should be. RunQuery must reproduce exactly this (up to the
 /// 32-bit coordinate quantization of the wire format). The sanitation
-/// Monte-Carlo consumes randomness from `rng`.
+/// Monte-Carlo draws from its own per-query seed (LspSanitizeSeed), not
+/// from `rng`. When the answer is sanitized but params.theta0 admits no
+/// Eqn 17 sample size under params.test, the answer is empty: the LSP
+/// refuses such a query, and Validate rejects it.
 std::vector<RankedPoi> ReferenceAnswer(const ProtocolParams& params,
                                        const std::vector<Point>& real_locations,
                                        const LspDatabase& lsp, Rng& rng);

@@ -7,6 +7,7 @@
 #define PPGNN_GEO_POINT_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 
@@ -37,6 +38,11 @@ inline double SquaredDistance(const Point& a, const Point& b) {
 inline double Distance(const Point& a, const Point& b) {
   return std::sqrt(SquaredDistance(a, b));
 }
+
+/// out[s] = Distance(from, {xs[s], ys[s]}) for s < count, bit for bit.
+/// SSE2 targets compute two points per instruction (point.cc).
+void EuclideanDistances(const Point& from, const double* xs,
+                        const double* ys, size_t count, double* out);
 
 /// A POI: a location plus a stable identifier into the LSP database.
 struct Poi {

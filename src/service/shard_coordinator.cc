@@ -170,10 +170,13 @@ void ShardedLspService::Shutdown() {
 
 Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
     const ServiceRequest& request, const LspService::HandlerContext& ctx) {
+  // Decoding sizes the sanitizer too, so a theta0 the front cannot
+  // sanitize fails here, before any shard leg.
   PPGNN_ASSIGN_OR_RETURN(
       LspCandidates decoded,
-      LspDecodeCandidates(request.query, request.uploads, *ctx.info,
-                          ctx.cancel));
+      LspDecodeCandidates(request.query, request.uploads,
+                          config_.front.test_config, config_.front.sanitize,
+                          *ctx.info, ctx.cancel));
   const QueryMessage& query = decoded.query;
   const std::vector<std::vector<Point>>& candidates = decoded.candidates;
 
@@ -312,8 +315,7 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
       [&merged](size_t index, const std::vector<Point>&) {
         return std::move(merged[index]);
       },
-      /*oracle=*/nullptr, config_.front.test_config, config_.front.sanitize,
-      config_.front.lsp_threads, *ctx.info, ctx.cancel);
+      /*oracle=*/nullptr, config_.front.lsp_threads, *ctx.info, ctx.cancel);
 }
 
 }  // namespace ppgnn

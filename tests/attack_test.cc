@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "geo/aggregate.h"
+#include "geo/rect.h"
 
 namespace ppgnn {
 namespace {
@@ -146,6 +150,73 @@ TEST(AttackTest, CustomSpaceSampling) {
   }
   // Bisector splits the 2x2 space evenly too.
   EXPECT_NEAR(attack.EstimateRegionFraction(rng, 20000), 0.5, 0.02);
+}
+
+// CountSatisfied(rng, c, len) must equal counting Satisfies(SamplePoint)
+// one sample at a time on the prefix's own attack, over the same draws,
+// and leave the Rng where that loop leaves it: for every block length
+// c = 1..257 (one past a full block) and every prefix length.
+void ExpectCountMatchesSatisfies(const std::vector<Point>& colluders,
+                                 const std::vector<Point>& answer,
+                                 AggregateKind kind, Rect space,
+                                 const std::string& label) {
+  const InequalityAttack attack(colluders, answer, kind, space);
+  for (size_t len = 1; len <= answer.size(); ++len) {
+    const std::vector<Point> prefix(answer.begin(), answer.begin() + len);
+    const InequalityAttack reference(colluders, prefix, kind, space);
+    for (uint64_t c = 1; c <= 257; ++c) {
+      Rng block_rng(1000 * len + c);
+      Rng point_rng(1000 * len + c);
+      uint64_t expected = 0;
+      for (uint64_t s = 0; s < c; ++s) {
+        const Point sample = reference.SamplePoint(point_rng);
+        expected += reference.Satisfies(sample) ? 1 : 0;
+      }
+      ASSERT_EQ(attack.CountSatisfied(block_rng, c, len), expected)
+          << label << " len " << len << " c " << c;
+      ASSERT_EQ(block_rng.NextUint64(), point_rng.NextUint64())
+          << label << " len " << len << " c " << c;
+    }
+  }
+}
+
+TEST(AttackTest, CountSatisfiedEqualsSatisfiesPerSample) {
+  Rng rng(8);
+  std::vector<Point> answer;
+  for (int i = 0; i < 5; ++i)
+    answer.push_back({rng.NextDouble(), rng.NextDouble()});
+  std::vector<Point> colluders;
+  for (int i = 0; i < 3; ++i)
+    colluders.push_back({rng.NextDouble(), rng.NextDouble()});
+  // Zero-area spaces: every sample sits exactly on the bisector of the
+  // first two POIs, equidistant from the colluders too (a tie, so the
+  // inequality holds), or exactly on a POI (distance 0).
+  const std::vector<Point> tie_answer = {
+      {0.25, 0.5}, {0.75, 0.5}, {0.5, 0.25}, {0.9, 0.1}};
+  const std::vector<Point> tie_colluders = {{0.5, 0.1}, {0.5, 0.9}};
+  const Rect on_bisector = Rect::FromPoint({0.5, 0.3});
+  const Rect on_poi = Rect::FromPoint(tie_answer[1]);
+  for (AggregateKind kind :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    const std::string name = AggregateKindToString(kind);
+    for (bool collude : {false, true}) {
+      const std::string label =
+          name + (collude ? " with colluders" : " alone");
+      ExpectCountMatchesSatisfies(collude ? colluders : std::vector<Point>{},
+                                  answer, kind, {0.0, 0.0, 1.0, 1.0},
+                                  label + ", unit square");
+      const std::vector<Point> at_tie =
+          collude ? tie_colluders : std::vector<Point>{};
+      ExpectCountMatchesSatisfies(at_tie, tie_answer, kind, on_bisector,
+                                  label + ", on a bisector");
+      ExpectCountMatchesSatisfies(at_tie, tie_answer, kind, on_poi,
+                                  label + ", on a POI");
+      // The tie satisfies the first inequality for every sample.
+      const InequalityAttack tie(at_tie, tie_answer, kind, on_bisector);
+      Rng tie_rng(9);
+      EXPECT_EQ(tie.CountSatisfied(tie_rng, 300, 2), 300u) << label;
+    }
+  }
 }
 
 TEST(AttackTest, ZeroSamplesGiveZeroFraction) {

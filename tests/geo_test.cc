@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
 
 namespace ppgnn {
@@ -13,6 +18,58 @@ TEST(PointTest, Distance) {
   EXPECT_DOUBLE_EQ(Distance({0, 0}, {3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(Distance({1, 1}, {1, 1}), 0.0);
   EXPECT_DOUBLE_EQ(SquaredDistance({0, 0}, {3, 4}), 25.0);
+}
+
+// Every out[s] of EuclideanDistances must have Distance's bits.
+void ExpectDistancesMatch(const Point& from, const double* xs,
+                          const double* ys, size_t count) {
+  std::vector<double> out(count + 1, -1.0);
+  EuclideanDistances(from, xs, ys, count, out.data());
+  for (size_t s = 0; s < count; ++s) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(out[s]),
+              std::bit_cast<uint64_t>(Distance(from, {xs[s], ys[s]})))
+        << "count " << count << " sample " << s << " from " << from;
+  }
+  EXPECT_EQ(out[count], -1.0) << "wrote past count " << count;
+}
+
+TEST(PointTest, EuclideanDistancesEqualDistanceBitForBit) {
+  Rng rng(41);
+  // Random points at scales from 1e-6 to 1e6, so any fused or reordered
+  // arithmetic would show in the last bits.
+  std::vector<double> xs(1 << 16);
+  std::vector<double> ys(xs.size());
+  for (size_t s = 0; s < xs.size(); ++s) {
+    const double scale = std::pow(10.0, rng.NextInRange(-6, 6));
+    xs[s] = (rng.NextDouble() - 0.5) * scale;
+    ys[s] = (rng.NextDouble() - 0.5) * scale;
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    const Point from{rng.NextDouble() - 0.5, rng.NextDouble() - 0.5};
+    ExpectDistancesMatch(from, xs.data(), ys.data(), xs.size());
+  }
+
+  // Every odd tail, from aligned and from unaligned (8-byte offset)
+  // inputs, including samples exactly at `from` (distance 0).
+  std::vector<double> bx(35);
+  std::vector<double> by(bx.size());
+  for (size_t count = 0; count <= 33; ++count) {
+    for (size_t offset : {0, 1}) {
+      const Point from{rng.NextDouble(), rng.NextDouble()};
+      for (size_t s = 0; s < count; ++s) {
+        const bool at_from = s % 3 == 0;
+        bx[offset + s] = at_from ? from.x : rng.NextDouble();
+        by[offset + s] = at_from ? from.y : rng.NextDouble();
+      }
+      ExpectDistancesMatch(from, bx.data() + offset, by.data() + offset,
+                           count);
+    }
+  }
+  const double zx[3] = {0.25, 0.25, 0.25};
+  const double zy[3] = {0.75, 0.75, 0.75};
+  double zero[3] = {1.0, 1.0, 1.0};
+  EuclideanDistances({0.25, 0.75}, zx, zy, 3, zero);
+  for (double d : zero) EXPECT_EQ(std::bit_cast<uint64_t>(d), 0u);
 }
 
 TEST(RectTest, ContainsAndIntersects) {

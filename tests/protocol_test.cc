@@ -341,6 +341,39 @@ TEST_F(ProtocolTest, ParamsRejectBadThreadCount) {
   EXPECT_FALSE(params.Validate().ok());
 }
 
+TEST_F(ProtocolTest, ParamsRejectTheta0TheLspCannotSanitize) {
+  // Eqn 17 sizes no Z-test for theta0 >= 1 / (1 + phi), nor for one whose
+  // N_H exceeds kMaxSampleSize. A sanitized group query with such a
+  // theta0 would only fail at the LSP, after the users encrypted.
+  for (double theta0 : {0.95, 1.0, 1e-9}) {
+    ProtocolParams params = SmallParams();
+    params.theta0 = theta0;
+    EXPECT_FALSE(params.Validate().ok()) << theta0;
+    params.sanitize = false;
+    EXPECT_TRUE(params.Validate().ok()) << theta0;
+    params = SmallParams();
+    params.theta0 = theta0;
+    params.n = 1;
+    EXPECT_TRUE(params.Validate().ok()) << theta0;
+  }
+  for (double theta0 : {0.9, 1e-4}) {
+    ProtocolParams params = SmallParams();
+    params.theta0 = theta0;
+    EXPECT_TRUE(params.Validate().ok()) << theta0;
+  }
+}
+
+TEST_F(ProtocolTest, ReferenceAnswerIsEmptyWhenTheta0CannotBeSanitized) {
+  ProtocolParams params = SmallParams();
+  params.theta0 = 0.95;
+  const std::vector<Point> group = Group(params.n, 71);
+  Rng unused(72);
+  EXPECT_TRUE(ReferenceAnswer(params, group, *db_, unused).empty());
+  params.sanitize = false;
+  EXPECT_EQ(ReferenceAnswer(params, group, *db_, unused).size(),
+            static_cast<size_t>(params.k));
+}
+
 TEST_F(ProtocolTest, VariantNames) {
   EXPECT_STREQ(VariantToString(Variant::kPpgnn), "PPGNN");
   EXPECT_STREQ(VariantToString(Variant::kPpgnnOpt), "PPGNN-OPT");

@@ -373,6 +373,31 @@ TEST_F(ShardTest, EmptyShardsAreNeverRouted) {
   }
 }
 
+TEST_F(ShardTest, UnsanitizableTheta0IsRefusedBeforeAnyShardLeg) {
+  // A client that does not sanitize passes its own Validate with
+  // theta0 = 0.95, which Eqn 17 cannot size. A sanitizing front must
+  // refuse the query while decoding it, before scattering any leg.
+  ShardedLspService cluster(*pois_, ClusterConfig(2));
+  ProtocolParams params = GroupParams(AggregateKind::kSum, /*sanitize=*/false);
+  params.theta0 = 0.95;
+  Rng rng(95);
+  std::vector<Point> group;
+  for (int i = 0; i < params.n; ++i) {
+    group.push_back({rng.NextDouble(), rng.NextDouble()});
+  }
+  ServiceRequest request =
+      BuildServiceRequest(Variant::kPpgnn, params, group, *keys_, rng).value();
+  const ResponseFrame frame =
+      ResponseFrame::Decode(FrameOf(cluster, request)).value();
+  ASSERT_TRUE(frame.is_error);
+  EXPECT_EQ(frame.error.code, WireError::kMalformed) << frame.error.detail;
+  uint64_t legs = 0;
+  for (int j = 0; j < cluster.shards(); ++j) {
+    legs += cluster.shard_service(j).Stats().accepted;
+  }
+  EXPECT_EQ(legs, 0u);
+}
+
 // --- degraded merges and idempotent fan-out ---
 
 TEST_F(ShardTest, DeadShardDegradesTheMergeButStillServes) {
