@@ -91,6 +91,8 @@ void BM_PaillierEncryptL1(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));
   Encryptor enc(fx.keys.pub);
   BigInt m(123456789);
+  // The fixed-base table lives as long as `enc`; build it untimed.
+  (void)bench::ValueOrDie(enc.Encrypt(m, fx.rng, 1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, 1)));
   }
@@ -101,44 +103,23 @@ void BM_PaillierEncryptL2(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));
   Encryptor enc(fx.keys.pub);
   BigInt m(123456789);
+  // The fixed-base table lives as long as `enc`; build it untimed.
+  (void)bench::ValueOrDie(enc.Encrypt(m, fx.rng, 2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, 2)));
   }
 }
 BENCHMARK(BM_PaillierEncryptL2)->Arg(512)->Arg(1024);
 
-void BM_PaillierEncryptL1Pooled(benchmark::State& state) {
-  // Online cost with pre-computed blinding factors (offline/online
-  // split). The pool is refilled in bulk outside the timed region;
-  // bounded iterations keep the unmeasured offline phase cheap.
-  PaillierFixtureState fx(static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub);
-  BigInt m(123456789);
-  constexpr size_t kBatch = 512;
-  for (auto _ : state) {
-    if (enc.PooledBlindingCount(1) == 0) {
-      state.PauseTiming();
-      (void)enc.RefillBlindingPool(1, kBatch, fx.rng);
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, 1)));
-  }
-}
-BENCHMARK(BM_PaillierEncryptL1Pooled)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Iterations(1000);
-
-// ---- Encrypt-side hot path (fixed-base / offline-online engine) ----
+// ---- Encrypt-side hot path (fixed-base and key-holder blinding) ----
 //
-// Four variants of the same Encrypt call, isolating each acceleration
+// Three variants of the same Encrypt call, isolating each acceleration
 // layer: the seed's fresh square-and-multiply blinding, the shared
-// fixed-base comb, reduced-exponent CRT evaluation for secret-key
-// holders, and the pooled online path. All variants produce bit-identical ciphertexts
-// for the same RNG stream (paillier_test.cc enforces this), so the
-// comparison is pure cost. Args are {key_bits, level}; EXPERIMENTS.md
-// records the resulting curves and CostModel's encrypt constants are
-// fitted to them.
+// fixed-base comb a public-key Encryptor uses, and the reduced-exponent
+// CRT evaluation a key holder's Encryptor uses. All variants produce
+// bit-identical ciphertexts for the same RNG stream (paillier_test.cc
+// enforces this), so the comparison is pure cost. Args are
+// {key_bits, level}; EXPERIMENTS.md records the resulting curves.
 
 PaillierFixtureState& SharedPaillierFixture(int key_bits) {
   // Key generation at 2048 bits is seconds of work; share one fixture
@@ -153,7 +134,6 @@ PaillierFixtureState& SharedPaillierFixture(int key_bits) {
 EncryptorOptions NaiveEncryptorOptions() {
   EncryptorOptions options;
   options.use_fixed_base = false;
-  options.use_crt = false;
   return options;
 }
 
@@ -212,69 +192,6 @@ void BM_Encrypt_Crt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Encrypt_Crt)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({2048, 1})
-    ->Args({2048, 2});
-
-void BM_Encrypt_Pooled(benchmark::State& state) {
-  // Pure online cost: blinding factors come from the pool, refilled
-  // outside the timed region.
-  PaillierFixtureState& fx = SharedPaillierFixture(
-      static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub);
-  const int level = static_cast<int>(state.range(1));
-  BigInt m(123456789);
-  constexpr size_t kBatch = 512;
-  for (auto _ : state) {
-    if (enc.PooledBlindingCount(level) == 0) {
-      state.PauseTiming();
-      (void)enc.RefillBlindingPool(level, kBatch, fx.rng);
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, level)));
-  }
-}
-BENCHMARK(BM_Encrypt_Pooled)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({2048, 1})
-    ->Args({2048, 2})
-    ->Iterations(1000);
-
-void BM_RefillBlindingPool_FixedBase(benchmark::State& state) {
-  // Offline producer cost per blinding factor (what the
-  // BlindingRefiller thread pays), via the shared fixed-base engine.
-  PaillierFixtureState& fx = SharedPaillierFixture(
-      static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub);
-  const int level = static_cast<int>(state.range(1));
-  constexpr size_t kBatch = 64;
-  (void)enc.RefillBlindingPool(level, 1, fx.rng);  // untimed cache warmup
-  for (auto _ : state) {
-    (void)enc.RefillBlindingPool(level, kBatch, fx.rng);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_RefillBlindingPool_FixedBase)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({2048, 1})
-    ->Args({2048, 2});
-
-void BM_RefillBlindingPool_Crt(benchmark::State& state) {
-  PaillierFixtureState& fx = SharedPaillierFixture(
-      static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys);
-  const int level = static_cast<int>(state.range(1));
-  constexpr size_t kBatch = 64;
-  (void)enc.RefillBlindingPool(level, 1, fx.rng);  // untimed cache warmup
-  for (auto _ : state) {
-    (void)enc.RefillBlindingPool(level, kBatch, fx.rng);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_RefillBlindingPool_Crt)
     ->Args({1024, 1})
     ->Args({1024, 2})
     ->Args({2048, 1})

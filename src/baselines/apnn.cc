@@ -75,7 +75,9 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
   }
-  Encryptor enc(keys.pub);
+  // The user generates and keeps the key pair, and so encrypts as a key
+  // holder; the LSP evaluates on its own public-key Encryptor below.
+  Encryptor enc(keys);
   Decryptor dec(keys.pub, keys.sec);
   PoiCodec codec(params.key_bits);
   const size_t m = codec.IntsNeeded(static_cast<size_t>(params.k));
@@ -125,6 +127,7 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
   std::vector<Ciphertext> selected;
   {
     ScopedTimer timer(&tracker, Party::kLsp);
+    const Encryptor lsp_enc(keys.pub);
     AnswerMatrix matrix;
     matrix.columns.reserve(cells);
     for (int r = 0; r < b; ++r) {
@@ -139,7 +142,8 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
         matrix.columns.push_back(std::move(column));
       }
     }
-    PPGNN_ASSIGN_OR_RETURN(selected, PrivateSelect(enc, matrix, indicator));
+    PPGNN_ASSIGN_OR_RETURN(selected,
+                           PrivateSelect(lsp_enc, matrix, indicator));
   }
 
   // --- LSP -> user: encrypted answer; user decrypts ---

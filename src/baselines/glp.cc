@@ -24,6 +24,9 @@ Result<GlpOutcome> RunGlp(const LspDatabase& lsp, const GlpParams& params,
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
   }
+  // The public-key path on purpose: the opening below simulates a
+  // threshold decryption, so no single user holds p and q to blind as a
+  // key holder.
   Encryptor enc(keys.pub);
   Decryptor dec(keys.pub, keys.sec);
 

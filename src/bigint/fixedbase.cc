@@ -108,17 +108,16 @@ size_t FixedBaseEngine::table_bytes() const {
 
 namespace {
 
-// Process-wide (base, modulus) -> engine cache. Small and bounded: a
-// process touches a handful of keys (each contributes a couple of
-// blinding bases per ciphertext level), so a linear scan under one mutex
-// is cheaper than hashing multi-thousand-bit integers.
+// Process-wide (base, modulus) -> engine lookup over weak references:
+// the Encryptors own their engines, the registry only finds them. A
+// process holds a handful of live keys at a time (each contributes a
+// couple of blinding bases per ciphertext level), so a linear scan under
+// one mutex is cheaper than hashing multi-thousand-bit integers.
 struct RegistryEntry {
   BigInt base;
   BigInt modulus;
-  std::shared_ptr<const FixedBaseEngine> engine;
+  std::weak_ptr<const FixedBaseEngine> engine;
 };
-
-constexpr size_t kMaxRegistryEntries = 32;
 
 std::mutex g_registry_mu;
 std::vector<RegistryEntry>& Registry() {
@@ -129,35 +128,28 @@ std::vector<RegistryEntry>& Registry() {
 uint64_t g_registry_hits = 0;
 // ppgnn: guarded_by(g_registry_misses, g_registry_mu)
 uint64_t g_registry_misses = 0;
-// ppgnn: guarded_by(g_registry_evictions, g_registry_mu)
-uint64_t g_registry_evictions = 0;
 
 }  // namespace
 
 std::shared_ptr<const FixedBaseEngine> SharedFixedBaseEngine(
-    const BigInt& base, const BigInt& modulus, int min_exponent_bits,
-    int window) {
+    const BigInt& base, const BigInt& modulus, int min_exponent_bits) {
   std::lock_guard<std::mutex> lock(g_registry_mu);
   std::vector<RegistryEntry>& reg = Registry();
-  for (auto it = reg.begin(); it != reg.end(); ++it) {
-    if (it->base != base || it->modulus != modulus) continue;
-    if (it->engine->max_exponent_bits() >= min_exponent_bits &&
-        (window == 0 || it->engine->window() == window)) {
+  std::erase_if(reg, [](const RegistryEntry& e) { return e.engine.expired(); });
+  for (const RegistryEntry& e : reg) {
+    if (e.base != base || e.modulus != modulus) continue;
+    // lock() can still fail: the last holder may have let go since the
+    // sweep above.
+    std::shared_ptr<const FixedBaseEngine> live = e.engine.lock();
+    if (live != nullptr && live->max_exponent_bits() >= min_exponent_bits) {
       ++g_registry_hits;
-      return it->engine;
+      return live;
     }
-    // Cached but too narrow (or wrong width): drop it and rebuild below.
-    reg.erase(it);
-    break;
   }
   ++g_registry_misses;
   Result<FixedBaseEngine> built =
-      FixedBaseEngine::Create(base, modulus, min_exponent_bits, window);
+      FixedBaseEngine::Create(base, modulus, min_exponent_bits);
   if (!built.ok()) return nullptr;
-  if (reg.size() >= kMaxRegistryEntries) {
-    reg.erase(reg.begin());
-    ++g_registry_evictions;
-  }
   auto engine =
       std::make_shared<const FixedBaseEngine>(std::move(built).value());
   reg.push_back(RegistryEntry{base, modulus, engine});
@@ -169,10 +161,11 @@ FixedBaseRegistryStats SharedFixedBaseRegistryStats() {
   FixedBaseRegistryStats stats;
   stats.hits = g_registry_hits;
   stats.misses = g_registry_misses;
-  stats.evictions = g_registry_evictions;
-  stats.engines = Registry().size();
   for (const RegistryEntry& e : Registry()) {
-    stats.table_bytes += e.engine->table_bytes();
+    if (std::shared_ptr<const FixedBaseEngine> live = e.engine.lock()) {
+      ++stats.engines;
+      stats.table_bytes += live->table_bytes();
+    }
   }
   return stats;
 }

@@ -20,11 +20,12 @@
 // 1024-bit key at w = 5 (see DESIGN.md section 12 for the width/latency
 // trade-off). That only pays off for a base that is fixed across many
 // calls (the key regime: blinding bases live as long as the key). A
-// public-key Encryptor therefore shares its engines process-wide through
-// SharedFixedBaseEngine below rather than rebuilding them per Encryptor.
-// A key holder's half-width engines (crypto/paillier.h) are derived from
-// the secret factors, so they are owned by their Encryptor instead and
-// die with it.
+// public-key Encryptor therefore shares its engines with the other live
+// Encryptors over the same key through SharedFixedBaseEngine below rather
+// than rebuilding them per Encryptor; an engine is freed with the last
+// Encryptor holding it. A key holder's half-width engines
+// (crypto/paillier.h) are derived from the secret factors, so they are
+// owned by their Encryptor instead and die with it.
 //
 // Results are bit-identical to the generic ladder: exact residue
 // arithmetic over the same modulus, every evaluation order yields the
@@ -98,26 +99,26 @@ class FixedBaseEngine {
   std::vector<std::vector<std::vector<uint64_t>>> tables_;
 };
 
-/// Process-wide engine cache keyed by (base, modulus): the first caller
-/// pays the table build, every later public-key Encryptor over the same
-/// key reuses it — the DotEngine context-caching idea lifted to process
-/// scope, because keys are long-lived and request-scoped objects are not.
-/// Returns an engine covering at least `min_exponent_bits` (an existing
-/// narrower engine is replaced by a wider rebuild), or null if the
-/// modulus does not admit a Montgomery context (even modulus: callers
-/// keep their generic-ladder path). `window` = 0 accepts any cached
-/// width; nonzero demands that width exactly.
+/// Process-wide lookup of live engines keyed by (base, modulus): the
+/// first caller pays the table build, every later public-key Encryptor
+/// over the same key reuses it while any holder keeps it alive — the
+/// DotEngine context-caching idea lifted to process scope. Returns a live
+/// engine over (base, modulus) covering at least `min_exponent_bits`, or
+/// builds one (auto width) and records a weak reference to it; entries
+/// whose engines are gone are dropped on each lookup, so the registry
+/// never keeps a dead key's tables. Null if the modulus does not admit a
+/// Montgomery context (even modulus: callers keep their generic-ladder
+/// path).
 std::shared_ptr<const FixedBaseEngine> SharedFixedBaseEngine(
-    const BigInt& base, const BigInt& modulus, int min_exponent_bits,
-    int window = 0);
+    const BigInt& base, const BigInt& modulus, int min_exponent_bits);
 
-/// Registry observability, surfaced through ServiceStats.
+/// Registry observability; perfbench reports table_bytes as
+/// bigint.fixedbase_table_bytes.
 struct FixedBaseRegistryStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t evictions = 0;
-  size_t engines = 0;      ///< currently cached
-  size_t table_bytes = 0;  ///< summed over cached engines
+  size_t engines = 0;      ///< live engines
+  size_t table_bytes = 0;  ///< summed over live engines
 };
 FixedBaseRegistryStats SharedFixedBaseRegistryStats();
 

@@ -34,12 +34,6 @@ struct ProtocolParams {
   /// it is invariant to this knob; wall-clock time is not (see
   /// bench_ablation_parallel_lsp).
   int lsp_threads = 1;
-  /// Blinding factors the coordinator precomputes per ciphertext level
-  /// before the timed user phase (the offline half of the offline/online
-  /// encryption split; see DESIGN.md section 12). 0 = encrypt online via
-  /// the fixed-base engine. The reported user cost excludes the offline
-  /// refill, mirroring how a phone would precompute while idle.
-  int blinding_pool = 0;
 
   /// The effective Privacy II parameter: delta for groups, d for n == 1
   /// (Section 3: delta = d in the single-user case).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 
 #include "common/bytes.h"
 #include "common/failpoint.h"
@@ -142,10 +141,8 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
   std::vector<Status> worker_status(workers, Status::OK());
   std::vector<SanitizeStats> worker_stats(workers);
   std::vector<double> worker_sanitize_seconds(workers, 0.0);
-  std::vector<double> worker_cpu_seconds(workers, 0.0);
 
-  auto process_range = [&](int worker) {
-    double start = ThreadCpuSeconds();
+  FanOut(workers, &info.lsp_parallel_seconds, [&](int worker) {
     for (size_t i = static_cast<size_t>(worker); i < candidates.size();
          i += static_cast<size_t>(workers)) {
       if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
@@ -177,26 +174,12 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
       }
       matrix.columns[i] = std::move(column).value();
     }
-    worker_cpu_seconds[worker] = ThreadCpuSeconds() - start;
-  };
-
-  if (workers == 1) {
-    process_range(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) {
-      pool.emplace_back(process_range, w);
-    }
-    process_range(0);
-    for (std::thread& t : pool) t.join();
-  }
+  });
   for (int w = 0; w < workers; ++w) {
     PPGNN_RETURN_IF_ERROR(worker_status[w]);
     info.sanitize_seconds += worker_sanitize_seconds[w];
     info.sanitize_samples += worker_stats[w].samples_drawn;
     info.sanitize_tests += worker_stats[w].tests_run;
-    if (w > 0) info.lsp_parallel_seconds += worker_cpu_seconds[w];
   }
 
   if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
@@ -235,8 +218,6 @@ Status ProtocolParams::Validate() const {
     return Status::InvalidArgument("key_bits must be even and >= 128");
   if (lsp_threads < 1 || lsp_threads > 256)
     return Status::InvalidArgument("lsp_threads must lie in [1, 256]");
-  if (blinding_pool < 0)
-    return Status::InvalidArgument("blinding_pool must be >= 0");
   return Status::OK();
 }
 
@@ -442,18 +423,6 @@ Result<QueryOutcome> RunQuery(Variant variant, const ProtocolParams& params,
     }
     enc.emplace(keys);
     dec.emplace(keys.pub, keys.sec);
-  }
-  // Offline phase: with params.blinding_pool > 0 the coordinator's
-  // device precomputes blinding factors while idle (untimed — a phone
-  // does this before the user even forms the query), so the timed user
-  // phase below pays only the pooled online cost per indicator
-  // ciphertext. The pool draws from the same rng stream; determinism is
-  // unaffected, only the accounting boundary moves.
-  if (params.blinding_pool > 0) {
-    const size_t pool = static_cast<size_t>(params.blinding_pool);
-    PPGNN_RETURN_IF_ERROR(enc->RefillBlindingPool(1, pool, rng));
-    if (variant == Variant::kPpgnnOpt)
-      PPGNN_RETURN_IF_ERROR(enc->RefillBlindingPool(2, pool, rng));
   }
 
   // ===== Coordinator (Algorithm 1): query, pos_j, location sets =====

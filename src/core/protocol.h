@@ -124,9 +124,8 @@ struct QueryOutcome {
 };
 
 /// Runs one privacy-preserving query for the given real user locations:
-/// the timed keys with the users' key-holder Encryptor and Decryptor, the
-/// untimed offline blinding pool (params.blinding_pool), then the timed
-/// CoordinatorBuildQuery, LspHandleQuery and the timed
+/// the timed keys with the users' key-holder Encryptor and Decryptor,
+/// then the timed CoordinatorBuildQuery, LspHandleQuery and the timed
 /// CoordinatorDecryptAnswer. `fixed_keys`, when non-null, skips per-query
 /// key generation (useful in tests; the paper's cost model generates keys
 /// per query, which is what happens when it is null).

@@ -1,37 +1,11 @@
 #include "core/selection.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "net/cost.h"
 
 namespace ppgnn {
 namespace {
-
-/// Runs `task(worker_index)` on `workers` threads (worker 0 on the
-/// calling thread) and accumulates the spawned workers' CPU seconds.
-template <typename Task>
-void FanOut(int workers, double* worker_seconds, Task&& task) {
-  if (workers <= 1) {
-    task(0);
-    return;
-  }
-  std::vector<double> cpu(workers, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) {
-    pool.emplace_back([&task, &cpu, w] {
-      double t0 = ThreadCpuSeconds();
-      task(w);
-      cpu[w] = ThreadCpuSeconds() - t0;
-    });
-  }
-  task(0);
-  for (std::thread& t : pool) t.join();
-  if (worker_seconds != nullptr) {
-    for (int w = 1; w < workers; ++w) *worker_seconds += cpu[w];
-  }
-}
 
 bool Cancelled(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_acquire);

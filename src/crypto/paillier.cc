@@ -1,7 +1,5 @@
 #include "crypto/paillier.h"
 
-#include <algorithm>
-
 #include "bigint/modular.h"
 #include "bigint/prime.h"
 #include "common/failpoint.h"
@@ -107,8 +105,8 @@ namespace {
 Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
                            const BigInt& mod) {
   // s = 1 closed form (1 + mN): the general loop below reduces to it,
-  // but skipping the ModInverse of 1! keeps the pooled online path — an
-  // embedding plus one multiply — free of extended-gcd work.
+  // but skipping the ModInverse of 1! keeps every level-1 encryption (the
+  // indicator's hot path) free of extended-gcd work.
   if (s == 1) return (BigInt(1) + ModMul(m, n, mod)).Mod(mod);
   BigInt acc(1);           // i = 0 term
   BigInt n_pow(1);         // N^i
@@ -162,8 +160,7 @@ Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
     PPGNN_ASSIGN_OR_RETURN(
         FixedBaseEngine table,
         FixedBaseEngine::Create(half.r_base, half.r_pow,
-                                half.r_minus_1.BitLength(),
-                                options.fixed_base_window));
+                                half.r_minus_1.BitLength()));
     half.r_table = std::make_unique<const FixedBaseEngine>(std::move(table));
   } else {
     half.r_ctx = std::make_unique<MontgomeryContext>(std::move(ctx));
@@ -199,7 +196,7 @@ Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
   if (lc.blinding != nullptr) return lc.blinding.get();
   auto b = std::make_unique<LevelCache::Blinding>();
   // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
-  if (sk_ != nullptr && opts_.use_crt) {
+  if (sk_ != nullptr) {
     // Key holder: reduced exponents over p^{s+1} and q^{s+1}, on tables
     // this Encryptor owns. A key whose factors admit no Montgomery
     // context (not a real key pair) keeps the public-key path below.
@@ -222,11 +219,10 @@ Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
     PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, lc.modulus));
   }
   if (opts_.use_fixed_base && lc.ctx != nullptr) {
-    // Shared process-wide: every public-key Encryptor over this key (and
-    // every request-scoped one) reuses one table build. Null on registry
-    // failure -> generic ladder below.
-    b->engine = SharedFixedBaseEngine(b->h, lc.modulus, BlindingExponentBits(),
-                                      opts_.fixed_base_window);
+    // Shared with every other live public-key Encryptor over this key;
+    // freed with the last of them. Null on registry failure -> generic
+    // ladder below.
+    b->engine = SharedFixedBaseEngine(b->h, lc.modulus, BlindingExponentBits());
   }
   lc.blinding = std::move(b);
   return lc.blinding.get();
@@ -255,77 +251,19 @@ Result<BigInt> Encryptor::MakeBlinding(int level, Rng& rng) const {
   return ModExp(b->h, t, lc.modulus);
 }
 
-Status Encryptor::RefillBlindingPool(int level, size_t count, Rng& rng,
-                                     size_t target,
-                                     size_t* refilled) const {
-  if (refilled != nullptr) *refilled = 0;
-  if (level < 1) return Status::InvalidArgument("ciphertext level must be >= 1");
-  const size_t idx = static_cast<size_t>(level);
-  // Claim the quota under the lock *before* exponentiating. Without the
-  // claim, two refillers can both observe a low watermark, both compute
-  // a full batch outside the lock, and jointly over-fill the pool past
-  // target — work and memory the pool will never drain.
-  size_t claimed = count;
-  if (target != 0) {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (pools_.size() <= idx) pools_.resize(idx + 1);
-    if (pending_refills_.size() <= idx) pending_refills_.resize(idx + 1);
-    const size_t committed = pools_[idx].size() + pending_refills_[idx];
-    claimed = committed >= target ? 0 : std::min(count, target - committed);
-    pending_refills_[idx] += claimed;
-  }
-  if (claimed == 0) return Status::OK();
-  // The expensive exponentiations run outside the pool lock so request
-  // threads encrypting concurrently never block on the offline batch.
-  std::vector<BigInt> fresh;
-  fresh.reserve(claimed);
-  Status status = Status::OK();
-  for (size_t i = 0; i < claimed; ++i) {
-    Result<BigInt> blind = MakeBlinding(level, rng);
-    if (!blind.ok()) {
-      status = blind.status();
-      break;
-    }
-    fresh.push_back(std::move(blind).value());
-  }
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pools_.size() <= idx) pools_.resize(idx + 1);
-  auto& pool = pools_[idx];
-  const size_t produced = fresh.size();
-  for (BigInt& blind : fresh) pool.push_back(std::move(blind));
-  if (target != 0) pending_refills_[idx] -= claimed;
-  refilled_.fetch_add(produced, std::memory_order_relaxed);
-  if (refilled != nullptr) *refilled = produced;
-  return status;
-}
-
-size_t Encryptor::PooledBlindingCount(int level) const {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (level < 1 || pools_.size() <= static_cast<size_t>(level)) return 0;
-  return pools_[static_cast<size_t>(level)].size();
-}
-
 Encryptor::BlindingStats Encryptor::blinding_stats() const {
   BlindingStats stats;
-  stats.pool_hits = pool_hits_.load(std::memory_order_relaxed);
-  stats.pool_misses = pool_misses_.load(std::memory_order_relaxed);
-  stats.refilled = refilled_.load(std::memory_order_relaxed);
+  stats.pool_misses = encrypts_.load(std::memory_order_relaxed);
   stats.fixed_base_evals = fixed_base_evals_.load(std::memory_order_relaxed);
   stats.generic_evals = generic_evals_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    for (const auto& pool : pools_) stats.pooled += pool.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(level_mu_);
-    for (const auto& lc : levels_) {
-      if (lc == nullptr || lc->blinding == nullptr) continue;
-      const LevelCache::Blinding& b = *lc->blinding;
-      if (b.key_holder != nullptr) {
-        stats.table_bytes += b.key_holder->table_bytes();
-      }
-      if (b.engine != nullptr) stats.table_bytes += b.engine->table_bytes();
+  std::lock_guard<std::mutex> lock(level_mu_);
+  for (const auto& lc : levels_) {
+    if (lc == nullptr || lc->blinding == nullptr) continue;
+    const LevelCache::Blinding& b = *lc->blinding;
+    if (b.key_holder != nullptr) {
+      stats.table_bytes += b.key_holder->table_bytes();
     }
+    if (b.engine != nullptr) stats.table_bytes += b.engine->table_bytes();
   }
   return stats;
 }
@@ -340,27 +278,8 @@ Result<Ciphertext> Encryptor::Encrypt(const BigInt& m, Rng& rng,
   PPGNN_ASSIGN_OR_RETURN(BigInt g_pow,
                          OnePlusNToM(m_red, pk_.n, level, lc.modulus));
 
-  // Blinding factor h_s^t: pooled (offline/online split) or computed
-  // online — on the fixed-base path when the engine exists, so pool
-  // exhaustion degrades to the fast online cost, not the naive ladder.
-  BigInt blind;
-  bool pooled = false;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (static_cast<size_t>(level) < pools_.size() &&
-        !pools_[static_cast<size_t>(level)].empty()) {
-      auto& pool = pools_[static_cast<size_t>(level)];
-      blind = std::move(pool.back());
-      pool.pop_back();
-      pooled = true;
-    }
-  }
-  if (pooled) {
-    pool_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    pool_misses_.fetch_add(1, std::memory_order_relaxed);
-    PPGNN_ASSIGN_OR_RETURN(blind, MakeBlinding(level, rng));
-  }
+  encrypts_.fetch_add(1, std::memory_order_relaxed);
+  PPGNN_ASSIGN_OR_RETURN(BigInt blind, MakeBlinding(level, rng));
 
   Ciphertext out;
   out.value = ModMul(g_pow, blind, lc.modulus);

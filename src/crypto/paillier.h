@@ -30,7 +30,8 @@
 // the key, so the exponentiation runs on a fixed-base window table
 // (bigint/fixedbase.h) instead of a full square-and-multiply ladder.
 // A public-key Encryptor shares one full-width table per (key, level)
-// through the process-wide registry. A key holder (the querying users
+// with the other live Encryptors over the same key, through a registry
+// that holds it by weak reference. A key holder (the querying users
 // in PPGNN, who generate the key pair) never builds that table: h_s is
 // an N^s-th power, so its order modulo p^{s+1} divides p - 1, and
 // h_s^t = h_s^{t mod (p-1)} mod p^{s+1} (likewise for q). The key holder
@@ -117,19 +118,14 @@ struct Ciphertext {
 /// use small keys for speed).
 Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng);
 
-/// Blinding-path knobs. The default is the fast configuration; the
-/// alternatives exist as differential references (every configuration
-/// produces bit-identical ciphertexts for the same RNG stream).
+/// Blinding-path knob. Which path an Encryptor blinds on is fixed by its
+/// constructor (key holder or public key); this only chooses tables or
+/// the ladder on that path. The ladder exists as a differential reference
+/// (both produce bit-identical ciphertexts for the same RNG stream).
 struct EncryptorOptions {
   /// Evaluate h_s^t on fixed-base window tables. false = the retained
   /// generic-ladder reference path.
   bool use_fixed_base = true;
-  /// Table digit width in bits; 0 = auto (see bigint/fixedbase.h).
-  int fixed_base_window = 0;
-  /// Key holders blind with reduced exponents modulo p^{s+1}/q^{s+1}
-  /// and CRT recombination. Only effective on Encryptors constructed
-  /// with the secret key; false = the public-key path.
-  bool use_crt = true;
 };
 
 namespace internal {
@@ -182,19 +178,21 @@ class KeyHolderBlinding {
 
 /// Encryption/evaluation context bound to a public key. The RNG for
 /// blinding randomness is passed per call. Holds one cached
-/// MontgomeryContext per ciphertext level. Thread-safety contract: the
+/// MontgomeryContext per ciphertext level. The constructor picks the
+/// blinding path: Encryptor(keys) blinds as a key holder on tables it
+/// owns, Encryptor(pk) on a full-width table it shares with the other
+/// live Encryptors over the same key. Thread-safety contract: the
 /// homomorphic operations (Add, ScalarMul, DotProduct, DotEngine::Dot)
-/// AND Encrypt / Rerandomize / RefillBlindingPool are all safe to call
-/// concurrently — the blinding pool is mutex-guarded precisely so a
-/// dedicated background thread can keep it topped up while request
-/// threads encrypt (service/blinding_refiller.h); lsp_service_test's
-/// TSan tier exercises that combination.
+/// AND Encrypt / Rerandomize are all safe to call concurrently (the
+/// first Encrypt at a level builds its blinding tables under a lock);
+/// lsp_service_test's TSan tier shares one key-holder Encryptor across
+/// client threads.
 class Encryptor {
  public:
   explicit Encryptor(PublicKey pk);
   Encryptor(PublicKey pk, const EncryptorOptions& options);
   /// Secret-key holder's context (the querying users own the key pair in
-  /// PPGNN): enables the reduced-exponent CRT blinding path
+  /// PPGNN): blinds on the reduced-exponent CRT path
   /// (internal::KeyHolderBlinding). The secret key is copied; the
   /// Encryptor never exposes it.
   explicit Encryptor(const KeyPair& keys,
@@ -203,9 +201,8 @@ class Encryptor {
   const PublicKey& public_key() const { return pk_; }
 
   /// Encrypts m (reduced into Z_{N^level}) at the given level. Consumes
-  /// randomness from `rng` only when the blinding pool for `level` is
-  /// empty (one fixed-width draw), so a pool-exhausted Encrypt is
-  /// byte-equivalent to a never-pooled one on the same RNG stream.
+  /// one fixed-width draw from `rng` for the blinding exponent, on every
+  /// path alike.
   Result<Ciphertext> Encrypt(const BigInt& m, Rng& rng, int level = 1) const;
 
   /// Homomorphic addition: Enc(m1 + m2). Levels must match.
@@ -273,36 +270,16 @@ class Encryptor {
     return op_count_.load(std::memory_order_relaxed);
   }
 
-  /// Offline phase of the offline/online split: generates `count`
-  /// blinding factors h_s^t in one batch and appends them to the pool
-  /// for `level`, so subsequent Encrypt calls are a cheap plaintext
-  /// embedding plus one modular multiplication. The exponentiations run
-  /// outside the pool lock — safe to call from a dedicated background
-  /// thread (service/blinding_refiller.h) while other threads encrypt.
-  ///
-  /// When `target` is nonzero the refill is quota-claimed: the batch size
-  /// is clamped under the pool lock so pooled + in-flight refills never
-  /// exceed `target`, even when several refillers (per-shard encryptors,
-  /// a background refiller racing manual top-ups) observe the same low
-  /// watermark concurrently. `target == 0` keeps the old unconditional
-  /// append. `refilled`, when non-null, receives the number of factors
-  /// this call actually produced (<= count under a quota).
-  Status RefillBlindingPool(int level, size_t count, Rng& rng,
-                            size_t target = 0,
-                            size_t* refilled = nullptr) const;
-
-  /// Blinding factors currently pooled for `level`.
-  size_t PooledBlindingCount(int level) const;
-
   /// Observability for the blinding pipeline (threaded into
   /// ServiceStats). Counter reads are racy-but-monotonic snapshots.
+  /// There is no blinding pool: pool_hits is always 0 and pool_misses
+  /// counts Encrypt calls. Both stay because perfbench reads the encrypt
+  /// count from their sum.
   struct BlindingStats {
-    uint64_t pool_hits = 0;      ///< Encrypt served from the pool
-    uint64_t pool_misses = 0;    ///< Encrypt fell through to an online path
-    uint64_t refilled = 0;       ///< factors produced by RefillBlindingPool
+    uint64_t pool_hits = 0;         ///< always 0
+    uint64_t pool_misses = 0;       ///< Encrypt calls
     uint64_t fixed_base_evals = 0;  ///< h^t via fixed-base tables (any path)
     uint64_t generic_evals = 0;     ///< h^t via the generic ladder
-    size_t pooled = 0;           ///< currently pooled, summed over levels
     /// Fixed-base tables reachable from here: a key holder's own tables,
     /// or the shared registry tables a public-key Encryptor uses.
     size_t table_bytes = 0;
@@ -319,9 +296,9 @@ class Encryptor {
     BigInt modulus;  // N^{level+1}
     std::unique_ptr<MontgomeryContext> ctx;
 
-    /// Blinding-base machinery, built lazily at the first Encrypt or
-    /// refill of the level (evaluation-only Encryptors — e.g. the LSP's
-    /// selection path — never pay for it). A key holder gets its own
+    /// Blinding-base machinery, built lazily at the first Encrypt of the
+    /// level (evaluation-only Encryptors — e.g. the LSP's selection
+    /// path — never pay for it). A key holder gets its own
     /// reduced-exponent CRT tables and never touches h modulo N^{s+1};
     /// a public-key Encryptor gets h = h_s and the shared engine over
     /// it. Immutable once built; guarded by level_mu_ during
@@ -330,7 +307,9 @@ class Encryptor {
       std::unique_ptr<const internal::KeyHolderBlinding> key_holder;
       // Public-key path (key_holder == null).
       BigInt h;  // g^{N^s} mod N^{s+1}, g = 2
-      std::shared_ptr<const FixedBaseEngine> engine;  // null on naive config
+      // Held for the Encryptor's lifetime; the registry keeps only a
+      // weak reference. Null on the ladder config.
+      std::shared_ptr<const FixedBaseEngine> engine;
     };
     mutable std::unique_ptr<Blinding> blinding;
   };
@@ -359,23 +338,10 @@ class Encryptor {
   mutable std::mutex level_mu_;
   // ppgnn: guarded_by(levels_, level_mu_)
   mutable std::vector<std::unique_ptr<LevelCache>> levels_;
-  // pools_[level] holds ready-made h_s^t mod N^{level+1} values. Guarded
-  // by pool_mu_ (see the class comment's thread-safety contract).
-  mutable std::mutex pool_mu_;
-  // ppgnn: guarded_by(pools_, pool_mu_)
-  mutable std::vector<std::vector<BigInt>> pools_;
-  // pending_refills_[level]: factors claimed by in-flight quota-bounded
-  // RefillBlindingPool calls that have not landed in pools_ yet. Also
-  // guarded by pool_mu_; the quota check counts pool.size() + pending so
-  // concurrent refillers cannot jointly overshoot a target.
-  // ppgnn: guarded_by(pending_refills_, pool_mu_)
-  mutable std::vector<size_t> pending_refills_;
   // Blinding pipeline counters (see BlindingStats); relaxed by design.
-  // ppgnn: stat_counter(op_count_, pool_hits_, pool_misses_, refilled_)
+  // ppgnn: stat_counter(op_count_, encrypts_)
   // ppgnn: stat_counter(fixed_base_evals_, generic_evals_)
-  mutable std::atomic<uint64_t> pool_hits_{0};
-  mutable std::atomic<uint64_t> pool_misses_{0};
-  mutable std::atomic<uint64_t> refilled_{0};
+  mutable std::atomic<uint64_t> encrypts_{0};
   mutable std::atomic<uint64_t> fixed_base_evals_{0};
   mutable std::atomic<uint64_t> generic_evals_{0};
 };

@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace ppgnn {
 
@@ -93,6 +95,36 @@ class ScopedTimer {
 
 /// Current thread CPU time in seconds (monotonic within a thread).
 double ThreadCpuSeconds();
+
+/// Runs `task(worker_index)` on `workers` threads (worker 0 on the
+/// calling thread) and adds the spawned workers' CPU seconds to
+/// `*worker_seconds` when it is non-null. The caller's own timer already
+/// sees worker 0, so charging the rest this way keeps a party's cost
+/// equal to its total compute whatever the thread count.
+template <typename Task>
+void FanOut(int workers, double* worker_seconds, Task&& task) {
+  if (workers <= 1) {
+    task(0);
+    return;
+  }
+  std::vector<double> cpu(static_cast<size_t>(workers), 0.0);
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) {
+    pool.emplace_back([&task, &cpu, w] {
+      double t0 = ThreadCpuSeconds();
+      task(w);
+      cpu[static_cast<size_t>(w)] = ThreadCpuSeconds() - t0;
+    });
+  }
+  task(0);
+  for (std::thread& t : pool) t.join();
+  if (worker_seconds != nullptr) {
+    for (int w = 1; w < workers; ++w) {
+      *worker_seconds += cpu[static_cast<size_t>(w)];
+    }
+  }
+}
 
 }  // namespace ppgnn
 

@@ -37,21 +37,6 @@ constexpr double kColumnSeconds = 0.28e-3;    // per column per row
 constexpr double kOptPhase2Factor = 4.0;
 constexpr double kMinPredictionSeconds = 1.0e-4;
 
-// Per-ciphertext encryption constants at 1024-bit keys, measured by
-// BM_Encrypt_* (bench_micro.cc); indexed [level - 1]. The exponentiation
-// paths walk a ~key_bits-wide exponent whose per-step multiply is
-// quadratic in the modulus, hence cubic key scaling; the pooled online
-// path is two modular multiplies, hence quadratic. kCrt is the key
-// holder's reduced-exponent path (two key_bits/2-bit exponents over
-// half-width moduli), re-fitted when it landed: the lowest of repeated
-// BM_Encrypt_Crt/1024 medians, the quiet-host level the fixed-base
-// constant was fitted at (EXPERIMENTS.md, "The users encrypt as key
-// holders").
-constexpr double kEncryptNaiveSeconds[2] = {3.9e-3, 10.3e-3};
-constexpr double kEncryptFixedBaseSeconds[2] = {0.61e-3, 1.39e-3};
-constexpr double kEncryptCrtSeconds[2] = {0.18e-3, 0.38e-3};
-constexpr double kEncryptPooledSeconds[2] = {2.3e-6, 12.8e-6};
-
 size_t PackedIntsFor(int k, int key_bits) {
   // PoiCodec requires key_bits >= 128; admission validated the header but
   // the model must stay total, so clamp instead of trusting the caller.
@@ -84,23 +69,6 @@ double CostModel::AnalyticSeconds(const CostFeatures& f) {
                kOptPhase2Factor * key_scale;
   }
   return std::max(seconds, kMinPredictionSeconds);
-}
-
-double CostModel::AnalyticEncryptSeconds(int key_bits, int level,
-                                         EncryptPath path) {
-  const int idx = level >= 2 ? 1 : 0;
-  const double ratio = static_cast<double>(std::max(key_bits, 128)) / 1024.0;
-  switch (path) {
-    case EncryptPath::kNaive:
-      return kEncryptNaiveSeconds[idx] * ratio * ratio * ratio;
-    case EncryptPath::kFixedBase:
-      return kEncryptFixedBaseSeconds[idx] * ratio * ratio * ratio;
-    case EncryptPath::kCrt:
-      return kEncryptCrtSeconds[idx] * ratio * ratio * ratio;
-    case EncryptPath::kPooled:
-      return kEncryptPooledSeconds[idx] * ratio * ratio;
-  }
-  return kEncryptNaiveSeconds[idx] * ratio * ratio * ratio;
 }
 
 void CostModel::SeedPrior(const CostFeatures& f, double expected_seconds) {

@@ -39,17 +39,6 @@ struct CostFeatures {
   static CostFeatures FromHeader(const QueryWireHeader& h);
 };
 
-/// Which implementation a Paillier encryption (or rerandomization) takes;
-/// the per-ciphertext cost differs by orders of magnitude between them.
-/// See BM_Encrypt_* in bench_micro.cc and EXPERIMENTS.md for the measured
-/// curves behind AnalyticEncryptSeconds.
-enum class EncryptPath {
-  kNaive,      ///< fresh square-and-multiply blinding (seed behaviour)
-  kFixedBase,  ///< shared Lim-Lee comb over the cached blinding base
-  kCrt,        ///< key holder: t mod (p-1), (q-1) on half-width tables + CRT
-  kPooled,     ///< blinding factor popped from the offline pool
-};
-
 /// Analytic + EWMA-corrected execute-time predictor.
 class CostModel {
  public:
@@ -63,16 +52,6 @@ class CostModel {
   /// Analytic prior alone (no EWMA correction). Exposed for tests and for
   /// the benchmark's model-error report.
   static double AnalyticSeconds(const CostFeatures& f);
-
-  /// Measured per-ciphertext cost of one Paillier encryption at `level`
-  /// (1 or 2) over a `key_bits` modulus via `path`. Constants come from
-  /// the BM_Encrypt_* microbenches; exponentiation paths scale
-  /// cubically in the modulus size (linear exponent width x quadratic
-  /// multiply), the pooled path quadratically (two modular multiplies).
-  /// Used to budget coordinator-side request building (ppgnn_cli --serve
-  /// reports it) and to seed EWMA priors before the first observation.
-  static double AnalyticEncryptSeconds(int key_bits, int level,
-                                       EncryptPath path);
 
   /// Pre-seeds the EWMA bucket matching `f` as if `expected_seconds` had
   /// been observed once, without counting it in observations(). Later

@@ -26,9 +26,8 @@ namespace ppgnn {
 /// encrypts under its own key-holder Encryptor(keys), whose blinding
 /// tables are built for that request and die with it. `encryptor`, when
 /// non-null, must wrap keys.pub and is used instead — pass a long-lived
-/// pooled instance (kept warm by a BlindingRefiller) so request building
-/// pays the pooled online cost instead of a fresh blinding
-/// exponentiation per ciphertext.
+/// Encryptor(keys) so its blinding tables are built once and reused by
+/// every request under the same keys.
 [[nodiscard]] Result<ServiceRequest> BuildServiceRequest(
     Variant variant, const ProtocolParams& params,
     const std::vector<Point>& real_locations, const KeyPair& keys, Rng& rng,

@@ -117,33 +117,6 @@ TEST(CostModelTest, BucketRatioShadowsGlobal) {
       0.1);
 }
 
-TEST(CostModelTest, EncryptCostOrdersPathsAndScalesWithKey) {
-  // Measured hierarchy at any key size: pooled << crt <= fixed-base <<
-  // naive; level 2 costs more than level 1 on every path.
-  for (int bits : {512, 1024, 2048}) {
-    for (int level : {1, 2}) {
-      const double naive =
-          CostModel::AnalyticEncryptSeconds(bits, level, EncryptPath::kNaive);
-      const double fixed = CostModel::AnalyticEncryptSeconds(
-          bits, level, EncryptPath::kFixedBase);
-      const double crt =
-          CostModel::AnalyticEncryptSeconds(bits, level, EncryptPath::kCrt);
-      const double pooled =
-          CostModel::AnalyticEncryptSeconds(bits, level, EncryptPath::kPooled);
-      EXPECT_GT(naive, 2.0 * fixed) << bits << "/" << level;
-      EXPECT_LE(crt, fixed * 1.01) << bits << "/" << level;
-      EXPECT_LT(pooled, 0.1 * crt) << bits << "/" << level;
-      EXPECT_LT(
-          CostModel::AnalyticEncryptSeconds(bits, 1, EncryptPath::kFixedBase),
-          CostModel::AnalyticEncryptSeconds(bits, 2, EncryptPath::kFixedBase));
-    }
-    // Exponentiation paths scale cubically: 2x the key must cost > 4x.
-    EXPECT_GT(
-        CostModel::AnalyticEncryptSeconds(2 * bits, 1, EncryptPath::kNaive),
-        4.0 * CostModel::AnalyticEncryptSeconds(bits, 1, EncryptPath::kNaive));
-  }
-}
-
 TEST(CostModelTest, SeedPriorShapesPredictionUntilRealData) {
   CostModel model;
   const CostFeatures f = Features(64, 1024);

@@ -112,6 +112,28 @@ TEST(FixedBaseTest, SharedRegistryReusesEnginesAndWidens) {
   EXPECT_GT(stats.table_bytes, 0u);
 }
 
+TEST(FixedBaseTest, SharedRegistryKeepsEnginesOnlyWhileHeld) {
+  // The registry finds live engines but does not own them: once the last
+  // holder lets go, the tables are freed and the next request rebuilds.
+  Rng rng(9);
+  BigInt mod = OddModulus(320, rng);
+  BigInt base = BigInt::RandomBelow(mod, rng) + BigInt(2);
+  const FixedBaseRegistryStats before = SharedFixedBaseRegistryStats();
+  const uint64_t created_before = FixedBaseEngine::created_count();
+  auto held = SharedFixedBaseEngine(base, mod, 256);
+  ASSERT_NE(held, nullptr);
+  const FixedBaseRegistryStats during = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(during.engines, before.engines + 1);
+  EXPECT_EQ(during.table_bytes, before.table_bytes + held->table_bytes());
+  held.reset();
+  const FixedBaseRegistryStats after = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(after.engines, before.engines);
+  EXPECT_EQ(after.table_bytes, before.table_bytes);
+  auto again = SharedFixedBaseEngine(base, mod, 256);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(FixedBaseEngine::created_count(), created_before + 2);
+}
+
 TEST(FixedBaseTest, TableConstructionIsDeterministic) {
   // The tables are a pure function of (base, modulus, window): two
   // engines built independently agree on every evaluation — no ambient

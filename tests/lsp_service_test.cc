@@ -20,7 +20,6 @@
 #include "core/protocol.h"
 #include "core/wire.h"
 #include "crypto/poi_codec.h"
-#include "service/blinding_refiller.h"
 #include "service/lsp_service.h"
 #include "service/workload.h"
 #include "spatial/dataset.h"
@@ -847,27 +846,20 @@ TEST_F(ServiceTest, WireIdempotencyKeyPropagatesFromQueryTrailer) {
   EXPECT_EQ(stats.dedup_replays, 1u);
 }
 
-TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
+TEST_F(ServiceTest, KeyHolderEncryptorSharedAcrossClients) {
   // The Encryptor thread-safety contract under real contention (TSan
-  // tier): one pooled Encryptor shared by concurrent client threads
-  // building requests against the service worker pool, while a
-  // BlindingRefiller thread refills the same pools and the clients
+  // tier): one key-holder Encryptor shared by concurrent client threads
+  // building requests against the service worker pool, so the first
+  // requests race to build its blinding tables, while the clients
   // snapshot the service's Stats() mid-flight. The blinding counters are
   // read once every thread has stopped.
-  auto pooled = std::make_shared<const Encryptor>(*keys_);
+  const Encryptor shared(*keys_);
 
   ServiceConfig config;
   config.workers = 3;
   config.queue_capacity = 16;
   config.sanitize = false;
   LspService service(*db_, config);
-
-  BlindingRefillerOptions refill;
-  refill.levels = {1};
-  refill.low_watermark = 8;
-  refill.target = 32;
-  refill.poll_interval_seconds = 0.0005;
-  BlindingRefiller refiller(pooled, refill);
 
   constexpr int kClients = 6;
   constexpr int kRequestsPerClient = 4;
@@ -886,7 +878,7 @@ TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
         }
         ServiceRequest request =
             BuildServiceRequest(Variant::kPpgnn, params, group, *keys_, rng,
-                                {}, pooled.get())
+                                {}, &shared)
                 .value();
         std::vector<uint8_t> frame = service.Call(std::move(request));
         auto reply = ParseServedReply(frame, *keys_, dec, /*layered=*/false);
@@ -897,53 +889,25 @@ TEST_F(ServiceTest, PooledEncryptorSharedAcrossClientsAndRefiller) {
         } else {
           errors.fetch_add(1);
         }
-        // Snapshot stats concurrently with the refiller and the other
-        // clients — the read side of the contract.
+        // Snapshot stats concurrently with the other clients — the read
+        // side of the contract.
         (void)service.Stats();
       }
     });
   }
   for (std::thread& t : clients) t.join();
-  refiller.Stop();
   service.Shutdown();
 
   EXPECT_EQ(transport_garbage.load(), 0);
   EXPECT_EQ(answers.load(), kClients * kRequestsPerClient);
   EXPECT_EQ(errors.load(), 0);
 
-  const Encryptor::BlindingStats blinding = pooled->blinding_stats();
-  // Every ciphertext either hit the pool or blinded online; nothing fell
-  // back to the generic ladder (the fixed-base engine covers all paths).
-  EXPECT_GT(blinding.pool_hits + blinding.pool_misses, 0u);
+  const Encryptor::BlindingStats blinding = shared.blinding_stats();
+  // Every ciphertext blinded on the key holder's tables; nothing fell
+  // back to the generic ladder.
+  EXPECT_GT(blinding.pool_misses, 0u);
   EXPECT_EQ(blinding.generic_evals, 0u);
-  EXPECT_GT(refiller.stats().passes, 0u);
-}
-
-// Regression (pre-fix failing): two refillers racing TopUpOnce against
-// the same drained pool each saw "below watermark, need target - size"
-// before either appended, so the pool landed at up to 2x target. The
-// refill quota is now claimed under the pool lock, so concurrent passes
-// split the deficit instead of duplicating it.
-TEST_F(ServiceTest, RacingRefillersNeverOverfillPastTarget) {
-  auto pooled = std::make_shared<const Encryptor>(*keys_);
-  BlindingRefillerOptions options;
-  options.levels = {1};
-  options.low_watermark = 16;
-  options.target = 16;
-  options.start_thread = false;  // driven manually from racing threads
-  BlindingRefiller a(pooled, options);
-  options.seed = 0xfeedbee5;
-  BlindingRefiller b(pooled, options);
-
-  for (int round = 0; round < 3; ++round) {
-    std::thread ta([&] { EXPECT_TRUE(a.TopUpOnce().ok()); });
-    std::thread tb([&] { EXPECT_TRUE(b.TopUpOnce().ok()); });
-    ta.join();
-    tb.join();
-    EXPECT_EQ(pooled->PooledBlindingCount(1), options.target);
-  }
-  // Both refillers together produced exactly one deficit's worth.
-  EXPECT_EQ(a.stats().refilled + b.stats().refilled, options.target);
+  EXPECT_EQ(blinding.fixed_base_evals, blinding.pool_misses);
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -287,97 +285,19 @@ TEST_F(PaillierTest, CrtAndDirectDecryptionAgree) {
   }
 }
 
-TEST_F(PaillierTest, BlindingPoolPreservesCorrectnessAndDrains) {
-  Encryptor enc(keys_->pub);
-  Decryptor dec(keys_->pub, keys_->sec);
-  ASSERT_TRUE(enc.RefillBlindingPool(1, 3, *rng_).ok());
-  EXPECT_EQ(enc.PooledBlindingCount(1), 3u);
-  for (int i = 0; i < 5; ++i) {  // 3 pooled + 2 fresh
-    Ciphertext ct = enc.Encrypt(BigInt(1000 + i), *rng_, 1).value();
-    EXPECT_EQ(dec.Decrypt(ct).value(), BigInt(1000 + i));
-  }
-  EXPECT_EQ(enc.PooledBlindingCount(1), 0u);
-}
-
-// Regression (pre-fix failing): racing refillers each compared the pool
-// size against the target *before* exponentiating, so N concurrent top-ups
-// to the same target could overshoot it N-fold. The quota is now claimed
-// under the pool lock before any exponentiation runs.
-TEST_F(PaillierTest, TargetedRefillNeverOverfillsThePool) {
-  Encryptor enc(keys_->pub);
-  constexpr size_t kTarget = 8;
-  // Serial: a second targeted refill on a full pool is a no-op.
-  size_t produced = 0;
-  ASSERT_TRUE(
-      enc.RefillBlindingPool(1, kTarget, *rng_, kTarget, &produced).ok());
-  EXPECT_EQ(produced, kTarget);
-  ASSERT_TRUE(
-      enc.RefillBlindingPool(1, kTarget, *rng_, kTarget, &produced).ok());
-  EXPECT_EQ(produced, 0u);
-  EXPECT_EQ(enc.PooledBlindingCount(1), kTarget);
-
-  // Concurrent: racing refillers split the remaining quota, never sum it.
-  Encryptor racy(keys_->pub);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::array<Status, kThreads> status;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(9000 + static_cast<uint64_t>(t));
-      status[t] = racy.RefillBlindingPool(1, kTarget, rng, kTarget);
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (const Status& s : status) EXPECT_TRUE(s.ok());
-  EXPECT_EQ(racy.PooledBlindingCount(1), kTarget);
-}
-
-TEST_F(PaillierTest, UntargetedRefillKeepsUnconditionalSemantics) {
-  // target = 0 is the per-query warmup path (RunQuery): the caller asked
-  // for exactly `count` factors and must get them even onto a full pool.
-  Encryptor enc(keys_->pub);
-  ASSERT_TRUE(enc.RefillBlindingPool(1, 3, *rng_).ok());
-  ASSERT_TRUE(enc.RefillBlindingPool(1, 3, *rng_).ok());
-  EXPECT_EQ(enc.PooledBlindingCount(1), 6u);
-}
-
-TEST_F(PaillierTest, PooledCiphertextsStillProbabilistic) {
-  Encryptor enc(keys_->pub);
-  ASSERT_TRUE(enc.RefillBlindingPool(1, 2, *rng_).ok());
-  Ciphertext a = enc.Encrypt(BigInt(5), *rng_, 1).value();
-  Ciphertext b = enc.Encrypt(BigInt(5), *rng_, 1).value();
-  EXPECT_NE(a.value, b.value);
-}
-
-TEST_F(PaillierTest, BlindingPoolLevelsAreIndependent) {
-  Encryptor enc(keys_->pub);
-  ASSERT_TRUE(enc.RefillBlindingPool(2, 2, *rng_).ok());
-  EXPECT_EQ(enc.PooledBlindingCount(1), 0u);
-  EXPECT_EQ(enc.PooledBlindingCount(2), 2u);
-  Decryptor dec(keys_->pub, keys_->sec);
-  Ciphertext ct = enc.Encrypt(BigInt(77), *rng_, 2).value();
-  EXPECT_EQ(dec.Decrypt(ct).value(), BigInt(77));
-  EXPECT_EQ(enc.PooledBlindingCount(2), 1u);
-  EXPECT_FALSE(enc.RefillBlindingPool(0, 1, *rng_).ok());
-}
-
 TEST_F(PaillierTest, BlindingPathsAreBitIdenticalOnSameRngStream) {
   // The chaos/dedup/replay machinery depends on deterministic frames, so
   // every blinding configuration must produce byte-identical ciphertexts
-  // from the same RNG stream: generic ladder, fixed-base tables (several
-  // widths), and the secret-key CRT split, with and without CRT tables.
+  // from the same RNG stream: public key on the generic ladder and on the
+  // shared fixed-base table, key holder on its CRT tables and on the
+  // ladder.
   EncryptorOptions naive;
   naive.use_fixed_base = false;
-  naive.use_crt = false;
   // Encryptor is non-movable (it owns mutexes and atomics), so hold the
   // configurations through unique_ptr.
   std::vector<std::pair<const char*, std::unique_ptr<Encryptor>>> configs;
   configs.emplace_back("naive", std::make_unique<Encryptor>(keys_->pub, naive));
   configs.emplace_back("fixed-base", std::make_unique<Encryptor>(keys_->pub));
-  EncryptorOptions narrow;
-  narrow.fixed_base_window = 2;
-  configs.emplace_back("fixed-base-w2",
-                       std::make_unique<Encryptor>(keys_->pub, narrow));
   configs.emplace_back("crt", std::make_unique<Encryptor>(*keys_));
   EncryptorOptions crt_ladder;
   crt_ladder.use_fixed_base = false;
@@ -399,43 +319,12 @@ TEST_F(PaillierTest, BlindingPathsAreBitIdenticalOnSameRngStream) {
   }
 }
 
-TEST_F(PaillierTest, PoolExhaustionFallsBackEquivalently) {
-  // A pool-warmed Encryptor whose pool has drained must consume the RNG
-  // exactly like a never-pooled one: pooled Encrypts draw nothing, so
-  // post-exhaustion ciphertexts are byte-identical across the two.
-  Encryptor pooled(keys_->pub);
-  Encryptor fresh(keys_->pub);
-  Rng pool_rng(41);
-  ASSERT_TRUE(pooled.RefillBlindingPool(1, 2, pool_rng).ok());
-  Rng rng_a(42);
-  Rng rng_b(42);
-  // Drain the pool (no randomness consumed from rng_a)...
-  ASSERT_TRUE(pooled.Encrypt(BigInt(1), rng_a, 1).ok());
-  ASSERT_TRUE(pooled.Encrypt(BigInt(2), rng_a, 1).ok());
-  EXPECT_EQ(pooled.PooledBlindingCount(1), 0u);
-  // ...then the exhausted and never-pooled paths must coincide.
-  for (int i = 0; i < 3; ++i) {
-    Ciphertext a = pooled.Encrypt(BigInt(100 + i), rng_a, 1).value();
-    Ciphertext b = fresh.Encrypt(BigInt(100 + i), rng_b, 1).value();
-    EXPECT_EQ(a.value, b.value) << "post-exhaustion encrypt " << i;
-  }
-  // And the exhausted path ran on the fixed-base engine, not the ladder.
-  Encryptor::BlindingStats stats = pooled.blinding_stats();
-  EXPECT_EQ(stats.pool_hits, 2u);
-  EXPECT_EQ(stats.pool_misses, 3u);
-  EXPECT_EQ(stats.refilled, 2u);
-  EXPECT_GE(stats.fixed_base_evals, 3u);
-  EXPECT_EQ(stats.generic_evals, 0u);
-  EXPECT_GT(stats.table_bytes, 0u);
-}
-
-TEST_F(PaillierTest, CrtEncryptorDecryptsAndPools) {
-  // The secret-key (CRT) encrypt path must interoperate with everything
-  // else: decryption, the pool, and level 2.
+TEST_F(PaillierTest, KeyHolderEncryptorRoundTrips) {
+  // The key holder's (CRT) encrypt path must interoperate with
+  // decryption at both levels.
   Encryptor enc(*keys_);
   Decryptor dec(keys_->pub, keys_->sec);
   Rng rng(77);
-  ASSERT_TRUE(enc.RefillBlindingPool(2, 2, rng).ok());
   for (int level : {1, 2}) {
     for (int i = 0; i < 4; ++i) {
       BigInt m = BigInt::RandomBelow(keys_->pub.NPow(level), rng);
@@ -443,7 +332,6 @@ TEST_F(PaillierTest, CrtEncryptorDecryptsAndPools) {
       EXPECT_EQ(dec.Decrypt(ct).value(), m) << "level " << level;
     }
   }
-  EXPECT_EQ(enc.PooledBlindingCount(2), 0u);
 }
 
 TEST_F(PaillierTest, KeyHolderOwnsTwoHalfWidthTablesPerLevel) {
@@ -464,7 +352,6 @@ TEST_F(PaillierTest, KeyHolderOwnsTwoHalfWidthTablesPerLevel) {
   const FixedBaseRegistryStats registry_after = SharedFixedBaseRegistryStats();
   EXPECT_EQ(registry_after.hits, registry_before.hits);
   EXPECT_EQ(registry_after.misses, registry_before.misses);
-  EXPECT_EQ(registry_after.evictions, registry_before.evictions);
   EXPECT_EQ(registry_after.engines, registry_before.engines);
   EXPECT_EQ(registry_after.table_bytes, registry_before.table_bytes);
 
@@ -484,6 +371,30 @@ TEST_F(PaillierTest, KeyHolderOwnsTwoHalfWidthTablesPerLevel) {
   EXPECT_EQ(stats.table_bytes, expected_bytes);
   EXPECT_EQ(stats.fixed_base_evals, 4u);
   EXPECT_EQ(stats.generic_evals, 0u);
+}
+
+TEST(PaillierRegistryTest, PublicKeyEncryptorHoldsSharedTablesOnlyWhileAlive) {
+  // A public-key Encryptor's full-width tables live in the shared
+  // registry only as long as some Encryptor holds them. A key of its own
+  // keeps any other test's table out of the lookup.
+  Rng rng(4242);
+  const KeyPair keys = GenerateKeyPair(kTestKeyBits, rng).value();
+  const FixedBaseRegistryStats before = SharedFixedBaseRegistryStats();
+  size_t held_bytes = 0;
+  {
+    Encryptor enc(keys.pub);
+    for (int level : {1, 2}) {
+      ASSERT_TRUE(enc.Encrypt(BigInt(1), rng, level).ok());
+    }
+    const FixedBaseRegistryStats held = SharedFixedBaseRegistryStats();
+    EXPECT_EQ(held.engines, before.engines + 2);
+    held_bytes = enc.blinding_stats().table_bytes;
+    EXPECT_GT(held_bytes, 0u);
+    EXPECT_EQ(held.table_bytes, before.table_bytes + held_bytes);
+  }
+  const FixedBaseRegistryStats after = SharedFixedBaseRegistryStats();
+  EXPECT_EQ(after.engines, before.engines);
+  EXPECT_EQ(after.table_bytes, before.table_bytes);
 }
 
 TEST(PaillierSoakTest, ManyRandomRoundTrips) {

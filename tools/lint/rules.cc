@@ -414,11 +414,11 @@ void CheckDeterminism(const FileContext& ctx, std::vector<Finding>* out) {
   if (StartsWith(path, "src/common/random")) return;
   // service/ owns wall-clock deadlines and backoff timing by design —
   // but that exemption does not extend to service code touching the
-  // fixed-base machinery: the comb tables are derived from key material
-  // and the blinding pools must replay bit-identically from seeded Rngs,
-  // so neither may consume ambient entropy. A service file that includes
-  // bigint/fixedbase.h or names a FixedBase entity is scanned like any
-  // other crypto-adjacent file.
+  // fixed-base machinery: the comb tables are a pure function of key
+  // material and must replay bit-identically, so they may not consume
+  // ambient entropy. A service file that includes bigint/fixedbase.h or
+  // names a FixedBase entity is scanned like any other crypto-adjacent
+  // file.
   if (StartsWith(path, "src/service/")) {
     bool touches_fixed_base = false;
     for (const Token& t : ctx.tokens) {
@@ -512,8 +512,7 @@ std::string LayerOf(const std::string& rel) {
 const std::map<std::string, int>& ServiceRanks() {
   static const std::map<std::string, int> kRanks = {
       {"health", 0},           {"admission", 0},   {"cost_model", 0},
-      {"reply_cache", 0},      {"blinding_refiller", 0},
-      {"lsp_service", 1},      {"resilient_client", 2},
+      {"reply_cache", 0},      {"lsp_service", 1}, {"resilient_client", 2},
       {"replica_set", 3},      {"shard_coordinator", 4},
   };
   return kRanks;
@@ -852,8 +851,7 @@ std::vector<TaggedBody> FindTaggedBodies(
 }
 
 /// Calls of these names must never run inside a held-lock scope: the
-/// exponentiation/encryption family the PR 6 pool contract exists to keep
-/// out of critical sections, plus sleeps, plus the blocking socket
+/// exponentiation/encryption family, plus sleeps, plus the blocking socket
 /// syscalls (a peer that stalls mid-read would park every thread queued
 /// on the lock — the TCP transport does all socket I/O outside its
 /// pool/backoff mutex, and this rule keeps it that way). `Exp` only
@@ -1145,9 +1143,8 @@ LockAnalysis AnalyzeLockDiscipline(const FileContext& ctx) {
             "blocking call `" + t.text + "` inside a held-lock scope "
                 "(holding " + joined(held) + ")",
             "claim work under the lock, run the expensive part outside it, "
-            "and land results in a second critical section (the Encryptor "
-            "pool contract), or add `// ppgnn-lint: "
-            "allow(blocking-under-lock): <why>`"});
+            "and land results in a second critical section, or add "
+            "`// ppgnn-lint: allow(blocking-under-lock): <why>`"});
         continue;
       }
       if (StreamSinkIdents().count(t.text) > 0) {

@@ -23,13 +23,14 @@
 //             [plus the options above]
 //   Stands up the concurrent LspService front-end and drives it with
 //   `--clients` closed-loop client threads issuing `--requests` queries
-//   each, then prints throughput, the latency histogram summary, the
-//   service counters and the clients' blinding/fixed-base counters. After
-//   the timed run every decrypted answer is checked against the
-//   plaintext reference; the exit code is nonzero on a client error or on
-//   more wrong answers than the cluster reported degraded merges (a
-//   shard with no live replica makes a merge inexact by design). Answers
-//   to requests with dropped-out users have no reference and are skipped.
+//   each, then prints throughput, the latency histogram summary and the
+//   service counters. Each request encrypts under its own key-holder
+//   Encryptor. After the timed run every decrypted answer is checked
+//   against the plaintext reference; the exit code is nonzero on a
+//   client error or on more wrong answers than the cluster reported
+//   degraded merges (a shard with no live replica makes a merge inexact
+//   by design). Answers to requests with dropped-out users have no
+//   reference and are skipped.
 //
 //   --shards N           partition the POI space into N shards behind a
 //                        scatter-gather coordinator (ShardedLspService).
@@ -46,20 +47,6 @@
 //                        degraded merges only happen when a whole set
 //                        is down. 1 = the unreplicated PR 7 layout.
 //                        Applies to the --shards cluster (any N > 1).
-//
-//   --blinding-pool N    share one pooled Encryptor across the client
-//                        threads and keep N blinding factors per
-//                        ciphertext level warm from a background
-//                        BlindingRefiller thread, so request building
-//                        pays the pooled online encryption cost instead
-//                        of a fresh blinding exponentiation per
-//                        ciphertext (DESIGN.md section 12). 0 = each
-//                        request builds its own key-holder Encryptor.
-//                        The final `client:` line reports the pooled
-//                        Encryptor's blinding counters and, under
-//                        fixedbase[bytes=...], the bytes of its own two
-//                        half-width tables per ciphertext level; both
-//                        read 0 without a pool.
 //
 // Overload-resilience knobs (serve mode):
 //   --target-p99-ms X    AIMD concurrency limiter's execute-stage p99
@@ -144,7 +131,6 @@ struct CliOptions {
   int requests_per_client = 8;
   size_t queue_capacity = 64;
   double deadline_seconds = 0.0;
-  int blinding_pool = 0;
   // TCP transport.
   int listen_port = -1;  ///< < 0 = not listening; 0 = ephemeral
   int shard_index = 0;
@@ -172,7 +158,6 @@ void PrintUsageAndExit(const char* argv0) {
                "          [--serve] [--shards N] [--replicas R]\n"
                "          [--workers N] [--clients N]\n"
                "          [--requests N] [--queue N] [--deadline SECONDS]\n"
-               "          [--blinding-pool N]\n"
                "          [--fail POINT=POLICY]... [--retry-budget-ms X]\n"
                "          [--target-p99-ms X] [--max-concurrency N]\n"
                "          [--no-cost-admission]\n"
@@ -262,8 +247,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       opts.queue_capacity = static_cast<size_t>(std::atoll(next()));
     } else if (flag == "--deadline") {
       opts.deadline_seconds = std::atof(next());
-    } else if (flag == "--blinding-pool") {
-      opts.blinding_pool = std::atoi(next());
     } else if (flag == "--listen") {
       opts.listen_port = std::atoi(next());
       if (opts.listen_port < 0 || opts.listen_port > 65535)
@@ -390,34 +373,8 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   config.max_concurrency = opts.max_concurrency;
   config.cost_admission = !opts.no_cost_admission;
 
-  // Offline/online split: one pooled Encryptor shared by every client
-  // thread, kept warm by a background refiller. The clients hold the
-  // secret key, so the refiller's exponentiations take the key-holder
-  // path: reduced exponents on half-width tables, recombined by CRT.
   const bool layered = variant == Variant::kPpgnnOpt;
-  std::shared_ptr<const Encryptor> pooled_enc;
-  std::unique_ptr<BlindingRefiller> refiller;
-  if (opts.blinding_pool > 0) {
-    pooled_enc = std::make_shared<const Encryptor>(keys);
-    BlindingRefillerOptions refill;
-    refill.levels = layered ? std::vector<int>{1, 2} : std::vector<int>{1};
-    refill.target = static_cast<size_t>(opts.blinding_pool);
-    refill.low_watermark = std::max<size_t>(refill.target / 2, 1);
-    refill.seed = opts.seed ^ 0xb11dull;
-    refiller = std::make_unique<BlindingRefiller>(pooled_enc, refill);
-    std::printf(
-        "Blinding pool: target %d per level; expected online cost "
-        "%.1f us/ct pooled vs %.2f ms key-holder CRT vs %.2f ms naive "
-        "(%d-bit keys, level 1)\n",
-        opts.blinding_pool,
-        1e6 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
-                                                EncryptPath::kPooled),
-        1e3 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
-                                                EncryptPath::kCrt),
-        1e3 * CostModel::AnalyticEncryptSeconds(opts.params.key_bits, 1,
-                                                EncryptPath::kNaive),
-        opts.params.key_bits);
-  }
+
   // --shards N > 1 swaps the single-node service for a scatter-gather
   // cluster; the client loop only ever talks to the front-end, which has
   // the same Submit/Call surface either way.
@@ -532,8 +489,8 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
         }
         RequestWireOptions wire;
         wire.deadline_ms = opts.wire_deadline_ms;
-        auto request = BuildServiceRequest(variant, opts.params, group, keys,
-                                           rng, wire, pooled_enc.get());
+        auto request =
+            BuildServiceRequest(variant, opts.params, group, keys, rng, wire);
         if (!request.ok()) {
           std::fprintf(stderr, "client %d: %s\n", c,
                        request.status().ToString().c_str());
@@ -588,28 +545,6 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   if (use_resilient) {
     std::printf("%s\n", resilient.Stats().ToString().c_str());
   }
-  if (refiller != nullptr) {
-    refiller->Stop();
-    const BlindingRefiller::Stats refill = refiller->stats();
-    std::printf("refiller: passes=%llu refilled=%llu errors=%llu\n",
-                static_cast<unsigned long long>(refill.passes),
-                static_cast<unsigned long long>(refill.refilled),
-                static_cast<unsigned long long>(refill.errors));
-  }
-  // Client-side crypto: the pooled encryptor's blinding pipeline and its
-  // own half-width fixed-base tables (all zero without --blinding-pool:
-  // each request's key-holder Encryptor then builds and drops its own).
-  const Encryptor::BlindingStats blinding =
-      pooled_enc != nullptr ? pooled_enc->blinding_stats()
-                            : Encryptor::BlindingStats{};
-  std::printf(
-      "client: blinding[hit=%llu miss=%llu refilled=%llu pooled=%llu] "
-      "fixedbase[bytes=%llu]\n",
-      static_cast<unsigned long long>(blinding.pool_hits),
-      static_cast<unsigned long long>(blinding.pool_misses),
-      static_cast<unsigned long long>(blinding.refilled),
-      static_cast<unsigned long long>(blinding.pooled),
-      static_cast<unsigned long long>(blinding.table_bytes));
   FailpointClearAll();
 
   uint64_t checked = 0;
@@ -702,7 +637,6 @@ int main(int argc, char** argv) {
   }
   opts.params.n = static_cast<int>(group.size());
   opts.params.sanitize = !opts.no_sanitize;
-  opts.params.blinding_pool = opts.blinding_pool;
 
   // --- enums ---
   auto aggregate = AggregateKindFromString(opts.aggregate);
