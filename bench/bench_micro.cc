@@ -6,12 +6,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "bench_util.h"
+#include "bigint/montgomery_kernel.h"
 #include "ppgnn.h"
 
 namespace ppgnn {
@@ -68,6 +70,35 @@ void BM_ModExpLadderNoMontgomery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModExpLadderNoMontgomery)->Arg(512)->Arg(1024)->Arg(2048);
+
+// One Montgomery product at the protocol's limb counts, from 512-bit
+// moduli (8 limbs: N and p^2 at 512-bit keys) up to N^3 at 1024-bit keys
+// (48), on the portable row and on the row the CPU dispatch picked.
+void BM_MontMul(benchmark::State& state, internal::MontRow row) {
+  Rng rng(7);
+  const size_t limbs = static_cast<size_t>(state.range(0));
+  const int bits = static_cast<int>(64 * limbs);
+  BigInt mod = BigInt::Random(bits - 1, rng) + (BigInt(1) << (bits - 1));
+  if (!mod.IsOdd()) mod = mod + BigInt(1);
+  std::vector<uint64_t> n = mod.Limbs();
+  std::vector<uint64_t> a = BigInt::RandomBelow(mod, rng).Limbs();
+  std::vector<uint64_t> b = BigInt::RandomBelow(mod, rng).Limbs();
+  a.resize(limbs, 0);
+  b.resize(limbs, 0);
+  const uint64_t n_prime = internal::NegInverseLimb(n[0]);
+  std::vector<uint64_t> acc(2 * limbs + 1), prod(limbs);
+  for (auto _ : state) {
+    std::fill(acc.begin(), acc.end(), 0);
+    internal::MontMulLimbs(row, a.data(), b.data(), n.data(), n_prime, limbs,
+                           acc.data(), prod.data());
+    benchmark::DoNotOptimize(prod.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_MontMul, portable, &internal::MontRowPortable)
+    ->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
+BENCHMARK_CAPTURE(BM_MontMul, dispatched, internal::DispatchedMontRow())
+    ->Arg(8)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
 void BM_GeneratePrime(benchmark::State& state) {
   Rng rng(4);

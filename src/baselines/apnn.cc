@@ -1,6 +1,7 @@
 #include "baselines/apnn.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bytes.h"
 #include "core/indicator.h"
@@ -66,7 +67,12 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
   info.delta_prime = cells;
 
   // --- user: keys, cloak region, encrypted indicator ---
+  // The user generates and keeps the key pair, and so encrypts as a key
+  // holder; the LSP evaluates on its own public-key Encryptor below. Both
+  // contexts' set-up is user work, timed with the keys.
   KeyPair keys;
+  std::optional<Encryptor> enc;
+  std::optional<Decryptor> dec;
   {
     ScopedTimer timer(&tracker, Party::kUser);
     if (fixed_keys != nullptr) {
@@ -74,11 +80,9 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
     } else {
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
+    enc.emplace(keys);
+    dec.emplace(keys.pub, keys.sec);
   }
-  // The user generates and keeps the key pair, and so encrypts as a key
-  // holder; the LSP evaluates on its own public-key Encryptor below.
-  Encryptor enc(keys);
-  Decryptor dec(keys.pub, keys.sec);
   PoiCodec codec(params.key_bits);
   const size_t m = codec.IntsNeeded(static_cast<size_t>(params.k));
   info.answer_width_m = m;
@@ -101,7 +105,7 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
     index_in_cloak = (user_row - row0) * b + (user_col - col0);
     PPGNN_ASSIGN_OR_RETURN(
         indicator,
-        EncryptIndicator(enc, static_cast<uint64_t>(index_in_cloak) + 1, cells,
+        EncryptIndicator(*enc, static_cast<uint64_t>(index_in_cloak) + 1, cells,
                          rng));
   }
 
@@ -162,7 +166,7 @@ Result<QueryOutcome> ApnnServer::Query(const Point& user,
     std::vector<BigInt> plain;
     plain.reserve(selected.size());
     for (const Ciphertext& ct : selected) {
-      PPGNN_ASSIGN_OR_RETURN(BigInt value, dec.Decrypt(ct));
+      PPGNN_ASSIGN_OR_RETURN(BigInt value, dec->Decrypt(ct));
       plain.push_back(std::move(value));
     }
     PPGNN_ASSIGN_OR_RETURN(pois, codec.Decode(plain));

@@ -1,5 +1,7 @@
 #include "baselines/glp.h"
 
+#include <optional>
+
 #include "common/bytes.h"
 #include "crypto/poi_codec.h"
 #include "spatial/knn.h"
@@ -15,7 +17,12 @@ Result<GlpOutcome> RunGlp(const LspDatabase& lsp, const GlpParams& params,
   CostTracker tracker;
 
   // --- group key setup (charged to the users) ---
+  // The public-key path on purpose: the opening below simulates a
+  // threshold decryption, so no single user holds p and q to blind as a
+  // key holder. Both contexts' set-up is user work, timed with the keys.
   KeyPair keys;
+  std::optional<Encryptor> enc;
+  std::optional<Decryptor> dec;
   {
     ScopedTimer timer(&tracker, Party::kUser);
     if (fixed_keys != nullptr) {
@@ -23,12 +30,9 @@ Result<GlpOutcome> RunGlp(const LspDatabase& lsp, const GlpParams& params,
     } else {
       PPGNN_ASSIGN_OR_RETURN(keys, GenerateKeyPair(params.key_bits, rng));
     }
+    enc.emplace(keys.pub);
+    dec.emplace(keys.pub, keys.sec);
   }
-  // The public-key path on purpose: the opening below simulates a
-  // threshold decryption, so no single user holds p and q to blind as a
-  // key holder.
-  Encryptor enc(keys.pub);
-  Decryptor dec(keys.pub, keys.sec);
 
   // --- every user encrypts her fixed-point coordinates and broadcasts
   //     the two ciphertexts to all other users (O(n^2) transmissions) ---
@@ -38,12 +42,12 @@ Result<GlpOutcome> RunGlp(const LspDatabase& lsp, const GlpParams& params,
     for (int u = 0; u < n; ++u) {
       PPGNN_ASSIGN_OR_RETURN(
           enc_x[u],
-          enc.Encrypt(BigInt(static_cast<uint64_t>(
+          enc->Encrypt(BigInt(static_cast<uint64_t>(
                           QuantizeCoord(real_locations[u].x))),
                       rng, 1));
       PPGNN_ASSIGN_OR_RETURN(
           enc_y[u],
-          enc.Encrypt(BigInt(static_cast<uint64_t>(
+          enc->Encrypt(BigInt(static_cast<uint64_t>(
                           QuantizeCoord(real_locations[u].y))),
                       rng, 1));
     }
@@ -63,24 +67,24 @@ Result<GlpOutcome> RunGlp(const LspDatabase& lsp, const GlpParams& params,
   {
     ScopedTimer timer(&tracker, Party::kUser);
     for (int aggregating_user = 0; aggregating_user < n; ++aggregating_user) {
-      Ciphertext acc_x = enc.Zero(1);
-      Ciphertext acc_y = enc.Zero(1);
+      Ciphertext acc_x = enc->Zero(1);
+      Ciphertext acc_y = enc->Zero(1);
       for (int u = 0; u < n; ++u) {
         Ciphertext share_x = enc_x[u];
         Ciphertext share_y = enc_y[u];
         if (u != aggregating_user) {
-          PPGNN_ASSIGN_OR_RETURN(share_x, enc.Rerandomize(share_x, rng));
-          PPGNN_ASSIGN_OR_RETURN(share_y, enc.Rerandomize(share_y, rng));
+          PPGNN_ASSIGN_OR_RETURN(share_x, enc->Rerandomize(share_x, rng));
+          PPGNN_ASSIGN_OR_RETURN(share_y, enc->Rerandomize(share_y, rng));
         }
-        PPGNN_ASSIGN_OR_RETURN(acc_x, enc.Add(acc_x, share_x));
-        PPGNN_ASSIGN_OR_RETURN(acc_y, enc.Add(acc_y, share_y));
+        PPGNN_ASSIGN_OR_RETURN(acc_x, enc->Add(acc_x, share_x));
+        PPGNN_ASSIGN_OR_RETURN(acc_y, enc->Add(acc_y, share_y));
       }
       if (aggregating_user == 0) {
         // The group jointly opens the aggregate (simulated by one
         // decryption; a threshold opening exchanges n more ciphertexts,
         // accounted below).
-        PPGNN_ASSIGN_OR_RETURN(sum_x, dec.Decrypt(acc_x));
-        PPGNN_ASSIGN_OR_RETURN(sum_y, dec.Decrypt(acc_y));
+        PPGNN_ASSIGN_OR_RETURN(sum_x, dec->Decrypt(acc_x));
+        PPGNN_ASSIGN_OR_RETURN(sum_y, dec->Decrypt(acc_y));
       }
     }
   }

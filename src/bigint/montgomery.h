@@ -2,11 +2,20 @@
 //
 // A MontgomeryContext fixes an ODD modulus n and provides multiplication
 // in the Montgomery domain: numbers are represented as a*R mod n with
-// R = 2^(64*L), and MontMul(x, y) computes x*y*R^{-1} mod n in a single
-// interleaved multiply-reduce pass — no division. This speeds up the
-// modular exponentiation underneath every Paillier operation by roughly
-// 2-4x over the multiply-then-Knuth-divide ladder (see bench_micro's
-// BM_ModExp vs BM_ModExpMontgomery).
+// R = 2^(64*L), and MontMul(x, y) computes x*y*R^{-1} mod n with no
+// division. This speeds up the modular exponentiation underneath every
+// Paillier operation by roughly 2-4x over the multiply-then-Knuth-divide
+// ladder (see bench_micro's BM_ModExp vs BM_ModExpLadderNoMontgomery).
+//
+// The kernel is one CIOS loop in offset form: per operand limb it runs
+// two rows (t += a_i * b, then t += m * n) at a rising limb offset, and
+// ends with a branch-free final subtraction. The row is picked once per
+// process from the CPU: an inline-asm mulx/adcx/adox row that keeps two
+// carry chains where the CPU has BMI2 and ADX (x86-64 only), the
+// compiled portable row everywhere else. No option selects it. Both rows
+// return the same limbs, so ciphertexts and counters do not depend on
+// the CPU. bigint/montgomery_kernel.h exposes the rows and the loop to
+// the kernel tests and bench_micro (BM_MontMul).
 //
 // ModExp (modular.h) routes odd moduli through this automatically; the
 // plain ladder remains for even moduli and as a differential-testing

@@ -199,6 +199,45 @@ TEST(SecretFlow, SecretToStreamTrips) {
   EXPECT_NE(findings[0].message.find("stream/log sink"), std::string::npos);
 }
 
+TEST(SecretFlow, MontgomeryBranchySubtractionTrips) {
+  // The final subtraction as it was: a branch on the product's top limb
+  // and on a comparison of the product with the modulus.
+  auto findings =
+      LintOne("src/bigint/fixture.cc",
+              "// ppgnn: secret(acc, prod)\n"
+              "void Reduce(const uint64_t* acc, uint64_t* prod, size_t L) {\n"
+              "  if (acc[2 * L] != 0 || GreaterEqual(prod, n_, L)) {\n"
+              "    SubInPlace(prod, n_, L);\n"
+              "  }\n"
+              "}\n");
+  ASSERT_EQ(CountRule(findings, "secret-flow"), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("`acc`"), std::string::npos);
+}
+
+TEST(SecretFlow, MontgomeryMaskedSelectClean) {
+  // The branch-free form: the loops count limbs, and the product only
+  // feeds arithmetic and a mask.
+  auto findings = LintOne(
+      "src/bigint/fixture.cc",
+      "// ppgnn: secret(acc, prod, unreduced, borrow, take_diff)\n"
+      "void Reduce(const uint64_t* acc, const uint64_t* n, uint64_t* prod,\n"
+      "            size_t L) {\n"
+      "  const uint64_t* unreduced = acc + L;\n"
+      "  uint64_t borrow = 0;\n"
+      "  for (size_t j = 0; j < L; ++j) {\n"
+      "    const u128 diff = static_cast<u128>(unreduced[j]) - n[j] - borrow;\n"
+      "    prod[j] = static_cast<uint64_t>(diff);\n"
+      "    borrow = static_cast<uint64_t>(diff >> 64) & 1;\n"
+      "  }\n"
+      "  const uint64_t take_diff = 0 - (acc[2 * L] | (borrow ^ 1));\n"
+      "  for (size_t j = 0; j < L; ++j) {\n"
+      "    prod[j] = (prod[j] & take_diff) | (unreduced[j] & ~take_diff);\n"
+      "  }\n"
+      "}\n");
+  EXPECT_EQ(findings.size(), 0u);
+}
+
 TEST(SecretFlow, ProseMentionDoesNotRegister) {
   // A doc comment *about* the tag syntax must not create secrets.
   auto findings =

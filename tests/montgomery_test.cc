@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bigint/modular.h"
+#include "bigint/montgomery_kernel.h"
 #include "bigint/prime.h"
 #include "common/random.h"
 
@@ -131,6 +135,137 @@ TEST(MontgomeryTest, WorksForPaillierShapedModuli) {
     EXPECT_EQ(ctx.ModExp(base, exp).value(), LadderModExp(base, exp, m));
   }
 }
+
+// ---- the kernel seam: both rows, the dispatcher and guard limbs ----
+
+enum class Row { kPortable, kAdx };
+
+// The row under test, or nullptr when this CPU cannot run it. Asks the
+// CPU directly rather than through the dispatcher it checks.
+internal::MontRow RunnableRow(Row row) {
+  if (row == Row::kPortable) return &internal::MontRowPortable;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx")) {
+    return &internal::MontRowAdx;
+  }
+#endif
+  return nullptr;
+}
+
+TEST(MontgomeryKernelTest, DispatcherPicksAdxRowWhereCpuHasBmi2AndAdx) {
+  // A broken selector would otherwise only show up as a slower run.
+  internal::MontRow adx = RunnableRow(Row::kAdx);
+  if (adx != nullptr) {
+    EXPECT_EQ(internal::DispatchedMontRow(), adx);
+  } else {
+    EXPECT_EQ(internal::DispatchedMontRow(), &internal::MontRowPortable);
+  }
+}
+
+// Limbs around every buffer the kernel writes. ASan does not see the
+// loads and stores inside inline asm, so the tests check these instead.
+constexpr uint64_t kGuard = 0xa5c3'5a3c'0ff0'f00fULL;
+constexpr size_t kGuardLimbs = 4;
+
+// `len` limbs at data() + kGuardLimbs, with guard limbs on both sides.
+class Guarded {
+ public:
+  explicit Guarded(size_t len) : buf_(len + 2 * kGuardLimbs, kGuard) {}
+  uint64_t* data() { return buf_.data() + kGuardLimbs; }
+  std::vector<uint64_t> limbs() const {
+    return std::vector<uint64_t>(buf_.begin() + kGuardLimbs,
+                                 buf_.end() - kGuardLimbs);
+  }
+  bool guards_intact() const {
+    for (size_t i = 0; i < kGuardLimbs; ++i) {
+      if (buf_[i] != kGuard || buf_[buf_.size() - 1 - i] != kGuard) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<uint64_t> buf_;
+};
+
+std::vector<uint64_t> RandomLimbs(size_t len, Rng& rng) {
+  std::vector<uint64_t> out(len);
+  for (uint64_t& limb : out) limb = rng.NextUint64();
+  return out;
+}
+
+class MontRowTest : public ::testing::TestWithParam<Row> {
+ protected:
+  void SetUp() override {
+    row_ = RunnableRow(GetParam());
+    if (row_ == nullptr) GTEST_SKIP() << "CPU lacks BMI2 or ADX; no ADX row";
+  }
+  internal::MontRow row_ = nullptr;
+};
+
+TEST_P(MontRowTest, RowAddsProductAndKeepsGuardLimbs) {
+  // Every length through the 4-limb unroll and its tail, plus protocol
+  // widths; all-ones limbs drive both carry chains to their maximum.
+  // Trial 0 saturates every limb and v; trial 1 multiplies by zero.
+  Rng rng(8);
+  constexpr uint64_t kOnes = ~uint64_t{0};
+  for (size_t len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 31, 48, 64}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::vector<uint64_t> ones(len, kOnes);
+      const auto t0 = trial == 0 ? ones : RandomLimbs(len, rng);
+      const auto u0 = trial == 0 ? ones : RandomLimbs(len, rng);
+      const uint64_t v = trial == 0 ? kOnes : trial == 1 ? 0 : rng.NextUint64();
+      Guarded t(len), u(len);
+      std::copy(t0.begin(), t0.end(), t.data());
+      std::copy(u0.begin(), u0.end(), u.data());
+
+      const uint64_t carry = row_(t.data(), u.data(), v, len);
+      ASSERT_TRUE(t.guards_intact()) << "len " << len;
+      ASSERT_TRUE(u.guards_intact()) << "len " << len;
+      EXPECT_EQ(u.limbs(), u0) << "the row wrote its multiplicand";
+
+      const BigInt want = BigInt::FromLimbs(t0) +
+                          BigInt::FromLimbs(u0) * BigInt::FromLimbs({v});
+      const BigInt got =
+          BigInt::FromLimbs(t.limbs()) +
+          (BigInt::FromLimbs({carry}) << static_cast<int>(64 * len));
+      EXPECT_EQ(got, want) << "len " << len << " trial " << trial;
+    }
+  }
+}
+
+TEST_P(MontRowTest, MontMulLimbsMatchesContextAndKeepsGuardLimbs) {
+  Rng rng(9);
+  for (size_t L = 1; L <= 17; ++L) {
+    std::vector<uint64_t> n = RandomLimbs(L, rng);
+    n[0] |= 1;
+    n[L - 1] |= uint64_t{1} << 63;
+    const BigInt m = BigInt::FromLimbs(n);
+    const MontgomeryContext ctx = MontgomeryContext::Create(m).value();
+    for (int iter = 0; iter < 8; ++iter) {
+      const BigInt a = iter == 0 ? m - BigInt(1) : BigInt::RandomBelow(m, rng);
+      const BigInt b = iter == 0 ? m - BigInt(1) : BigInt::RandomBelow(m, rng);
+      std::vector<uint64_t> am = ctx.ToMont(a), bm = ctx.ToMont(b);
+      Guarded acc(2 * L + 1), prod(L);
+      std::fill(acc.data(), acc.data() + 2 * L + 1, 0);
+      internal::MontMulLimbs(row_, am.data(), bm.data(), n.data(),
+                             internal::NegInverseLimb(n[0]), L, acc.data(),
+                             prod.data());
+      ASSERT_TRUE(acc.guards_intact()) << "L " << L;
+      ASSERT_TRUE(prod.guards_intact()) << "L " << L;
+      EXPECT_EQ(prod.limbs(), ctx.MontMul(am, bm)) << "L " << L;
+      EXPECT_EQ(ctx.FromMont(prod.limbs()), ModMul(a, b, m)) << "L " << L;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, MontRowTest, ::testing::Values(Row::kPortable, Row::kAdx),
+    [](const ::testing::TestParamInfo<Row>& info) {
+      return info.param == Row::kPortable ? "Portable" : "Adx";
+    });
 
 }  // namespace
 }  // namespace ppgnn
