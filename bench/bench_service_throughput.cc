@@ -73,8 +73,7 @@ struct ServicePoint {
 
 ServicePoint DrivePoint(const LspDatabase& lsp, const KeyPair& keys,
                         const ProtocolParams& params, int workers,
-                        int clients, int requests_per_client, uint64_t seed,
-                        std::shared_ptr<CostModel> model = nullptr) {
+                        int clients, int requests_per_client, uint64_t seed) {
   // Pre-build every request outside the timed region: the coordinator's
   // encryption work would otherwise dominate the closed loop and hide
   // the worker-pool effect this bench exists to measure.
@@ -103,7 +102,6 @@ ServicePoint DrivePoint(const LspDatabase& lsp, const KeyPair& keys,
   config.queue_capacity =
       static_cast<size_t>(clients) * static_cast<size_t>(requests_per_client);
   config.sanitize = params.sanitize;
-  if (model != nullptr) config.cost_model = std::move(model);
   LspService service(lsp, config);
 
   // In the timed loop clients only frame-decode replies (is it an answer
@@ -168,14 +166,12 @@ struct OverloadPoint {
 
 /// Offers `rate_qps` for `seconds`, open-loop (a paced dispatcher thread
 /// that never waits for replies), each request carrying `deadline_ms`.
-/// The shared cost model accumulates calibration across phases, exactly
-/// as a long-running server's would.
+/// Each phase runs on a fresh service, whose cost model starts from its
+/// analytic prior.
 OverloadPoint DriveOverloadPhase(const LspDatabase& lsp, const KeyPair& keys,
                                  const ProtocolParams& params, int workers,
                                  double rate_qps, double seconds,
-                                 uint64_t deadline_ms,
-                                 std::shared_ptr<CostModel> model,
-                                 uint64_t seed) {
+                                 uint64_t deadline_ms, uint64_t seed) {
   // A small pool of prebuilt requests, cycled by copy: building one
   // request costs more crypto than serving it, so building offered-many
   // would dominate the bench.
@@ -193,7 +189,6 @@ OverloadPoint DriveOverloadPhase(const LspDatabase& lsp, const KeyPair& keys,
   config.workers = workers;
   config.queue_capacity = 64;
   config.sanitize = params.sanitize;
-  config.cost_model = std::move(model);
   LspService service(lsp, config);
 
   const uint64_t offered =
@@ -281,12 +276,11 @@ int RunOverloadMode() {
   params.sanitize = false;
 
   // Capacity: a closed loop with as many clients as workers measures the
-  // sustainable service rate (and warms the shared cost model).
-  auto model = std::make_shared<CostModel>();
+  // sustainable service rate.
   double capacity_qps;
   {
     ServicePoint closed = DrivePoint(lsp, keys, params, workers, workers, 8,
-                                     config.seed, model);
+                                     config.seed);
     capacity_qps = closed.qps;
     std::printf("capacity: %.2f qps (closed loop, p99=%.2fms)\n",
                 capacity_qps, closed.p99_ms);
@@ -299,25 +293,24 @@ int RunOverloadMode() {
   double goodput_1x = 0, goodput_2x = 0;
   uint64_t abandoned_total = 0;
   std::printf(
-      "%-6s %-12s %-12s %-8s %-10s %-8s %-8s %-6s %-6s\n", "load",
+      "%-6s %-12s %-12s %-8s %-10s %-8s %-8s %-6s\n", "load",
       "offered_qps", "goodput_qps", "answers", "overloaded", "expired",
-      "shed", "aband", "limit");
+      "shed", "aband");
   for (double factor : {0.5, 1.0, 2.0, 4.0}) {
     OverloadPoint point = DriveOverloadPhase(
         lsp, keys, params, workers, factor * capacity_qps, phase_seconds,
-        deadline_ms, model, config.seed + static_cast<uint64_t>(factor * 10));
+        deadline_ms, config.seed + static_cast<uint64_t>(factor * 10));
     if (factor == 1.0) goodput_1x = point.goodput_qps;
     if (factor == 2.0) goodput_2x = point.goodput_qps;
     abandoned_total += point.stats.abandoned_executing;
     std::printf(
-        "%-6.1f %-12.2f %-12.2f %-8llu %-10llu %-8llu %-8llu %-6llu %-6d\n",
+        "%-6.1f %-12.2f %-12.2f %-8llu %-10llu %-8llu %-8llu %-6llu\n",
         factor, point.offered_qps, point.goodput_qps,
         static_cast<unsigned long long>(point.answers),
         static_cast<unsigned long long>(point.overloaded),
         static_cast<unsigned long long>(point.expired),
         static_cast<unsigned long long>(point.stats.shed),
-        static_cast<unsigned long long>(point.stats.abandoned_executing),
-        point.stats.concurrency_limit);
+        static_cast<unsigned long long>(point.stats.abandoned_executing));
     if (const char* csv = std::getenv("PPGNN_BENCH_CSV"); csv != nullptr) {
       if (std::FILE* f = std::fopen(csv, "a"); f != nullptr) {
         std::fprintf(f, "service_overload,%.1f,%.3f,%.3f,%llu,%llu,%llu\n",
@@ -332,8 +325,6 @@ int RunOverloadMode() {
   }
 
   const double retention = goodput_1x > 0 ? goodput_2x / goodput_1x : 0;
-  std::printf("cost model: %llu observations\n",
-              static_cast<unsigned long long>(model->observations()));
   std::printf("goodput retention at 2x: %.1f%% (acceptance: >= 80%%) %s\n",
               retention * 100.0, retention >= 0.8 ? "PASS" : "FAIL");
   std::printf("abandoned mid-crypto: %llu (acceptance: 0) %s\n",

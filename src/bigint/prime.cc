@@ -1,6 +1,8 @@
 #include "bigint/prime.h"
 
 #include <array>
+#include <cstdint>
+#include <string>
 
 #include "bigint/modular.h"
 
@@ -72,7 +74,13 @@ bool IsProbablePrime(const BigInt& candidate, Rng& rng, int rounds) {
 
 Result<BigInt> GeneratePrime(int bits, Rng& rng, int rounds) {
   if (bits < 2) return Status::InvalidArgument("prime must have >= 2 bits");
-  while (true) {
+  // About one odd `bits`-bit number in bits * ln(2) / 2 is prime, so a
+  // correct kernel draws 64 * bits candidates without a prime with
+  // probability about e^-185 at any width: running out means the
+  // arithmetic under Miller-Rabin is broken, not that the draws were
+  // unlucky.
+  const int64_t max_candidates = int64_t{64} * bits;
+  for (int64_t drawn = 0; drawn < max_candidates; ++drawn) {
     BigInt candidate = BigInt::Random(bits, rng);
     // Force exact bit length and oddness.
     candidate = candidate + BigInt::Pow2(bits - 1) -
@@ -81,20 +89,9 @@ Result<BigInt> GeneratePrime(int bits, Rng& rng, int rounds) {
     if (candidate.BitLength() != bits) continue;  // odd +1 overflowed width
     if (IsProbablePrime(candidate, rng, rounds)) return candidate;
   }
-}
-
-Result<BigInt> GeneratePrime3Mod4(int bits, Rng& rng, int rounds) {
-  if (bits < 3) return Status::InvalidArgument("prime must have >= 3 bits");
-  while (true) {
-    BigInt candidate = BigInt::Random(bits, rng);
-    candidate = candidate + BigInt::Pow2(bits - 1) -
-                (candidate.GetBit(bits - 1) ? BigInt::Pow2(bits - 1) : BigInt(0));
-    // Force low two bits to 11 (i.e., ≡ 3 mod 4).
-    if (!candidate.GetBit(0)) candidate = candidate + BigInt(1);
-    if (!candidate.GetBit(1)) candidate = candidate + BigInt(2);
-    if (candidate.BitLength() != bits) continue;
-    if (IsProbablePrime(candidate, rng, rounds)) return candidate;
-  }
+  return Status::Internal("no probable prime among " +
+                          std::to_string(max_candidates) + " candidates of " +
+                          std::to_string(bits) + " bits");
 }
 
 }  // namespace ppgnn

@@ -16,12 +16,10 @@ namespace ppgnn {
 bool IsProbablePrime(const BigInt& candidate, Rng& rng, int rounds = 32);
 
 /// Uniformly random probable prime with exactly `bits` bits (top bit set).
-/// Requires bits >= 2.
+/// Requires bits >= 2. Internal error once 64 * bits candidates have been
+/// drawn without a prime, which a correct modular arithmetic makes
+/// vanishingly unlikely (about e^-185).
 Result<BigInt> GeneratePrime(int bits, Rng& rng, int rounds = 32);
-
-/// Random probable prime p with exactly `bits` bits and p ≡ 3 (mod 4)
-/// (useful for Blum-integer style moduli; also guarantees p odd).
-Result<BigInt> GeneratePrime3Mod4(int bits, Rng& rng, int rounds = 32);
 
 }  // namespace ppgnn
 

@@ -122,7 +122,7 @@ bool TcpShardServer::HandleRequestFrame(Connection* conn,
     sr.idempotency_key = req.idempotency_key;
     sr.degraded_users = req.degraded_users;
     // Blocking: one request at a time per connection. The service's own
-    // worker pool + AIMD limiter govern actual execution concurrency.
+    // worker pool governs actual execution concurrency.
     reply = service_.Call(std::move(sr));
     frames_served_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -45,7 +45,6 @@
 #include "roadnet/dijkstra.h"   // IWYU pragma: export
 #include "roadnet/graph.h"      // IWYU pragma: export
 #include "roadnet/road_gnn.h"   // IWYU pragma: export
-#include "service/admission.h"  // IWYU pragma: export
 #include "service/cost_model.h" // IWYU pragma: export
 #include "service/lsp_service.h"  // IWYU pragma: export
 #include "service/reply_cache.h"  // IWYU pragma: export

@@ -71,16 +71,6 @@ double CostModel::AnalyticSeconds(const CostFeatures& f) {
   return std::max(seconds, kMinPredictionSeconds);
 }
 
-void CostModel::SeedPrior(const CostFeatures& f, double expected_seconds) {
-  if (!(expected_seconds > 0.0)) return;  // also rejects NaN
-  const double analytic = AnalyticSeconds(f);
-  const int b = BucketIndex(f);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (bucket_count_[b] > 0) return;  // real data always wins
-  bucket_ratio_[b] = expected_seconds / analytic;
-  bucket_count_[b] = 1;
-}
-
 int CostModel::BucketIndex(const CostFeatures& f) {
   int log_delta = 0;
   for (uint64_t v = f.delta_prime; v > 1 && log_delta < kDeltaBuckets - 1;

@@ -53,12 +53,6 @@ class CostModel {
   /// the benchmark's model-error report.
   static double AnalyticSeconds(const CostFeatures& f);
 
-  /// Pre-seeds the EWMA bucket matching `f` as if `expected_seconds` had
-  /// been observed once, without counting it in observations(). Later
-  /// real observations take over at the normal EWMA rate. No-op for
-  /// non-positive values or if the bucket already has data.
-  void SeedPrior(const CostFeatures& f, double expected_seconds);
-
   /// Feeds back one completed query's measured execute seconds. Updates
   /// the matching bucket's EWMA of observed/analytic and a global
   /// fallback used by buckets that have no observations yet.

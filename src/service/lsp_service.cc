@@ -25,20 +25,6 @@ double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
-AimdLimiter::Options LimiterOptions(const ServiceConfig& config) {
-  AimdLimiter::Options options;
-  const int workers = std::max(config.workers, 1);
-  options.target_p99_seconds = config.target_p99_seconds;
-  options.min_concurrency = std::max(config.min_concurrency, 1);
-  options.max_concurrency =
-      config.max_concurrency > 0 ? config.max_concurrency : workers;
-  // Start wide open: the limiter only bites once a latency signal says
-  // the pool is over-driving the machine.
-  options.initial_concurrency = options.max_concurrency;
-  options.window = config.aimd_window;
-  return options;
-}
-
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -46,8 +32,8 @@ std::string ServiceStats::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "accepted=%llu rejected=%llu (shed=%llu) served=%llu failed=%llu "
-      "deadline_expired=%llu (queue=%llu exec=%llu) queued=%zu limit=%d "
-      "aimd[+%llu/-%llu] dedup[join=%llu replay=%llu purged=%llu] "
+      "deadline_expired=%llu (queue=%llu exec=%llu) queued=%zu "
+      "dedup[join=%llu replay=%llu purged=%llu] "
       "retries=%llu hedges=%llu degraded=%llu degraded_shards=%llu "
       "ladder[exact=%llu failover=%llu hedge_won=%llu transitions=%llu] "
       "drain_flushed=%llu "
@@ -61,8 +47,6 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(deadline_expired),
       static_cast<unsigned long long>(expired_in_queue),
       static_cast<unsigned long long>(abandoned_executing), queue_depth,
-      concurrency_limit, static_cast<unsigned long long>(aimd_increases),
-      static_cast<unsigned long long>(aimd_decreases),
       static_cast<unsigned long long>(dedup_joins),
       static_cast<unsigned long long>(dedup_replays),
       static_cast<unsigned long long>(dedup_purged),
@@ -87,10 +71,6 @@ std::string ServiceStats::ToString() const {
 LspService::LspService(Handler handler, ServiceConfig config)
     : handler_(std::move(handler)),
       config_(std::move(config)),
-      cost_model_(config_.cost_model != nullptr
-                      ? config_.cost_model
-                      : std::make_shared<CostModel>()),
-      limiter_(LimiterOptions(config_)),
       reply_cache_({.grace_seconds = config_.reply_cache_grace_seconds}) {
   const int workers = std::max(config_.workers, 1);
   workers_.reserve(static_cast<size_t>(workers));
@@ -209,9 +189,8 @@ bool LspService::Submit(ServiceRequest request, Callback done) {
   // the whole budget, the only possible outcome of admission would be a
   // kDeadlineExceeded reply *after* burning crypto on it. Reject now,
   // before any crypto, and tell the client how far off it was.
-  if (!inject_reject && config_.cost_admission && pending.has_features &&
-      budget > 0) {
-    const double predicted = cost_model_->PredictSeconds(pending.features);
+  if (!inject_reject && pending.has_features && budget > 0) {
+    const double predicted = cost_model_.PredictSeconds(pending.features);
     if (predicted > budget) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -314,9 +293,8 @@ std::vector<uint8_t> LspService::MakeErrorFrame(WireError code,
 uint64_t LspService::RetryAfterHintMs(double extra_seconds) {
   if (config_.retry_after_hint_ms > 0) return config_.retry_after_hint_ms;
   // Backlog drain estimate: queued requests times the observed mean
-  // execute time, divided by the concurrency actually allowed. All
-  // public metadata; before any execution has been observed the floor
-  // applies.
+  // execute time, divided by the workers draining them. All public
+  // metadata; before any execution has been observed the floor applies.
   const double mean_execute = execute_.Summarize().mean_seconds;
   size_t depth = 0;
   {
@@ -324,7 +302,7 @@ uint64_t LspService::RetryAfterHintMs(double extra_seconds) {
     depth = queue_.size();
   }
   const double drain = (static_cast<double>(depth) + 1.0) * mean_execute /
-                       static_cast<double>(std::max(limiter_.limit(), 1));
+                       static_cast<double>(std::max(config_.workers, 1));
   const double hint = std::clamp(std::max(drain, extra_seconds), 0.010, 10.0);
   return static_cast<uint64_t>(hint * 1000.0);
 }
@@ -334,13 +312,7 @@ void LspService::WorkerLoop() {
     PendingRequest req;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] {
-        // The AIMD limit — not the pool size — bounds concurrent
-        // execution. On shutdown the limit is ignored so the queue
-        // drains promptly.
-        return stopping_ ||
-               (!queue_.empty() && executing_ < limiter_.limit());
-      });
+      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained
       req = std::move(queue_.front());
       queue_.pop_front();
@@ -351,8 +323,8 @@ void LspService::WorkerLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       --executing_;
     }
-    // A finished execution frees a concurrency slot and may have raised
-    // the AIMD limit; wake all waiters to re-evaluate, not just one.
+    // Shutdown's bounded drain waits on queue_cv_ for executing_ == 0;
+    // notify_all so that waiter is woken, not only an idle worker.
     queue_cv_.notify_all();
   }
 }
@@ -376,10 +348,9 @@ void LspService::ProcessRequest(PendingRequest& req) {
   // queue wait ate its slack is abandoned here, before any crypto, so a
   // mid-execution cancellation only happens when the prediction itself
   // was wrong.
-  if (config_.cost_admission && req.has_features &&
-      req.deadline != Clock::time_point::max()) {
+  if (req.has_features && req.deadline != Clock::time_point::max()) {
     const double remaining = Seconds(req.deadline - dequeued);
-    if (cost_model_->PredictSeconds(req.features) > remaining) {
+    if (cost_model_.PredictSeconds(req.features) > remaining) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
       Finish(req,
@@ -408,8 +379,8 @@ void LspService::ProcessRequest(PendingRequest& req) {
   QueryInstrumentation info;
   // "service.execute" stands in for a slow or failing worker: an
   // injected delay or error replaces/precedes the real execution. The
-  // timer starts before the failpoint so injected slowness feeds the
-  // AIMD limiter like real slowness would.
+  // timer starts before the failpoint so injected slowness is measured,
+  // and learned by the cost model, like real slowness would be.
   const Clock::time_point execute_start = Clock::now();
   const Status injected = FailpointCheck("service.execute");
   const bool executed = injected.ok();
@@ -428,17 +399,14 @@ void LspService::ProcessRequest(PendingRequest& req) {
                     inflight_.end());
   }
 
-  if (executed) {
-    execute_.Record(execute_seconds);
-    limiter_.OnComplete(execute_seconds);
-  }
+  if (executed) execute_.Record(execute_seconds);
 
   if (answer.ok()) {
     served_.fetch_add(1, std::memory_order_relaxed);
     // Only full, successful executions train the model: an abandoned
     // query's truncated duration would bias predictions down.
     if (executed && req.has_features) {
-      cost_model_->Observe(req.features, execute_seconds);
+      cost_model_.Observe(req.features, execute_seconds);
     }
     if (req.request.degraded_users > 0) {
       degraded_queries_.fetch_add(1, std::memory_order_relaxed);
@@ -502,10 +470,7 @@ ServiceStats LspService::Stats() const {
   stats.dedup_joins = dedup_joins_.load(std::memory_order_relaxed);
   stats.dedup_replays = dedup_replays_.load(std::memory_order_relaxed);
   stats.dedup_purged = dedup_purged_.load(std::memory_order_relaxed);
-  stats.concurrency_limit = limiter_.limit();
-  stats.aimd_increases = limiter_.increases();
-  stats.aimd_decreases = limiter_.decreases();
-  stats.cost_observations = cost_model_->observations();
+  stats.cost_observations = cost_model_.observations();
   stats.retries = retries_.load(std::memory_order_relaxed);
   stats.hedges = hedges_.load(std::memory_order_relaxed);
   stats.degraded_queries = degraded_queries_.load(std::memory_order_relaxed);

@@ -5,18 +5,16 @@
 //   * Admission control, in order of cheapness:
 //       1. a bounded FIFO request queue (full -> kOverloaded, never
 //          unbounded buffering);
-//       2. cost-aware shedding: a CostModel prediction from the public
-//          wire header (delta', k, key bits — peeked without decoding
-//          any ciphertext) is compared against the request's remaining
-//          deadline, and a query that cannot finish in time is rejected
-//          *before any crypto runs*, with a retry_after_ms hint.
+//       2. cost-aware shedding, always on: the service's own CostModel
+//          predicts execute time from the public wire header (delta', k,
+//          key bits — peeked without decoding any ciphertext), and a
+//          request whose deadline cannot cover the prediction is
+//          rejected at Submit, or answered kDeadlineExceeded at dequeue
+//          against its remaining budget, *before any crypto runs*.
 //     Every admission decision reads only public wire metadata — never
 //     `// ppgnn: secret` data (the ppgnn-lint secret-flow rule enforces
 //     this transitively).
-//   * A pool of `workers` threads. The *effective* in-flight bound is an
-//     AIMD limiter driven by the execute-stage p99, so the service
-//     converges onto the concurrency the current workload mix sustains
-//     instead of trusting a static pool size.
+//   * A pool of `workers` threads, each executing one query at a time.
 //   * Per-request deadlines: propagated from the wire (QueryMessage
 //     deadline_ms) or set locally; a monitor thread flips a cooperative
 //     cancel flag once a request overruns, and the query pipeline
@@ -54,7 +52,6 @@
 #include "core/protocol.h"
 #include "core/wire.h"
 #include "net/latency.h"
-#include "service/admission.h"
 #include "service/cost_model.h"
 #include "service/link.h"
 #include "service/reply_cache.h"
@@ -62,9 +59,7 @@
 namespace ppgnn {
 
 struct ServiceConfig {
-  /// Concurrent whole-query executors (>= 1). This is the thread-pool
-  /// size; the AIMD limiter below bounds how many of them may execute
-  /// at once.
+  /// Concurrent whole-query executors (>= 1): the thread-pool size.
   int workers = 2;
   /// Maximum queued (not yet executing) requests before reject-on-full.
   size_t queue_capacity = 64;
@@ -76,17 +71,6 @@ struct ServiceConfig {
   int lsp_threads = 1;
   bool sanitize = true;
   TestConfig test_config;
-
-  // --- Overload resilience ---
-  /// Predicted-cost-vs-deadline shedding at Submit and again at dequeue.
-  /// Only applies to requests that carry a deadline.
-  bool cost_admission = true;
-  /// AIMD: execute-stage p99 target and concurrency bounds.
-  /// max_concurrency 0 = use `workers`.
-  double target_p99_seconds = 0.5;
-  int min_concurrency = 1;
-  int max_concurrency = 0;
-  int aimd_window = 32;
   /// How long a dedup entry outlives its request's deadline. Past it an
   /// in-flight entry is presumed abandoned (the key is released to the
   /// next retry and joined waiters get kDeadlineExceeded) and a completed
@@ -96,9 +80,6 @@ struct ServiceConfig {
   /// Test override for the kOverloaded retry_after_ms hint; 0 = computed
   /// from the backlog and the observed mean execute time.
   uint64_t retry_after_hint_ms = 0;
-  /// Shared cost model (e.g. one model across a fleet of services in a
-  /// simulation); null = the service owns a private one.
-  std::shared_ptr<CostModel> cost_model;
 
   /// Test-only: runs on the worker thread right before query execution.
   /// Lets tests hold workers on a latch to force queue-full and
@@ -148,10 +129,7 @@ struct ServiceStats {
   /// missing (merged degraded instead of failing the query). Zero on a
   /// plain single-node service; ShardedLspService fills it in.
   uint64_t degraded_shards = 0;
-  /// Adaptive concurrency.
-  int concurrency_limit = 0;
-  uint64_t aimd_increases = 0;
-  uint64_t aimd_decreases = 0;
+  /// Executions the cost model has learned from.
   uint64_t cost_observations = 0;
   /// Client-side resilience events, reported back by ResilientClient (or
   /// anything else wrapping this service) via the Record* methods.
@@ -319,8 +297,7 @@ class LspService : public ServiceLink {
 
   Handler handler_;
   const ServiceConfig config_;
-  std::shared_ptr<CostModel> cost_model_;
-  AimdLimiter limiter_;
+  CostModel cost_model_;
   ReplyCache reply_cache_;
 
   mutable std::mutex mu_;

@@ -1,7 +1,8 @@
-// Unit tests for the overload-resilience building blocks — CostModel,
-// AimdLimiter, ReplyCache — plus service-level coverage of the admission
-// behaviors they compose into: cost-based shedding with a retry_after
-// hint, and idempotency-key dedup (join + replay).
+// Unit tests for the overload-resilience building blocks — CostModel and
+// ReplyCache — plus service-level coverage of the admission behaviors
+// they compose into: cost-based shedding at Submit with a retry_after
+// hint, the same gate at dequeue against the remaining budget, and
+// idempotency-key dedup (join + replay).
 
 #include <gtest/gtest.h>
 
@@ -11,14 +12,15 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/indicator.h"
 #include "core/partition.h"
 #include "core/protocol.h"
 #include "core/wire.h"
-#include "service/admission.h"
 #include "service/cost_model.h"
 #include "service/lsp_service.h"
 #include "service/reply_cache.h"
@@ -117,21 +119,6 @@ TEST(CostModelTest, BucketRatioShadowsGlobal) {
       0.1);
 }
 
-TEST(CostModelTest, SeedPriorShapesPredictionUntilRealData) {
-  CostModel model;
-  const CostFeatures f = Features(64, 1024);
-  const double analytic = CostModel::AnalyticSeconds(f);
-  model.SeedPrior(f, 4.0 * analytic);
-  EXPECT_EQ(model.observations(), 0u);  // priors are not observations
-  EXPECT_NEAR(model.PredictSeconds(f), 4.0 * analytic, 1e-9);
-  // A second seed does not overwrite the first...
-  model.SeedPrior(f, 100.0 * analytic);
-  EXPECT_NEAR(model.PredictSeconds(f), 4.0 * analytic, 1e-9);
-  // ...and real observations pull away from the prior at the EWMA rate.
-  for (int i = 0; i < 64; ++i) model.Observe(f, analytic);
-  EXPECT_NEAR(model.PredictSeconds(f), analytic, 0.1 * analytic);
-}
-
 TEST(CostModelTest, ObserveRejectsNonPositiveAndNan) {
   CostModel model;
   const CostFeatures f = Features(64, 1024);
@@ -141,83 +128,6 @@ TEST(CostModelTest, ObserveRejectsNonPositiveAndNan) {
   EXPECT_EQ(model.observations(), 0u);
   // Prediction is untouched: pure analytic.
   EXPECT_DOUBLE_EQ(model.PredictSeconds(f), CostModel::AnalyticSeconds(f));
-}
-
-// --- AimdLimiter ---
-
-AimdLimiter::Options LimiterOptions(double target, int initial, int window) {
-  AimdLimiter::Options o;
-  o.target_p99_seconds = target;
-  o.min_concurrency = 1;
-  o.max_concurrency = 16;
-  o.initial_concurrency = initial;
-  o.window = window;
-  o.decrease_factor = 0.7;
-  return o;
-}
-
-TEST(AimdLimiterTest, DecreasesMultiplicativelyOnSlowWindow) {
-  AimdLimiter limiter(LimiterOptions(0.010, 10, 4));
-  ASSERT_EQ(limiter.limit(), 10);
-  for (int i = 0; i < 4; ++i) limiter.OnComplete(0.100);  // p99 over target
-  EXPECT_EQ(limiter.limit(), 7);  // floor(10 * 0.7)
-  EXPECT_EQ(limiter.decreases(), 1u);
-  EXPECT_EQ(limiter.increases(), 0u);
-}
-
-TEST(AimdLimiterTest, IncreasesAdditivelyOnFastWindow) {
-  AimdLimiter limiter(LimiterOptions(0.010, 4, 4));
-  for (int i = 0; i < 4; ++i) limiter.OnComplete(0.001);
-  EXPECT_EQ(limiter.limit(), 5);
-  EXPECT_EQ(limiter.increases(), 1u);
-}
-
-TEST(AimdLimiterTest, IncompleteWindowMakesNoDecision) {
-  AimdLimiter limiter(LimiterOptions(0.010, 4, 8));
-  for (int i = 0; i < 7; ++i) limiter.OnComplete(0.100);
-  EXPECT_EQ(limiter.limit(), 4);
-  EXPECT_EQ(limiter.decreases(), 0u);
-}
-
-TEST(AimdLimiterTest, WindowP99Semantics) {
-  // Small window: floor(32 * 99 / 100) = 31 is the max element, so one
-  // straggler in a 32-wide window does trigger a decrease (by design —
-  // a small window cannot distinguish p99 from max).
-  AimdLimiter small(LimiterOptions(0.010, 8, 32));
-  for (int i = 0; i < 31; ++i) small.OnComplete(0.001);
-  small.OnComplete(5.0);
-  EXPECT_EQ(small.decreases(), 1u);
-  // Large window: floor(200 * 99 / 100) = 198 is the second-largest, so
-  // a single straggler among 200 is ignored.
-  AimdLimiter large(LimiterOptions(0.010, 8, 200));
-  for (int i = 0; i < 199; ++i) large.OnComplete(0.001);
-  large.OnComplete(5.0);
-  EXPECT_EQ(large.decreases(), 0u);
-  EXPECT_EQ(large.limit(), 9);  // counted as a fast window
-}
-
-TEST(AimdLimiterTest, RespectsBounds) {
-  AimdLimiter limiter(LimiterOptions(0.010, 8, 2));
-  for (int round = 0; round < 20; ++round) {
-    limiter.OnComplete(1.0);
-    limiter.OnComplete(1.0);
-  }
-  EXPECT_EQ(limiter.limit(), 1);  // floored at min_concurrency
-  for (int round = 0; round < 40; ++round) {
-    limiter.OnComplete(0.0001);
-    limiter.OnComplete(0.0001);
-  }
-  EXPECT_EQ(limiter.limit(), 16);  // capped at max_concurrency
-}
-
-TEST(AimdLimiterTest, ClampsDegenerateOptions) {
-  AimdLimiter::Options o;
-  o.min_concurrency = -3;
-  o.max_concurrency = -7;
-  o.initial_concurrency = 100;
-  o.window = 0;
-  AimdLimiter limiter(o);
-  EXPECT_EQ(limiter.limit(), 1);  // min=1, max=1, initial clamped
 }
 
 // --- ReplyCache ---
@@ -519,6 +429,7 @@ class AdmissionServiceTest : public ::testing::Test {
     delete db_;
     delete keys_;
   }
+  void TearDown() override { FailpointClearAll(); }
 
   struct Request {
     std::vector<uint8_t> query;
@@ -549,6 +460,31 @@ class AdmissionServiceTest : public ::testing::Test {
       req.uploads.push_back(msg.Encode());
     }
     return req;
+  }
+
+  /// Serves `count` deadline-less requests while a self-disarming
+  /// service.execute failpoint delays each execution by `delay_ms`. Every
+  /// MakeRequest header falls in one cost bucket, and the execute timer
+  /// covers the delay, so the service's model then predicts at least
+  /// `delay_ms` for that header.
+  static void TrainUnderDelay(LspService& service, Rng& rng, int delay_ms,
+                              int count) {
+    ASSERT_TRUE(FailpointSetFromSpec("service.execute=delay:" +
+                                     std::to_string(delay_ms) +
+                                     ",times=" + std::to_string(count))
+                    .ok());
+    const uint64_t before = service.Stats().cost_observations;
+    for (int i = 0; i < count; ++i) {
+      Request req = MakeRequest(rng);
+      ServiceRequest sreq;
+      sreq.query = req.query;
+      sreq.uploads = req.uploads;
+      ResponseFrame decoded =
+          ResponseFrame::Decode(service.Call(std::move(sreq))).value();
+      ASSERT_FALSE(decoded.is_error) << decoded.error.detail;
+    }
+    ASSERT_EQ(service.Stats().cost_observations,
+              before + static_cast<uint64_t>(count));
   }
 
   static LspDatabase* db_;
@@ -595,24 +531,21 @@ TEST_F(AdmissionServiceTest, UndecodableQueryIsMalformedNotShed) {
   // theta0 = 2.0 fails QueryMessage::Decode, so admission must not price
   // the query: a shed would reply with a retryable kOverloaded, while the
   // worker's decode replies with a terminal kMalformed.
-  auto model = std::make_shared<CostModel>();
   ServiceConfig config;
   config.workers = 1;
-  config.cost_model = model;
   LspService service(*db_, config);
 
   Rng rng(16);
+  // A well-formed query with this header is now predicted at >= 0.5 s,
+  // past the 0.25 s budget below.
+  ASSERT_NO_FATAL_FAILURE(TrainUnderDelay(service, rng, 500, 2));
   Request req = MakeRequest(rng);
-  // A well-formed query with this header would be predicted at 60 s,
-  // past the 30 s budget below.
-  model->SeedPrior(CostFeatures::FromHeader(PeekQueryHeader(req.query).value()),
-                   60.0);
   QueryMessage query = QueryMessage::Decode(req.query).value();
   query.theta0 = 2.0;
   ServiceRequest sreq;
   sreq.query = query.Encode().value();
   sreq.uploads = req.uploads;
-  sreq.deadline_seconds = 30.0;
+  sreq.deadline_seconds = 0.25;
 
   ResponseFrame decoded =
       ResponseFrame::Decode(service.Call(std::move(sreq))).value();
@@ -621,6 +554,122 @@ TEST_F(AdmissionServiceTest, UndecodableQueryIsMalformedNotShed) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.failed, 1u);
+
+  // The same budget on the well-formed original is shed: the gate would
+  // have refused the malformed query had it priced it.
+  ServiceRequest priced;
+  priced.query = req.query;
+  priced.uploads = req.uploads;
+  priced.deadline_seconds = 0.25;
+  std::vector<uint8_t> frame;
+  EXPECT_FALSE(service.Submit(std::move(priced), [&](std::vector<uint8_t> f) {
+    frame = std::move(f);
+  }));
+  ResponseFrame shed = ResponseFrame::Decode(frame).value();
+  ASSERT_TRUE(shed.is_error);
+  EXPECT_EQ(shed.error.code, WireError::kOverloaded);
+  EXPECT_EQ(service.Stats().shed, 1u);
+}
+
+// The gate again at dequeue: a request Submit admitted, whose queue wait
+// then left less budget than its predicted cost, is answered
+// kDeadlineExceeded without executing, instead of starting crypto that
+// the deadline monitor would abandon.
+TEST_F(AdmissionServiceTest, DequeueGateExpiresRequestWhoseWaitAteItsSlack) {
+  // Long enough that a TSan build's real execution (no sanitation) and
+  // thread wake-ups stay well inside the 0.5 * kDelayMs margins below.
+  constexpr int kDelayMs = 400;
+  constexpr double kDelay = kDelayMs / 1000.0;
+  std::mutex m;
+  std::condition_variable cv;
+  bool hold = false;
+  bool held = false;
+  bool release = false;
+  std::atomic<int> entered{0};
+  ServiceConfig config;
+  config.workers = 1;
+  config.sanitize = false;
+  config.test_execute_hook = [&] {
+    entered.fetch_add(1);
+    std::unique_lock<std::mutex> lock(m);
+    if (!hold) return;
+    hold = false;
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  LspService service(*db_, config);
+
+  Rng rng(17);
+  // Each trained execution took kDelay plus a real execution under
+  // kDelay, so the prediction P for this header is in [kDelay, 2 kDelay).
+  ASSERT_NO_FATAL_FAILURE(TrainUnderDelay(service, rng, kDelayMs, 3));
+  ASSERT_EQ(entered.load(), 3);
+
+  // Park the worker on a deadline-less blocker.
+  {
+    std::lock_guard<std::mutex> lock(m);
+    hold = true;
+  }
+  Request blocker = MakeRequest(rng);
+  ServiceRequest blocker_request;
+  blocker_request.query = blocker.query;
+  blocker_request.uploads = blocker.uploads;
+  std::mutex reply_mu;
+  std::condition_variable reply_cv;
+  int replies = 0;
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(service.Submit(std::move(blocker_request),
+                             [&](std::vector<uint8_t>) {
+                               std::lock_guard<std::mutex> lock(reply_mu);
+                               ++replies;
+                               reply_cv.notify_all();
+                             }));
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return held; });
+  }
+
+  // A 3 kDelay budget covers P, so Submit admits the request...
+  Request req = MakeRequest(rng);
+  ServiceRequest sreq;
+  sreq.query = req.query;
+  sreq.uploads = req.uploads;
+  sreq.deadline_seconds = 3 * kDelay;
+  ASSERT_TRUE(service.Submit(std::move(sreq), [&](std::vector<uint8_t> f) {
+    std::lock_guard<std::mutex> lock(reply_mu);
+    frame = std::move(f);
+    ++replies;
+    reply_cv.notify_all();
+  }));
+  // ...and holding the worker 2.5 kDelay longer leaves it about
+  // 0.5 kDelay at dequeue: not yet expired, but less than P.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5 * kDelayMs / 2));
+  {
+    std::lock_guard<std::mutex> lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  {
+    std::unique_lock<std::mutex> lock(reply_mu);
+    reply_cv.wait(lock, [&] { return replies == 2; });
+  }
+
+  ResponseFrame decoded = ResponseFrame::Decode(frame).value();
+  ASSERT_TRUE(decoded.is_error);
+  EXPECT_EQ(decoded.error.code, WireError::kDeadlineExceeded);
+  EXPECT_NE(
+      decoded.error.detail.find("predicted cost exceeds remaining deadline"),
+      std::string::npos)
+      << decoded.error.detail;
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.deadline_expired, 1u);
+  EXPECT_EQ(stats.expired_in_queue, 1u);
+  EXPECT_EQ(stats.abandoned_executing, 0u);
+  // Three trained executions and the blocker reached the hook; the
+  // request did not.
+  EXPECT_EQ(entered.load(), 4);
 }
 
 TEST_F(AdmissionServiceTest, GenerousDeadlineIsNotShed) {
@@ -847,33 +896,6 @@ TEST_F(AdmissionServiceTest, RetryAfterHintOverrideIsHonored) {
   ResponseFrame decoded = ResponseFrame::Decode(frame).value();
   ASSERT_TRUE(decoded.is_error);
   EXPECT_EQ(decoded.error.retry_after_ms, 123u);
-}
-
-TEST_F(AdmissionServiceTest, StatsExposeConcurrencyLimitAndAimdCounters) {
-  // The limiter starts wide open at max_concurrency, so a fresh service
-  // can only move by *decreasing*: make every completion blow the p99
-  // target and watch the limit walk down toward min_concurrency.
-  ServiceConfig config;
-  config.workers = 2;
-  config.aimd_window = 1;            // every completion is a decision
-  config.target_p99_seconds = 1e-9;  // everything is "slow" -> decreases
-  config.max_concurrency = 8;
-  LspService service(*db_, config);
-  EXPECT_EQ(service.Stats().concurrency_limit, 8);
-
-  Rng rng(15);
-  for (int i = 0; i < 3; ++i) {
-    Request req = MakeRequest(rng);
-    ServiceRequest sreq;
-    sreq.query = req.query;
-    sreq.uploads = req.uploads;
-    auto frame = service.Call(std::move(sreq));
-    EXPECT_FALSE(ResponseFrame::Decode(frame).value().is_error);
-  }
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.aimd_decreases, 3u);
-  EXPECT_EQ(stats.concurrency_limit, 2);  // floor(floor(floor(8*.7)*.7)*.7)
-  EXPECT_EQ(stats.cost_observations, 3u);
 }
 
 }  // namespace

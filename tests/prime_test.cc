@@ -76,16 +76,6 @@ TEST(GeneratePrimeTest, DistinctAcrossCalls) {
   EXPECT_NE(a, b);
 }
 
-TEST(GeneratePrime3Mod4Test, CongruenceHolds) {
-  Rng rng(8);
-  for (int bits : {16, 64, 256}) {
-    BigInt p = GeneratePrime3Mod4(bits, rng).value();
-    EXPECT_EQ(p.BitLength(), bits);
-    EXPECT_EQ((p % BigInt(4)), BigInt(3));
-    EXPECT_TRUE(IsProbablePrime(p, rng, 16));
-  }
-}
-
 TEST(GeneratedPrimesTest, SupportFermatInverse) {
   // p prime => every 0 < a < p has an inverse; spot check the generator's
   // output behaves like a field modulus.

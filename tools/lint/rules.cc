@@ -511,8 +511,8 @@ std::string LayerOf(const std::string& rel) {
 /// missing from the table are unconstrained.
 const std::map<std::string, int>& ServiceRanks() {
   static const std::map<std::string, int> kRanks = {
-      {"health", 0},           {"admission", 0},   {"cost_model", 0},
-      {"reply_cache", 0},      {"lsp_service", 1}, {"resilient_client", 2},
+      {"health", 0},           {"cost_model", 0},  {"reply_cache", 0},
+      {"lsp_service", 1},      {"resilient_client", 2},
       {"replica_set", 3},      {"shard_coordinator", 4},
   };
   return kRanks;

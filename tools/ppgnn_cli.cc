@@ -48,11 +48,8 @@
 //                        is down. 1 = the unreplicated PR 7 layout.
 //                        Applies to the --shards cluster (any N > 1).
 //
-// Overload-resilience knobs (serve mode):
-//   --target-p99-ms X    AIMD concurrency limiter's execute-stage p99
-//                        target (default 500)
-//   --max-concurrency N  AIMD upper bound; 0 = the worker count
-//   --no-cost-admission  disable predicted-cost-vs-deadline shedding
+// Overload resilience (serve mode): a request carrying a deadline is
+// shed when the service's cost model predicts it cannot finish in time.
 //   --wire-deadline-ms N stamp each query's deadline into the wire
 //                        trailer (exercises end-to-end deadline
 //                        propagation instead of the local budget)
@@ -137,10 +134,6 @@ struct CliOptions {
   std::vector<std::string> connect_shards;
   std::vector<std::string> fail_specs;
   double retry_budget_ms = 0.0;
-  // Overload-resilience knobs.
-  double target_p99_ms = 500.0;
-  int max_concurrency = 0;
-  bool no_cost_admission = false;
   uint64_t wire_deadline_ms = 0;
 };
 
@@ -159,8 +152,6 @@ void PrintUsageAndExit(const char* argv0) {
                "          [--workers N] [--clients N]\n"
                "          [--requests N] [--queue N] [--deadline SECONDS]\n"
                "          [--fail POINT=POLICY]... [--retry-budget-ms X]\n"
-               "          [--target-p99-ms X] [--max-concurrency N]\n"
-               "          [--no-cost-admission]\n"
                "          [--wire-deadline-ms N]\n",
                argv0);
   std::exit(2);
@@ -261,12 +252,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       opts.fail_specs.push_back(next());
     } else if (flag == "--retry-budget-ms") {
       opts.retry_budget_ms = std::atof(next());
-    } else if (flag == "--target-p99-ms") {
-      opts.target_p99_ms = std::atof(next());
-    } else if (flag == "--max-concurrency") {
-      opts.max_concurrency = std::atoi(next());
-    } else if (flag == "--no-cost-admission") {
-      opts.no_cost_admission = true;
     } else if (flag == "--wire-deadline-ms") {
       opts.wire_deadline_ms = static_cast<uint64_t>(std::atoll(next()));
     } else if (flag == "--help" || flag == "-h") {
@@ -369,9 +354,6 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   config.default_deadline_seconds = opts.deadline_seconds;
   config.lsp_threads = opts.params.lsp_threads;
   config.sanitize = opts.params.sanitize;
-  config.target_p99_seconds = opts.target_p99_ms / 1e3;
-  config.max_concurrency = opts.max_concurrency;
-  config.cost_admission = !opts.no_cost_admission;
 
   const bool layered = variant == Variant::kPpgnnOpt;
 
@@ -460,15 +442,12 @@ int RunServeMode(const CliOptions& opts, const std::vector<Poi>& pois,
   std::printf(
       "Serving: %d workers, queue=%zu, deadline=%s, %d clients x %d "
       "requests (lsp_threads=%d)%s\n"
-      "Admission: cost=%s target_p99=%.0fms max_concurrency=%d "
-      "wire_deadline=%llums\n",
+      "Admission: bounded queue + cost gate, wire_deadline=%llums\n",
       opts.workers, opts.queue_capacity,
       opts.deadline_seconds > 0 ? std::to_string(opts.deadline_seconds).c_str()
                                 : "none",
       opts.clients, opts.requests_per_client, opts.params.lsp_threads,
       use_resilient ? ", resilient client" : "",
-      opts.no_cost_admission ? "off" : "on", opts.target_p99_ms,
-      opts.max_concurrency > 0 ? opts.max_concurrency : opts.workers,
       static_cast<unsigned long long>(opts.wire_deadline_ms));
 
   std::atomic<uint64_t> answers{0}, service_errors{0}, client_errors{0};
