@@ -1,7 +1,9 @@
 // Ablation benches for the design choices called out in DESIGN.md:
 //
-//   A1  Sequential early-exit Z-test vs drawing all N_H samples — the
-//       optimization that makes answer sanitation affordable.
+//   A1  Wald's SPRT vs Eqn 16 in the sanitation test — on the same
+//       candidates, the LSP's sequential test against the paper's Z-test
+//       on all N_H samples: samples drawn, verdicts, their agreement, and
+//       the answer lengths each rule would return.
 //   A2  Dummy-generation policy vs a Bayesian prior-equipped LSP
 //       adversary — how much Privacy I really depends on dummy quality.
 //   A3  Parallel LSP candidate processing — wall-clock speedup at equal
@@ -27,30 +29,82 @@ double WallSeconds() {
       .count();
 }
 
-void AblationSanitationEarlyExit(const LspDatabase& lsp,
-                                 const BenchConfig& config) {
-  std::printf("\n-- A1: sequential early exit in the sanitation Z-test --\n");
+void AblationSanitationRule(const LspDatabase& lsp,
+                            const BenchConfig& config) {
+  std::printf("\n-- A1: Wald's SPRT vs Eqn 16 on N_H samples --\n");
+  constexpr int kUsers = 8, kPois = 8, kQueries = 20;
+  const TestConfig test;
   Rng rng(config.seed);
   for (double theta0 : {0.01, 0.05, 0.1}) {
-    auto sanitizer = ValueOrDie(AnswerSanitizer::Create(theta0, TestConfig{}));
-    SanitizeStats stats;
-    int queries = 20;
-    for (int q = 0; q < queries; ++q) {
-      auto group = RandomGroup(8, rng);
-      auto answer = lsp.solver().Query(group, 8, AggregateKind::kSum);
+    auto sanitizer = ValueOrDie(AnswerSanitizer::Create(theta0, test));
+    const uint64_t n_h = sanitizer.sample_size();
+    SanitizeStats sprt;
+    uint64_t agree = 0, sprt_safe = 0, eqn16_safe = 0;
+    uint64_t sprt_pois = 0, eqn16_pois = 0;
+    int same_length = 0;
+    for (int q = 0; q < kQueries; ++q) {
+      const auto group = RandomGroup(kUsers, rng);
+      const auto answer = lsp.solver().Query(group, kPois, AggregateKind::kSum);
+      std::vector<Point> points;
+      for (const RankedPoi& rp : answer) points.push_back(rp.poi.location);
       Rng mc(1000 + q);
-      sanitizer.Sanitize(answer, group, AggregateKind::kSum, mc, &stats);
+      // Every (prefix, target) pair is tested under both rules. Each
+      // rule's answer is the longest prefix whose every extension step
+      // passed for every target, as Sanitize returns it.
+      size_t sprt_len = 1, eqn16_len = 1;
+      for (size_t len = 2; len <= points.size(); ++len) {
+        const std::vector<Point> prefix(points.begin(),
+                                        points.begin() + len);
+        bool sprt_all = true, eqn16_all = true;
+        for (int target = 0; target < kUsers; ++target) {
+          std::vector<Point> colluders;
+          for (int u = 0; u < kUsers; ++u) {
+            if (u != target) colluders.push_back(group[u]);
+          }
+          const bool by_sprt = sanitizer.PrefixSafeForTarget(
+              colluders, prefix, AggregateKind::kSum, mc, &sprt);
+          const InequalityAttack attack(colluders, prefix,
+                                        AggregateKind::kSum);
+          const bool by_eqn16 =
+              RejectsH0(attack.CountSatisfied(mc, n_h, len), n_h, theta0,
+                        test.gamma);
+          agree += by_sprt == by_eqn16 ? 1 : 0;
+          sprt_safe += by_sprt ? 1 : 0;
+          eqn16_safe += by_eqn16 ? 1 : 0;
+          sprt_all = sprt_all && by_sprt;
+          eqn16_all = eqn16_all && by_eqn16;
+        }
+        if (sprt_all && sprt_len == len - 1) sprt_len = len;
+        if (eqn16_all && eqn16_len == len - 1) eqn16_len = len;
+      }
+      sprt_pois += sprt_len;
+      eqn16_pois += eqn16_len;
+      same_length += sprt_len == eqn16_len ? 1 : 0;
     }
-    uint64_t full_cost = stats.tests_run * sanitizer.sample_size();
+    const uint64_t tests = sprt.tests_run;
     std::printf(
-        "theta0=%-5.2f N_H=%-7llu tests=%-5llu samples drawn=%-10llu "
-        "(full sampling would draw %llu: early exit saves %.1f%%)\n",
-        theta0, static_cast<unsigned long long>(sanitizer.sample_size()),
-        static_cast<unsigned long long>(stats.tests_run),
-        static_cast<unsigned long long>(stats.samples_drawn),
-        static_cast<unsigned long long>(full_cost),
-        100.0 * (1.0 - static_cast<double>(stats.samples_drawn) /
-                           static_cast<double>(full_cost)));
+        "theta0=%-5.2f N_H=%-6llu %llu tests (%d queries x %d prefixes x %d "
+        "targets)\n"
+        "  SPRT:   %-10llu samples (%6.0f per test)  safe %-4llu  POIs "
+        "returned %llu\n"
+        "  Eqn 16: %-10llu samples (%6llu per test)  safe %-4llu  POIs "
+        "returned %llu\n"
+        "  verdicts agree on %.1f%% of tests; same answer length on %d/%d "
+        "queries; the SPRT draws %.1fx fewer samples\n",
+        theta0, static_cast<unsigned long long>(n_h),
+        static_cast<unsigned long long>(tests), kQueries, kPois - 1, kUsers,
+        static_cast<unsigned long long>(sprt.samples_drawn),
+        static_cast<double>(sprt.samples_drawn) / static_cast<double>(tests),
+        static_cast<unsigned long long>(sprt_safe),
+        static_cast<unsigned long long>(sprt_pois),
+        static_cast<unsigned long long>(tests * n_h),
+        static_cast<unsigned long long>(n_h),
+        static_cast<unsigned long long>(eqn16_safe),
+        static_cast<unsigned long long>(eqn16_pois),
+        100.0 * static_cast<double>(agree) / static_cast<double>(tests),
+        same_length, kQueries,
+        static_cast<double>(tests * n_h) /
+            static_cast<double>(sprt.samples_drawn));
   }
 }
 
@@ -203,7 +257,7 @@ int main() {
   BenchConfig config;
   LspDatabase lsp(GenerateSequoiaLike(config.db_size, config.seed));
   PrintHeader("Design-choice ablations", config);
-  AblationSanitationEarlyExit(lsp, config);
+  AblationSanitationRule(lsp, config);
   AblationDummyPolicies(lsp, config);
   AblationParallelLsp(lsp, config);
   AblationRoadMetric(config);

@@ -209,8 +209,8 @@ Status ProtocolParams::Validate() const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (theta0 <= 0.0 || theta0 > 1.0)
     return Status::InvalidArgument("theta0 must lie in (0, 1]");
-  // The LSP sizes every Z-test by Eqn 17 and refuses a theta0 it cannot
-  // size, so refuse it here, before the users encrypt anything.
+  // The LSP sizes every sanitation test by Eqn 17 and refuses a theta0 it
+  // cannot size, so refuse it here, before the users encrypt anything.
   if (n > 1 && sanitize) {
     PPGNN_RETURN_IF_ERROR(RequiredSampleSize(theta0, test).status());
   }

@@ -9,7 +9,7 @@ namespace {
 
 constexpr Rect kDataSpace{0.0, 0.0, 1.0, 1.0};
 
-// One (prefix, target) Z-test on a fresh `test`. Each block is as long as
+// One (prefix, target) test on a fresh `test`. Each block is as long as
 // the test can run without deciding before its last sample, so it draws
 // exactly the samples, and leaves `rng` exactly where, feeding one
 // Satisfies(SamplePoint(rng)) at a time to AddSample would.
@@ -39,7 +39,7 @@ bool AnswerSanitizer::PrefixSafeForTarget(
     SanitizeStats* stats, const DistanceOracle* oracle) const {
   InequalityAttack attack(colluders, prefix_points, kind, kDataSpace, oracle);
   return RegionExceedsTheta0(
-      SequentialProportionTest(sample_size_, theta0_, config_.gamma), attack,
+      SequentialProportionTest(sample_size_, theta0_, config_), attack,
       prefix_points.size(), rng, stats);
 }
 
@@ -67,7 +67,7 @@ std::vector<RankedPoi> AnswerSanitizer::Sanitize(
     attacks.emplace_back(colluders, answer_points, kind, kDataSpace, oracle);
   }
 
-  const SequentialProportionTest fresh(sample_size_, theta0_, config_.gamma);
+  const SequentialProportionTest fresh(sample_size_, theta0_, config_);
   // The length-1 prefix carries no inequalities; extend while the next
   // prefix is safe for every target, testing targets in user order.
   size_t safe_len = 1;

@@ -2,16 +2,17 @@
 //
 // For each candidate query, LSP returns the longest prefix P' of the
 // ranked kGNN answer P that is safe against the inequality attack: for
-// every target user, the hypothesis test of Eqn 16 must reject
-// H0: theta <= theta0 (i.e. prove, with Type I error <= gamma, that the
-// attack's solution region exceeds a theta0 fraction of the space).
+// every target user, a test of H0: theta <= theta0 must reject it (i.e.
+// show, with Type I error <= gamma, that the attack's solution region
+// exceeds a theta0 fraction of the space).
 //
 // The length-1 prefix is always safe (no inequalities). LSP tests prefix
-// lengths 2, 3, ... and stops at the first unsafe one. The Z-test is
-// evaluated with an early-exit sequential wrapper whose accept/reject
-// decision is identical to drawing all N_H samples. Samples are drawn and
-// judged in blocks no longer than the test's lookahead, so verdicts,
-// sample counts and the Rng position equal a sample-at-a-time loop's.
+// lengths 2, 3, ... and stops at the first unsafe one. Each test is Wald's
+// sequential probability ratio test (SequentialProportionTest), truncated
+// at 2 N_H samples with N_H from Eqn 17; the paper's Eqn 16 on N_H samples
+// is kept only as a reference (RejectsH0). Samples are drawn and judged in
+// blocks no longer than the test's lookahead, so verdicts, sample counts
+// and the Rng position equal a sample-at-a-time loop's.
 
 #ifndef PPGNN_CORE_SANITIZE_H_
 #define PPGNN_CORE_SANITIZE_H_
@@ -30,7 +31,7 @@ namespace ppgnn {
 
 struct SanitizeStats {
   uint64_t samples_drawn = 0;  ///< Monte-Carlo points tested
-  uint64_t tests_run = 0;      ///< (prefix, target-user) Z-tests executed
+  uint64_t tests_run = 0;      ///< (prefix, target-user) tests executed
 };
 
 class AnswerSanitizer {
@@ -39,7 +40,7 @@ class AnswerSanitizer {
   static Result<AnswerSanitizer> Create(double theta0,
                                         const TestConfig& config);
 
-  /// N_H from Eqn 17.
+  /// N_H from Eqn 17; one test draws at most 2 N_H samples.
   uint64_t sample_size() const { return sample_size_; }
   double theta0() const { return theta0_; }
 
@@ -52,8 +53,9 @@ class AnswerSanitizer {
                                   SanitizeStats* stats = nullptr,
                                   const DistanceOracle* oracle = nullptr) const;
 
-  /// The per-target safety test: does the Z-test reject H0 (region larger
-  /// than theta0) for the attack defined by `colluders` and the prefix?
+  /// The per-target safety test: does the sequential test reject H0
+  /// (region larger than theta0) for the attack defined by `colluders` and
+  /// the prefix?
   bool PrefixSafeForTarget(const std::vector<Point>& colluders,
                            const std::vector<Point>& prefix_points,
                            AggregateKind kind, Rng& rng,

@@ -55,7 +55,7 @@ bool ReferencePrefixSafe(const AnswerSanitizer& sanitizer, double gamma,
   InequalityAttack attack(colluders, prefix_points, kind,
                           {0.0, 0.0, 1.0, 1.0}, oracle);
   SequentialProportionTest test(sanitizer.sample_size(), sanitizer.theta0(),
-                                gamma);
+                                TestConfig{.gamma = gamma});
   ++stats->tests_run;
   while (test.CurrentVerdict() ==
          SequentialProportionTest::Verdict::kUndecided) {
@@ -352,49 +352,55 @@ TEST(SanitizerTest, PrefixSafeForTargetIsDecisionIdenticalToReference) {
   EXPECT_GT(unsafe, 0);
 }
 
-// Calibration of the Z-test on regions of known area. One target, no
-// colluders, POIs on the line y = 0.5 at theta - e and theta + e (and
-// theta + 3e for prefix 3): every inequality is a vertical bisector, so
-// the solution region is {x <= theta}, of area theta. Over 400 seeded
-// tests per point, the rejection rate (prefix judged safe) must stay
-// within three binomial standard errors of the design: at most gamma at
-// theta = theta0 (Type I error), at least 1 - eta at theta1 =
-// theta0 (1 + phi) (power).
+// Calibration of the sequential test on regions of known area. One
+// target, no colluders, POIs on the line y = 0.5 at theta - e and
+// theta + e (and theta + 3e for prefix 3): every inequality is a vertical
+// bisector, so the solution region is {x <= theta}, of area theta. Over
+// 400 seeded tests per point, the rejection rate (prefix judged safe)
+// must stay within three binomial standard errors of the design: at most
+// gamma at theta = theta0 and at theta0 / 2 (Type I error), at least
+// 1 - eta at theta1 = theta0 (1 + phi) (power). The paper's theta0 range
+// is covered at both ends.
 TEST(SanitizerTest, ZTestRejectionRatesMatchGammaAndEta) {
   const TestConfig config;
-  const double theta0 = 0.05;
-  const double theta1 = theta0 * (1.0 + config.phi);
-  const auto sanitizer = AnswerSanitizer::Create(theta0, config).value();
   constexpr int kTests = 400;
   constexpr double kOffset = 0.01;
-  auto rejection_rate = [&](double theta, size_t prefix_len, uint64_t seed) {
-    std::vector<Point> prefix = {{theta - kOffset, 0.5},
-                                 {theta + kOffset, 0.5},
-                                 {theta + 3 * kOffset, 0.5}};
-    prefix.resize(prefix_len);
-    Rng rng(seed);
-    int rejections = 0;
-    for (int t = 0; t < kTests; ++t) {
-      rejections += sanitizer.PrefixSafeForTarget({}, prefix,
-                                                  AggregateKind::kSum, rng)
-                        ? 1
-                        : 0;
-    }
-    return static_cast<double>(rejections) / kTests;
-  };
   auto three_sigma = [](double rate) {
     return 3.0 * std::sqrt(rate * (1.0 - rate) / kTests);
   };
+  const double type_one_ceiling = config.gamma + three_sigma(config.gamma);
   const double power_floor = 1.0 - config.eta;
-  for (size_t prefix_len : {2u, 3u}) {
-    const double type_one = rejection_rate(theta0, prefix_len, 50 + prefix_len);
-    EXPECT_LE(type_one, config.gamma + three_sigma(config.gamma))
-        << "prefix " << prefix_len;
-    const double power = rejection_rate(theta1, prefix_len, 60 + prefix_len);
-    EXPECT_GE(power, power_floor - three_sigma(power_floor))
-        << "prefix " << prefix_len;
-    std::cout << "prefix " << prefix_len << ": rejected " << type_one
-              << " at theta0, " << power << " at theta1\n";
+  uint64_t seed = 50;
+  for (double theta0 : {0.01, 0.05, 0.2}) {
+    const double theta1 = theta0 * (1.0 + config.phi);
+    const auto sanitizer = AnswerSanitizer::Create(theta0, config).value();
+    auto rejection_rate = [&](double theta, size_t prefix_len) {
+      std::vector<Point> prefix = {{theta - kOffset, 0.5},
+                                   {theta + kOffset, 0.5},
+                                   {theta + 3 * kOffset, 0.5}};
+      prefix.resize(prefix_len);
+      Rng rng(seed++);
+      int rejections = 0;
+      for (int t = 0; t < kTests; ++t) {
+        rejections += sanitizer.PrefixSafeForTarget({}, prefix,
+                                                    AggregateKind::kSum, rng)
+                          ? 1
+                          : 0;
+      }
+      return static_cast<double>(rejections) / kTests;
+    };
+    for (size_t prefix_len : {2u, 3u}) {
+      const std::string where = "theta0 " + std::to_string(theta0) +
+                                " prefix " + std::to_string(prefix_len);
+      const double half = rejection_rate(theta0 / 2, prefix_len);
+      EXPECT_LE(half, type_one_ceiling) << where;
+      const double type_one = rejection_rate(theta0, prefix_len);
+      EXPECT_LE(type_one, type_one_ceiling) << where;
+      const double power = rejection_rate(theta1, prefix_len);
+      EXPECT_GE(power, power_floor - three_sigma(power_floor)) << where;
+      std::cout << where << ": rejected " << half << " at theta0 / 2, "
+                << type_one << " at theta0, " << power << " at theta1\n";
+    }
   }
 }
 

@@ -12,6 +12,8 @@
 namespace ppgnn {
 namespace {
 
+using Verdict = SequentialProportionTest::Verdict;
+
 TEST(NormalTest, CdfKnownValues) {
   EXPECT_NEAR(NormalCdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(NormalCdf(1.0), 0.8413447460685429, 1e-10);
@@ -97,6 +99,32 @@ TEST(SampleSizeTest, RejectsNaNAndOversizedSampleCounts) {
   EXPECT_LT(n_01.value() * 100, kMaxSampleSize);
 }
 
+TEST(SampleSizeTest, RejectsPhiThatIsNotFiniteAndPositive) {
+  // A phi <= 0 puts theta1 at or below theta0, so a success would no
+  // longer count as evidence of a large region. Such a phi used to size a
+  // test (N_H = 11,362 at phi = -0.1 and 384 at -0.5) or fail for another
+  // reason (the sample-size ceiling at phi = 0).
+  TestConfig config;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double phi : {0.0, -0.1, -0.5, -inf, inf}) {
+    TestConfig bad = config;
+    bad.phi = phi;
+    auto n_h = RequiredSampleSize(0.05, bad);
+    ASSERT_FALSE(n_h.ok()) << phi;
+    EXPECT_EQ(n_h.status().message(), "phi must be finite and > 0") << phi;
+    // A test over such a configuration is decided unsafe at once.
+    SequentialProportionTest test(1000, 0.05, bad);
+    EXPECT_EQ(test.CurrentVerdict(), Verdict::kNotReject) << phi;
+    EXPECT_EQ(test.Lookahead(), 0u) << phi;
+  }
+  // Wald's lower boundary needs gamma + eta < 1; at 0.5 + 0.5 Eqn 17 gave
+  // N_H = 0.
+  TestConfig even = config;
+  even.gamma = 0.5;
+  even.eta = 0.5;
+  EXPECT_FALSE(RequiredSampleSize(0.05, even).ok());
+}
+
 TEST(ZTestTest, ThresholdFormula) {
   double threshold = RejectionThreshold(10000, 0.05, 0.05);
   EXPECT_NEAR(threshold, 10000 * 0.05 + 1.6449 * std::sqrt(10000 * 0.0475),
@@ -142,38 +170,67 @@ TEST(ZTestTest, PowerAgainstClearlyLargeRegion) {
   EXPECT_GT(rejections, trials * 95 / 100);
 }
 
+// Wald's test fed one sample at a time, from its definition: the statistic
+// moves by the test's one-hit and one-miss statistic per sample, and the
+// verdict is safe once it reaches upper(), unsafe once it falls to lower()
+// or after 2 n samples. Only the fixed-point weights and boundaries come
+// from the class; the stepping, the truncation and the verdict are its own.
+class ReferenceSprt {
+ public:
+  ReferenceSprt(const SequentialProportionTest& weights, uint64_t n)
+      : hit_(weights.Statistic(1, 0)),
+        miss_(weights.Statistic(0, 1)),
+        upper_(weights.upper()),
+        lower_(weights.lower()),
+        limit_(2 * n) {}
+
+  Verdict Add(bool hit) {
+    ++used_;
+    statistic_ += hit ? hit_ : miss_;
+    return verdict();
+  }
+  Verdict verdict() const {
+    if (statistic_ >= upper_) return Verdict::kReject;
+    if (statistic_ <= lower_ || used_ >= limit_) return Verdict::kNotReject;
+    return Verdict::kUndecided;
+  }
+  uint64_t used() const { return used_; }
+
+ private:
+  int64_t hit_, miss_, upper_, lower_;
+  uint64_t limit_;
+  uint64_t used_ = 0;
+  int64_t statistic_ = 0;
+};
+
 TEST(SequentialTest, MatchesBatchDecisionExactly) {
+  // The test fed one sample at a time must follow the reference, and
+  // lookahead-sized batches of the same stream must stop at the same
+  // sample. Each trial draws 2 n outcomes: the test may use them all.
   Rng rng(23);
   TestConfig config;
   const double theta0 = 0.07;
   const uint64_t n = 500;
   for (int trial = 0; trial < 300; ++trial) {
     double p = rng.NextDouble() * 0.2;  // sweep around theta0
-    std::vector<bool> outcomes(n);
-    uint64_t hits = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      outcomes[i] = rng.NextBernoulli(p);
-      hits += outcomes[i] ? 1 : 0;
-    }
-    bool batch = RejectsH0(hits, n, theta0, config.gamma);
+    std::vector<bool> outcomes(2 * n);
+    for (uint64_t i = 0; i < 2 * n; ++i) outcomes[i] = rng.NextBernoulli(p);
 
-    SequentialProportionTest seq(n, theta0, config.gamma);
+    SequentialProportionTest seq(n, theta0, config);
+    ReferenceSprt reference(seq, n);
     for (uint64_t i = 0;
-         i < n && seq.CurrentVerdict() ==
-                      SequentialProportionTest::Verdict::kUndecided;
-         ++i) {
-      seq.AddSample(outcomes[i]);
+         i < 2 * n && seq.CurrentVerdict() == Verdict::kUndecided; ++i) {
+      ASSERT_EQ(seq.AddSample(outcomes[i]), reference.Add(outcomes[i]))
+          << "p=" << p << " sample " << i;
     }
-    bool sequential =
-        seq.CurrentVerdict() == SequentialProportionTest::Verdict::kReject;
-    EXPECT_EQ(sequential, batch) << "p=" << p << " hits=" << hits;
-    EXPECT_LE(seq.samples_used(), n);
+    EXPECT_NE(seq.CurrentVerdict(), Verdict::kUndecided) << "p=" << p;
+    EXPECT_EQ(seq.samples_used(), reference.used()) << "p=" << p;
+    EXPECT_LE(seq.samples_used(), 2 * n);
 
-    // Lookahead-sized batches of the same stream stop at the same sample.
-    SequentialProportionTest blocks(n, theta0, config.gamma);
+    SequentialProportionTest blocks(n, theta0, config);
     uint64_t pos = 0;
     while (uint64_t block = blocks.Lookahead()) {
-      ASSERT_LE(pos + block, n);
+      ASSERT_LE(pos + block, 2 * n);
       uint64_t block_hits = 0;
       for (uint64_t i = pos; i < pos + block; ++i) block_hits += outcomes[i];
       blocks.AddBatch(block, block_hits);
@@ -187,20 +244,20 @@ TEST(SequentialTest, MatchesBatchDecisionExactly) {
 TEST(SequentialTest, LookaheadBatchesNeverStraddleTheDecision) {
   // Bernoulli streams with p swept around theta0, fed one at a time and in
   // lookahead-sized batches side by side. One at a time, the verdict must
-  // follow Eqn 16 at every step and never become decided strictly inside
-  // a batch; batched, it must land on the same verdict and sample count.
+  // follow the reference at every step and never become decided strictly
+  // inside a batch; batched, it must land on the same verdict and sample
+  // count.
   Rng rng(29);
   TestConfig config;
-  using Verdict = SequentialProportionTest::Verdict;
   for (double theta0 : {0.05, 0.3}) {
     const uint64_t n_h = RequiredSampleSize(theta0, config).value();
     for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{37}, uint64_t{500},
                        n_h}) {
-      const double threshold = RejectionThreshold(n, theta0, config.gamma);
       for (int trial = 0; trial < 60; ++trial) {
         const double p = theta0 * 2.0 * trial / 59.0;  // 0 .. 2 theta0
-        SequentialProportionTest single(n, theta0, config.gamma);
-        SequentialProportionTest batched(n, theta0, config.gamma);
+        SequentialProportionTest single(n, theta0, config);
+        SequentialProportionTest batched(n, theta0, config);
+        ReferenceSprt reference(single, n);
         while (uint64_t block = batched.Lookahead()) {
           ASSERT_EQ(single.CurrentVerdict(), Verdict::kUndecided);
           uint64_t hits = 0;
@@ -208,13 +265,7 @@ TEST(SequentialTest, LookaheadBatchesNeverStraddleTheDecision) {
             const bool hit = rng.NextBernoulli(p);
             hits += hit ? 1 : 0;
             Verdict v = single.AddSample(hit);
-            const double x = static_cast<double>(single.successes());
-            const double left =
-                static_cast<double>(n - single.samples_used());
-            Verdict eqn16 = x > threshold ? Verdict::kReject
-                            : x + left <= threshold ? Verdict::kNotReject
-                                                    : Verdict::kUndecided;
-            ASSERT_EQ(v, eqn16) << "n=" << n << " p=" << p;
+            ASSERT_EQ(v, reference.Add(hit)) << "n=" << n << " p=" << p;
             if (j + 1 < block) {
               ASSERT_EQ(v, Verdict::kUndecided)
                   << "decided inside a batch: n=" << n << " p=" << p;
@@ -226,14 +277,80 @@ TEST(SequentialTest, LookaheadBatchesNeverStraddleTheDecision) {
           ASSERT_EQ(batched.successes(), single.successes());
         }
         EXPECT_NE(batched.CurrentVerdict(), Verdict::kUndecided);
-        EXPECT_LE(batched.samples_used(), n);
+        EXPECT_LE(batched.samples_used(), 2 * n);
       }
     }
   }
 }
 
+TEST(SequentialTest, StatisticNeverExceedsTheExactRatio) {
+  // Wald's Type I bound holds for the exact log-likelihood ratio. The
+  // fixed-point statistic stays at or below it (here in long double), and
+  // upper() at or above ln(1 / gamma), so a safe verdict implies the exact
+  // ratio reached 1 / gamma. Extreme configurations included, every count
+  // up to 2 kMaxSampleSize times every weight fits in 64 bits.
+  constexpr int kBits = SequentialProportionTest::kFractionBits;
+  const uint64_t counts[] = {0, 1, 2, 31, 1000, 12345, kMaxSampleSize,
+                             2 * kMaxSampleSize};
+  struct Case {
+    double theta0, phi, gamma, eta;
+  };
+  const Case cases[] = {{0.05, 0.1, 0.05, 0.2},  {0.01, 0.1, 0.05, 0.2},
+                        {0.2, 0.1, 0.05, 0.2},   {1e-6, 2.0, 0.05, 0.2},
+                        {0.5, 2e-3, 0.01, 0.1},  {0.9, 0.1, 0.05, 0.2},
+                        {0.3, 2.0, 0.2, 0.5},    {1e-300, 1e299, 1e-12, 0.2}};
+  for (const Case& c : cases) {
+    const TestConfig config{c.gamma, c.eta, c.phi};
+    ASSERT_TRUE(RequiredSampleSize(c.theta0, config).ok()) << c.theta0;
+    const SequentialProportionTest test(kMaxSampleSize, c.theta0, config);
+    const long double theta0 = c.theta0;
+    const long double theta1 = c.theta0 * (1.0 + c.phi);  // as the class has it
+    const long double hit = log1pl((theta1 - theta0) / theta0);
+    const long double miss = -log1pl(-(theta1 - theta0) / (1 - theta0));
+    const long double unit = ldexpl(1.0L, kBits);
+    EXPECT_GE(static_cast<long double>(test.upper()),
+              -logl(c.gamma) * unit)
+        << c.theta0;
+    EXPECT_LT(test.lower(), 0) << c.theta0;
+    const long double widest =
+        std::max({static_cast<long double>(test.Statistic(1, 0)),
+                  static_cast<long double>(-test.Statistic(0, 1)),
+                  static_cast<long double>(test.upper()),
+                  static_cast<long double>(-test.lower())});
+    EXPECT_LT(widest * 2 * kMaxSampleSize, 0x1p62L) << c.theta0;
+    for (uint64_t hits : counts) {
+      for (uint64_t misses : counts) {
+        const long double exact =
+            (static_cast<long double>(hits) * hit -
+             static_cast<long double>(misses) * miss) *
+            unit;
+        const long double got = test.Statistic(hits, misses);
+        EXPECT_LE(got, exact) << c.theta0 << " " << hits << " " << misses;
+        // Rounding costs under one unit plus the margin per sample; more
+        // would mean a product wrapped.
+        EXPECT_GT(got, exact - (hits + misses) * (1 + widest * 0x1p-31L) - 1)
+            << c.theta0 << " " << hits << " " << misses;
+      }
+    }
+  }
+}
+
+TEST(SequentialTest, PaperDefaultConstantsArePinned) {
+  // theta0 = 0.05, gamma = 0.05, eta = 0.2, phi = 0.1, in 2^-28 nats:
+  // ln(1.1), -ln(0.945 / 0.95), ln(20) and ln(0.15 / 0.95). A build whose
+  // floating point (an FMA contraction, another -march) moved one of them
+  // could move verdicts and lookaheads.
+  const SequentialProportionTest test(12116, 0.05, TestConfig{});
+  EXPECT_EQ(test.Statistic(1, 0), 25584631);
+  EXPECT_EQ(test.Statistic(0, 1), -1416550);
+  EXPECT_EQ(test.upper(), 804160760);
+  EXPECT_EQ(test.lower(), -495485330);
+  EXPECT_EQ(test.total_samples(), 24232u);
+  EXPECT_EQ(test.Lookahead(), 32u);
+}
+
 TEST(SequentialTest, BatchLongerThanLookaheadIsIgnored) {
-  SequentialProportionTest test(1000, 0.05, 0.05);
+  SequentialProportionTest test(1000, 0.05, TestConfig{});
   const uint64_t lookahead = test.Lookahead();
   ASSERT_GT(lookahead, 1u);
   test.AddBatch(lookahead + 1, 0);
@@ -248,7 +365,7 @@ TEST(SequentialTest, EarlyExitSavesSamplesOnExtremes) {
   TestConfig config;
   const uint64_t n = 10000;
   // All successes: reject fires long before n samples.
-  SequentialProportionTest hot(n, 0.05, config.gamma);
+  SequentialProportionTest hot(n, 0.05, config);
   while (hot.CurrentVerdict() ==
          SequentialProportionTest::Verdict::kUndecided) {
     hot.AddSample(true);
@@ -258,7 +375,7 @@ TEST(SequentialTest, EarlyExitSavesSamplesOnExtremes) {
 
   // All failures: not-reject is provable once the tail can't reach the
   // threshold.
-  SequentialProportionTest cold(n, 0.05, config.gamma);
+  SequentialProportionTest cold(n, 0.05, config);
   while (cold.CurrentVerdict() ==
          SequentialProportionTest::Verdict::kUndecided) {
     cold.AddSample(false);
@@ -269,7 +386,7 @@ TEST(SequentialTest, EarlyExitSavesSamplesOnExtremes) {
 }
 
 TEST(SequentialTest, DecidedStateIgnoresFurtherSamples) {
-  SequentialProportionTest test(100, 0.05, 0.05);
+  SequentialProportionTest test(100, 0.05, TestConfig{});
   while (test.CurrentVerdict() ==
          SequentialProportionTest::Verdict::kUndecided) {
     test.AddSample(true);
