@@ -412,11 +412,15 @@ std::vector<std::vector<Point>> PaperDefaultCandidates() {
 }
 
 // The kGNN layer of one paper-default LSP query: all delta' = 101
-// candidates (k = 8, sum) over the 62,556-POI set, on one tree (/1) or on
-// each of the four slices a cluster's shards hold (/4). nodes_visited is
-// the node pops per query, summed over trees.
+// candidates (k = 8) over the 62,556-POI set, on one tree (/1/*) or on
+// each of the four slices a cluster's shards hold (/4/*), folded by sum
+// (/*/0), max (/*/1) or min (/*/2). nodes_visited is the node pops per
+// query, summed over trees.
 void BM_MbmGnnCandidates(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
+  constexpr AggregateKind kKinds[] = {AggregateKind::kSum, AggregateKind::kMax,
+                                      AggregateKind::kMin};
+  const AggregateKind kind = kKinds[state.range(1)];
   std::vector<RTree> trees;
   for (std::vector<Poi>& slice : PartitionPoisForShards(
            GenerateSequoiaLike(kSequoiaSize, 7), shards)) {
@@ -429,15 +433,17 @@ void BM_MbmGnnCandidates(benchmark::State& state) {
     for (const RTree& tree : trees) {
       MbmGnnSolver solver(&tree);
       for (const std::vector<Point>& candidate : candidates) {
-        benchmark::DoNotOptimize(
-            solver.Query(candidate, 8, AggregateKind::kSum));
+        benchmark::DoNotOptimize(solver.Query(candidate, 8, kind));
         nodes_visited += solver.last_nodes_visited();
       }
     }
   }
+  state.SetLabel(AggregateKindToString(kind));
   state.counters["nodes_visited"] = static_cast<double>(nodes_visited);
 }
-BENCHMARK(BM_MbmGnnCandidates)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MbmGnnCandidates)
+    ->ArgsProduct({{1, 4}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
 
 // ---- sanitation (C_s of Table 2) ----
 

@@ -7,6 +7,7 @@
 #ifndef PPGNN_GEO_AGGREGATE_H_
 #define PPGNN_GEO_AGGREGATE_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,20 @@ double AggregateMinDistance(AggregateKind kind, const Rect& box,
 /// candidate filtering): F(maxdist(box, l_1), ..., maxdist(box, l_n)).
 double AggregateMaxDistance(AggregateKind kind, const Rect& box,
                             const std::vector<Point>& queries);
+
+/// out[c] = AggregateMinDistance(kind, {min_x[c], min_y[c], max_x[c],
+/// max_y[c]}, queries) for c < count, bit for bit. SSE2 targets evaluate
+/// two boxes per instruction (aggregate.cc).
+void AggregateMinDistances(AggregateKind kind, const double* min_x,
+                           const double* min_y, const double* max_x,
+                           const double* max_y, size_t count,
+                           const std::vector<Point>& queries, double* out);
+
+/// out[c] = AggregateCost(kind, {xs[c], ys[c]}, queries) for c < count,
+/// bit for bit. SSE2 targets evaluate two points per instruction.
+void AggregateCosts(AggregateKind kind, const double* xs, const double* ys,
+                    size_t count, const std::vector<Point>& queries,
+                    double* out);
 
 }  // namespace ppgnn
 

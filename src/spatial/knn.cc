@@ -1,56 +1,15 @@
 #include "spatial/knn.h"
 
 #include <algorithm>
-#include <queue>
+
+#include "spatial/gnn.h"
 
 namespace ppgnn {
-namespace {
 
-// Best-first queue entry: either an R-tree node or a concrete POI.
-struct QueueEntry {
-  double cost;
-  bool is_poi;
-  uint32_t index;  // node id or POI index
-  uint32_t tie;    // POI id for deterministic ordering
-
-  bool operator>(const QueueEntry& o) const {
-    if (cost != o.cost) return cost > o.cost;
-    if (is_poi != o.is_poi) return is_poi && !o.is_poi ? false : true;
-    return tie > o.tie;
-  }
-};
-
-}  // namespace
-
+// A sum over one location is 0.0 + Distance, which is Distance bit for
+// bit, so MBM's answers are the k first of the (distance, id) order.
 std::vector<RankedPoi> KnnQuery(const RTree& tree, const Point& query, int k) {
-  std::vector<RankedPoi> out;
-  if (tree.Empty() || k <= 0) return out;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
-  frontier.push({MinDistance(query, tree.nodes()[tree.root()].box), false,
-                 tree.root(), 0});
-  while (!frontier.empty() && out.size() < static_cast<size_t>(k)) {
-    QueueEntry top = frontier.top();
-    frontier.pop();
-    if (top.is_poi) {
-      out.push_back({tree.pois()[top.index], top.cost});
-      continue;
-    }
-    const RTree::Node& node = tree.nodes()[top.index];
-    if (node.is_leaf) {
-      for (uint32_t idx : node.entries) {
-        const Poi& poi = tree.pois()[idx];
-        frontier.push({Distance(query, poi.location), true, idx, poi.id});
-      }
-    } else {
-      for (uint32_t child : node.entries) {
-        frontier.push(
-            {MinDistance(query, tree.nodes()[child].box), false, child, 0});
-      }
-    }
-  }
-  return out;
+  return MbmGnnSolver(&tree).Query({query}, k, AggregateKind::kSum);
 }
 
 std::vector<RankedPoi> KnnBruteForce(const std::vector<Poi>& pois,

@@ -1,4 +1,4 @@
-// k-nearest-neighbor search over an R-tree (best-first traversal) plus a
+// k-nearest-neighbor search over an R-tree (MBM with one location) plus a
 // brute-force reference implementation used for differential testing.
 
 #ifndef PPGNN_SPATIAL_KNN_H_
@@ -18,8 +18,8 @@ struct RankedPoi {
 };
 
 /// Returns the k POIs nearest to `query` in ascending distance order
-/// (fewer if the database is smaller). Ties are broken by POI id so
-/// results are deterministic.
+/// (fewer if the database is smaller). Ties are broken by POI id, as in
+/// KnnBruteForce.
 std::vector<RankedPoi> KnnQuery(const RTree& tree, const Point& query, int k);
 
 /// O(D log D) reference used to validate KnnQuery.

@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace ppgnn {
+namespace {
+
+void CheckPoiArena(size_t slots) {
+  if (slots <= RTree::kMaxPois) return;
+  std::fprintf(stderr, "RTree: %zu POI slots exceed the limit of %zu\n",
+               slots, RTree::kMaxPois);
+  std::abort();
+}
+
+}  // namespace
 
 RTree RTree::Build(std::vector<Poi> pois) {
+  CheckPoiArena(pois.size());
   RTree tree;
   tree.pois_ = std::move(pois);
   tree.live_.assign(tree.pois_.size(), true);
@@ -267,6 +280,7 @@ void RTree::AdjustTree(std::vector<uint32_t> path, uint32_t /*split_id*/) {
 }
 
 void RTree::Insert(const Poi& poi) {
+  CheckPoiArena(pois_.size() + 1);
   uint32_t poi_index = static_cast<uint32_t>(pois_.size());
   pois_.push_back(poi);
   live_.push_back(true);

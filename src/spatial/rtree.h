@@ -12,6 +12,7 @@
 #ifndef PPGNN_SPATIAL_RTREE_H_
 #define PPGNN_SPATIAL_RTREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,11 @@ class RTree {
 
   /// Minimum entries per node after a split (Guttman's m).
   static constexpr int kMinFill = kFanout * 2 / 5;
+
+  /// Most slots the POI arena may hold, deleted ones included: the MBM
+  /// frontier packs a slot into 31 bits (gnn.cc). Build and Insert abort
+  /// rather than grow past it.
+  static constexpr size_t kMaxPois = size_t{1} << 31;
 
   /// Builds a tree over a copy of `pois` with STR packing. An empty
   /// database yields an empty (but valid) tree.

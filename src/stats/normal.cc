@@ -43,6 +43,8 @@ double NormalQuantile(double p) {
   return x;
 }
 
-double UpperCritical(double gamma) { return NormalQuantile(1.0 - gamma); }
+// By symmetry, z_gamma = -NormalQuantile(gamma); 1 - gamma would round to
+// 1 for gamma below about 1.1e-16 and lose the tail.
+double UpperCritical(double gamma) { return -NormalQuantile(gamma); }
 
 }  // namespace ppgnn

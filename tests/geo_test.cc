@@ -227,5 +227,96 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, AggregateBoundTest,
                                            AggregateKind::kMax,
                                            AggregateKind::kMin));
 
+// Every out[c] of both batch kernels must have the scalar fold's bits:
+// AggregateMinDistances on the boxes, AggregateCosts on their low corners.
+void ExpectBatchMatchesScalar(AggregateKind kind, const std::vector<Rect>& boxes,
+                              const std::vector<Point>& queries) {
+  const size_t count = boxes.size();
+  std::vector<double> lo_x(count), lo_y(count), hi_x(count), hi_y(count);
+  for (size_t c = 0; c < count; ++c) {
+    lo_x[c] = boxes[c].min_x;
+    lo_y[c] = boxes[c].min_y;
+    hi_x[c] = boxes[c].max_x;
+    hi_y[c] = boxes[c].max_y;
+  }
+  std::vector<double> out(count + 1, -1.0);
+  AggregateMinDistances(kind, lo_x.data(), lo_y.data(), hi_x.data(),
+                        hi_y.data(), count, queries, out.data());
+  for (size_t c = 0; c < count; ++c) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(out[c]),
+              std::bit_cast<uint64_t>(
+                  AggregateMinDistance(kind, boxes[c], queries)))
+        << "box " << c << " " << boxes[c];
+  }
+  EXPECT_EQ(out[count], -1.0) << "AggregateMinDistances wrote past count";
+  AggregateCosts(kind, lo_x.data(), lo_y.data(), count, queries, out.data());
+  for (size_t c = 0; c < count; ++c) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(out[c]),
+              std::bit_cast<uint64_t>(
+                  AggregateCost(kind, {lo_x[c], lo_y[c]}, queries)))
+        << "point " << c << " (" << lo_x[c] << ", " << lo_y[c] << ")";
+  }
+  EXPECT_EQ(out[count], -1.0) << "AggregateCosts wrote past count";
+}
+
+// Box c of a test batch, cycling through random boxes, boxes with
+// `anchor` inside and on an edge, point boxes (some at `anchor`),
+// Rect::Empty(), and corners drawn from ±0 and 1e±300.
+Rect BatchBox(size_t c, const Point& anchor, Rng& rng) {
+  static constexpr double kSpecial[] = {0.0,    -0.0,    1e300,
+                                        -1e300, 1e-300, -1e-300};
+  const double x = rng.NextDouble();
+  const double y = rng.NextDouble();
+  switch (c % 6) {
+    case 0:
+      return {x, y, x + rng.NextDouble() * 0.3, y + rng.NextDouble() * 0.3};
+    case 1:
+      return {anchor.x - 0.1 * x, anchor.y - 0.1 * y, anchor.x + 0.2 * y,
+              anchor.y + 0.2 * x};
+    case 2:
+      return {anchor.x, anchor.y - 0.1 * y, anchor.x + x, anchor.y + 0.1};
+    case 3:
+      return Rect::FromPoint(c % 4 == 1 ? anchor : Point{x, y});
+    case 4:
+      return Rect::Empty();
+    default:
+      return {kSpecial[rng.NextBelow(6)], kSpecial[rng.NextBelow(6)],
+              kSpecial[rng.NextBelow(6)], kSpecial[rng.NextBelow(6)]};
+  }
+}
+
+TEST(AggregateTest, BatchKernelsEqualScalarFoldBitForBit) {
+  Rng rng(43);
+  std::vector<Point> paper(8);
+  for (Point& q : paper) q = {rng.NextDouble(), rng.NextDouble()};
+  std::vector<Point> signed_zeros = paper;
+  signed_zeros.push_back({0.0, -0.0});
+  signed_zeros.push_back({-0.0, 0.0});
+  const std::vector<std::vector<Point>> query_sets = {
+      {},
+      {{rng.NextDouble(), rng.NextDouble()}},
+      paper,
+      signed_zeros,
+      {{0.5, 0.25}, {1e300, -1e300}, {1e-300, -1e-300}},
+  };
+  // Twice an R-tree node's fanout (16) plus an odd tail.
+  constexpr size_t kMaxCount = 2 * 16 + 1;
+  for (AggregateKind kind :
+       {AggregateKind::kSum, AggregateKind::kMax, AggregateKind::kMin}) {
+    for (size_t set = 0; set < query_sets.size(); ++set) {
+      const std::vector<Point>& queries = query_sets[set];
+      const Point anchor = queries.empty() ? Point{0.5, 0.5} : queries[0];
+      for (size_t count = 0; count <= kMaxCount; ++count) {
+        SCOPED_TRACE(testing::Message() << AggregateKindToString(kind)
+                                        << " query set " << set << " count "
+                                        << count);
+        std::vector<Rect> boxes(count);
+        for (size_t c = 0; c < count; ++c) boxes[c] = BatchBox(c, anchor, rng);
+        ExpectBatchMatchesScalar(kind, boxes, queries);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ppgnn

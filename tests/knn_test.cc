@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/random.h"
 #include "spatial/dataset.h"
 
@@ -68,6 +71,44 @@ TEST_P(KnnDifferentialTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, KnnDifferentialTest,
                          ::testing::Values(1, 2, 8, 32, 100));
+
+// A point of the 16 x 16 grid with exact binary coordinates, so distances
+// tie exactly whenever the offsets match.
+Point GridPoint(Rng& rng) {
+  return {static_cast<double>(rng.NextBelow(16)) / 16.0,
+          static_cast<double>(rng.NextBelow(16)) / 16.0};
+}
+
+TEST(KnnTest, MatchesBruteForceOnTiedGrid) {
+  // 3,000 POIs on 256 grid points tie on distance everywhere, and their
+  // ids are shuffled, so the answer is right only if KnnQuery emits the
+  // (distance, id) order KnnBruteForce sorts by: ids, order and cost bits.
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    Rng rng(700 + seed);
+    std::vector<uint32_t> ids(3000);
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+    rng.Shuffle(ids);
+    std::vector<Poi> pois(ids.size());
+    for (size_t i = 0; i < pois.size(); ++i) pois[i] = {ids[i], GridPoint(rng)};
+    RTree tree = RTree::Build(pois);
+    for (int trial = 0; trial < 20; ++trial) {
+      const Point q = GridPoint(rng);
+      for (int k : {1, 5, 17, 40}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " trial " << trial << " k=" << k);
+        const std::vector<RankedPoi> fast = KnnQuery(tree, q, k);
+        const std::vector<RankedPoi> slow = KnnBruteForce(pois, q, k);
+        ASSERT_EQ(fast.size(), slow.size());
+        for (size_t i = 0; i < fast.size(); ++i) {
+          ASSERT_EQ(fast[i].poi.id, slow[i].poi.id) << "rank " << i;
+          ASSERT_EQ(std::bit_cast<uint64_t>(fast[i].cost),
+                    std::bit_cast<uint64_t>(slow[i].cost))
+              << "rank " << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(KnnTest, QueryOutsideDataSpace) {
   std::vector<Poi> pois = GenerateUniform(100, 7);

@@ -42,6 +42,13 @@ TEST(NormalTest, UpperCriticalPaperValues) {
   EXPECT_NEAR(UpperCritical(0.2), 0.8416, 1e-3);
 }
 
+TEST(NormalTest, UpperCriticalKeepsTheFarTail) {
+  // 1 - gamma rounds to 1 below gamma ~ 1.1e-16; z must stay finite.
+  EXPECT_NEAR(UpperCritical(1e-20), 9.2623, 1e-3);
+  EXPECT_NEAR(UpperCritical(1e-50), 14.9333, 1e-3);
+  EXPECT_NEAR(UpperCritical(1e-300), 37.0471, 1e-3);
+}
+
 TEST(SampleSizeTest, PaperDefaultsProduceExpectedScale) {
   // theta0 = 0.05, phi = 0.1 -> theta1 = 0.055: N_H lands in the
   // ten-thousands; theta0 = 0.01 needs many more samples.
