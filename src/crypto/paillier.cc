@@ -318,7 +318,8 @@ Result<Ciphertext> Encryptor::DotProduct(
     const std::vector<BigInt>& x, const std::vector<Ciphertext>& v) const {
   if (x.size() != v.size())
     return Status::InvalidArgument("DotProduct dimension mismatch");
-  PPGNN_ASSIGN_OR_RETURN(DotEngine engine, MakeDotEngine(v));
+  PPGNN_ASSIGN_OR_RETURN(DotEngine engine,
+                         MakeDotEngine(v, MaxBitLength(x), 1));
   return engine.Dot(x);
 }
 
@@ -340,7 +341,7 @@ Result<Ciphertext> Encryptor::DotProductNaive(
 }
 
 Result<Encryptor::DotEngine> Encryptor::MakeDotEngine(
-    const std::vector<Ciphertext>& v) const {
+    const std::vector<Ciphertext>& v, int scalar_bits, size_t rows) const {
   if (v.empty()) return Status::InvalidArgument("DotProduct on empty vectors");
   const int level = v[0].level;
   for (const Ciphertext& c : v) {
@@ -356,8 +357,9 @@ Result<Encryptor::DotEngine> Encryptor::MakeDotEngine(
     std::vector<BigInt> bases;
     bases.reserve(v.size());
     for (const Ciphertext& c : v) bases.push_back(c.value);
-    PPGNN_ASSIGN_OR_RETURN(MultiExpEngine multi,
-                           MultiExpEngine::Create(lc.ctx.get(), bases));
+    PPGNN_ASSIGN_OR_RETURN(
+        MultiExpEngine multi,
+        MultiExpEngine::Create(lc.ctx.get(), bases, scalar_bits, rows));
     engine.engine_ = std::make_unique<MultiExpEngine>(std::move(multi));
   } else {
     // Degenerate (even-modulus) key: keep the ladder-based reference path.

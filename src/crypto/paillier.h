@@ -251,9 +251,12 @@ class Encryptor {
     std::vector<Ciphertext> fallback_v_;
   };
 
-  /// Builds a DotEngine over [v]. Errors on empty input or mismatched
-  /// ciphertext levels.
-  Result<DotEngine> MakeDotEngine(const std::vector<Ciphertext>& v) const;
+  /// Builds a DotEngine over [v] for `rows` Dot calls on scalars of at
+  /// most `scalar_bits` (>= 0) bits, which price the multi-exponentiation's
+  /// window width; a longer scalar still evaluates exactly. Errors on
+  /// empty input or mismatched ciphertext levels.
+  Result<DotEngine> MakeDotEngine(const std::vector<Ciphertext>& v,
+                                  int scalar_bits, size_t rows) const;
 
   /// The trivial encryption of zero with no randomness (identity element of
   /// Add). Useful as an accumulator seed; NOT semantically secure alone.

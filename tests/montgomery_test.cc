@@ -257,6 +257,18 @@ TEST_P(MontRowTest, MontMulLimbsMatchesContextAndKeepsGuardLimbs) {
       ASSERT_TRUE(prod.guards_intact()) << "L " << L;
       EXPECT_EQ(prod.limbs(), ctx.MontMul(am, bm)) << "L " << L;
       EXPECT_EQ(ctx.FromMont(prod.limbs()), ModMul(a, b, m)) << "L " << L;
+
+      // The context's in-place product (on the dispatched row): `out`
+      // aliases the left operand on even iterations, the right on odd.
+      Guarded in_place(L), other(L), scratch(ctx.scratch_limbs());
+      uint64_t* lhs = iter % 2 == 0 ? in_place.data() : other.data();
+      uint64_t* rhs = iter % 2 == 0 ? other.data() : in_place.data();
+      std::copy(am.begin(), am.end(), lhs);
+      std::copy(bm.begin(), bm.end(), rhs);
+      ctx.MontMulInto(lhs, rhs, in_place.data(), scratch.data());
+      ASSERT_TRUE(in_place.guards_intact()) << "L " << L;
+      ASSERT_TRUE(scratch.guards_intact()) << "L " << L;
+      EXPECT_EQ(in_place.limbs(), prod.limbs()) << "L " << L;
     }
   }
 }
