@@ -144,13 +144,12 @@ BENCHMARK(BM_PaillierEncryptL2)->Arg(512)->Arg(1024);
 
 // ---- Encrypt-side hot path (fixed-base and key-holder blinding) ----
 //
-// Three variants of the same Encrypt call, isolating each acceleration
-// layer: the seed's fresh square-and-multiply blinding, the shared
-// fixed-base comb a public-key Encryptor uses, and the reduced-exponent
-// CRT evaluation a key holder's Encryptor uses. All variants produce
-// bit-identical ciphertexts for the same RNG stream (paillier_test.cc
-// enforces this), so the comparison is pure cost. Args are
-// {key_bits, level}; EXPERIMENTS.md records the resulting curves.
+// Two variants of the same Encrypt call, one per blinding path: the
+// shared fixed-base comb a public-key Encryptor uses, and the
+// reduced-exponent CRT evaluation a key holder's Encryptor uses. Both
+// produce bit-identical ciphertexts for the same RNG stream
+// (paillier_test.cc enforces this), so the comparison is pure cost. Args
+// are {key_bits, level}; EXPERIMENTS.md records the resulting curves.
 
 PaillierFixtureState& SharedPaillierFixture(int key_bits) {
   // Key generation at 2048 bits is seconds of work; share one fixture
@@ -161,31 +160,6 @@ PaillierFixtureState& SharedPaillierFixture(int key_bits) {
   if (slot == nullptr) slot = std::make_unique<PaillierFixtureState>(key_bits);
   return *slot;
 }
-
-EncryptorOptions NaiveEncryptorOptions() {
-  EncryptorOptions options;
-  options.use_fixed_base = false;
-  return options;
-}
-
-void BM_Encrypt_Naive(benchmark::State& state) {
-  PaillierFixtureState& fx = SharedPaillierFixture(
-      static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub, NaiveEncryptorOptions());
-  const int level = static_cast<int>(state.range(1));
-  BigInt m(123456789);
-  // One untimed encrypt warms the level/blinding caches (h derivation,
-  // fixed-base tables) so the loop measures steady-state cost.
-  (void)bench::ValueOrDie(enc.Encrypt(m, fx.rng, level));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, level)));
-  }
-}
-BENCHMARK(BM_Encrypt_Naive)
-    ->Args({1024, 1})
-    ->Args({1024, 2})
-    ->Args({2048, 1})
-    ->Args({2048, 2});
 
 void BM_Encrypt_FixedBase(benchmark::State& state) {
   PaillierFixtureState& fx = SharedPaillierFixture(
@@ -273,17 +247,6 @@ void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
 BENCHMARK(BM_Encrypt_FreshKeyIndicator)
     ->ArgsProduct({{1024, 2048}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
-
-void BM_PaillierDecryptL1NoCrt(benchmark::State& state) {
-  PaillierFixtureState fx(static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub);
-  Decryptor dec(fx.keys.pub, fx.keys.sec, /*use_crt=*/false);
-  Ciphertext ct = bench::ValueOrDie(enc.Encrypt(BigInt(42), fx.rng, 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::ValueOrDie(dec.Decrypt(ct)));
-  }
-}
-BENCHMARK(BM_PaillierDecryptL1NoCrt)->Arg(512)->Arg(1024);
 
 void BM_PaillierDecryptL1(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));

@@ -256,6 +256,9 @@ Result<QueryMessage> ReadQuery(const std::vector<uint8_t>& bytes,
   msg.pk.key_bits = static_cast<int>(key_bits);
   if (msg.pk.n.BitLength() != msg.pk.key_bits)
     return Status::InvalidArgument("wire: public key not full-width");
+  // Paillier's Montgomery arithmetic needs an odd N (crypto/paillier.h).
+  if (!msg.pk.n.IsOdd())
+    return Status::InvalidArgument("wire: public key N is even");
 
   PPGNN_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
   if (kind == kIndicatorOpt) {

@@ -20,9 +20,16 @@ Result<BigInt> GetBigInt(ByteReader& r) {
 Status ValidateKeyPair(const KeyPair& keys) {
   if (keys.pub.n.BitLength() != keys.pub.key_bits)
     return Status::CryptoError("public key is not full width");
+  if (!keys.pub.n.IsOdd()) return Status::CryptoError("public key N is even");
   // ppgnn-lint: allow(secret-flow): owner-side integrity check after key import; attacker never observes this branch
   if (keys.sec.p * keys.sec.q != keys.pub.n)
     return Status::CryptoError("N != p*q: corrupted key material");
+  // N odd and distinct factors above 1 make p^{s+1} and q^{s+1} coprime
+  // odd moduli >= 3.
+  // ppgnn-lint: allow(secret-flow): owner-side integrity check after key import; attacker never observes this branch
+  if (keys.sec.p == BigInt(1) || keys.sec.q == BigInt(1) ||
+      keys.sec.p == keys.sec.q)
+    return Status::CryptoError("N's factors must be distinct and above 1");
   BigInt lambda =
       Lcm(keys.sec.p - BigInt(1), keys.sec.q - BigInt(1));
   // ppgnn-lint: allow(secret-flow): owner-side integrity check after key import; attacker never observes this branch
@@ -49,6 +56,7 @@ Result<PublicKey> DeserializePublicKey(const std::vector<uint8_t>& bytes) {
   if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes after key");
   if (pk.key_bits < 64 || pk.n.BitLength() != pk.key_bits)
     return Status::CryptoError("public key is not full width");
+  if (!pk.n.IsOdd()) return Status::CryptoError("public key N is even");
   return pk;
 }
 

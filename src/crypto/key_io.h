@@ -5,8 +5,10 @@
 //   KeyPair:   PublicKey, then length-prefixed lambda, p, q
 //
 // Deserialization validates the algebra (N = p*q, lambda = lcm(p-1,q-1),
-// full key width), so a corrupted or mismatched key file fails loudly
-// instead of producing garbage ciphertexts.
+// full key width, N odd, distinct factors above 1), so a corrupted or
+// mismatched key file fails loudly instead of producing garbage
+// ciphertexts, and every modulus Paillier exponentiates over admits a
+// Montgomery context.
 
 #ifndef PPGNN_CRYPTO_KEY_IO_H_
 #define PPGNN_CRYPTO_KEY_IO_H_

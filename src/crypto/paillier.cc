@@ -5,14 +5,13 @@
 #include "common/failpoint.h"
 
 // ppgnn: secret(lambda, p, q, sk_, p_pow, q_pow, crt_coeff, crt_coeff_)
-// ppgnn: secret(p_half_, q_half_, r_pow, r_pow_s, r_minus_1, r_base, r_table, r_ctx)
+// ppgnn: secret(p_half_, q_half_, r_pow, r_pow_s, r_minus_1, r_base, r_table)
 //
 // The key holder's blinding members and the Decryptor's CRT constants
 // are precomputed from the secret factors (moduli p^{s+1}/q^{s+1}, the
 // orders p-1/q-1, the half-width bases, the fixed-base tables over them
 // and the CRT coefficients), so they carry the same taint as p and q
-// themselves: control flow branches on configuration booleans
-// (`uses_tables_`, `use_crt_`) instead, never on these values.
+// themselves: control flow never branches on these values.
 
 namespace ppgnn {
 
@@ -52,11 +51,19 @@ Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng) {
   }
 }
 
-Encryptor::Encryptor(PublicKey pk)
-    : Encryptor(std::move(pk), EncryptorOptions()) {}
+namespace {
 
-Encryptor::Encryptor(PublicKey pk, const EncryptorOptions& options)
-    : pk_(std::move(pk)), opts_(options) {
+// A context over N^{s+1}, p^{s+1} or q^{s+1}: odd moduli, since N is odd
+// wherever a key enters (paillier.h).
+std::unique_ptr<MontgomeryContext> OddModulusContext(const BigInt& modulus) {
+  // ppgnn-lint: allow(unchecked-result): the modulus is odd (see above); an even one from an in-process caller must abort, as division by zero does
+  MontgomeryContext ctx = MontgomeryContext::Create(modulus).value();
+  return std::make_unique<MontgomeryContext>(std::move(ctx));
+}
+
+}  // namespace
+
+Encryptor::Encryptor(PublicKey pk) : pk_(std::move(pk)) {
   // Eagerly derive the ε_1/ε_2 caches (N^2 and N^3 with their Montgomery
   // contexts): every protocol hot path uses one of them, and eager
   // construction keeps parallel selection workers from contending on
@@ -67,10 +74,8 @@ Encryptor::Encryptor(PublicKey pk, const EncryptorOptions& options)
   Level(2);
 }
 
-Encryptor::Encryptor(const KeyPair& keys, const EncryptorOptions& options)
-    : pk_(keys.pub),
-      opts_(options),
-      sk_(std::make_unique<SecretKey>(keys.sec)) {
+Encryptor::Encryptor(const KeyPair& keys)
+    : pk_(keys.pub), sk_(std::make_unique<SecretKey>(keys.sec)) {
   Level(1);
   Level(2);
 }
@@ -84,10 +89,7 @@ const Encryptor::LevelCache& Encryptor::Level(int level) const {
     auto cache = std::make_unique<LevelCache>();
     cache->n_s = pk_.NPow(static_cast<int>(idx));
     cache->modulus = cache->n_s * pk_.n;
-    Result<MontgomeryContext> ctx = MontgomeryContext::Create(cache->modulus);
-    if (ctx.ok()) {
-      cache->ctx = std::make_unique<MontgomeryContext>(std::move(ctx).value());
-    }
+    cache->ctx = OddModulusContext(cache->modulus);
     slot = std::move(cache);
   }
   return *slot;
@@ -127,23 +129,21 @@ Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
 
 namespace internal {
 
-Result<KeyHolderBlinding> KeyHolderBlinding::Create(
-    const PublicKey& pk, const SecretKey& sk, int level,
-    const EncryptorOptions& options) {
+Result<KeyHolderBlinding> KeyHolderBlinding::Create(const PublicKey& pk,
+                                                    const SecretKey& sk,
+                                                    int level) {
   if (level < 1) return Status::InvalidArgument("ciphertext level must be >= 1");
   const BigInt n_s = pk.NPow(level);
   KeyHolderBlinding out;
-  out.uses_tables_ = options.use_fixed_base;
-  PPGNN_ASSIGN_OR_RETURN(out.p_half_, MakeHalf(sk.p, n_s, level, options));
-  PPGNN_ASSIGN_OR_RETURN(out.q_half_, MakeHalf(sk.q, n_s, level, options));
+  PPGNN_ASSIGN_OR_RETURN(out.p_half_, MakeHalf(sk.p, n_s, level));
+  PPGNN_ASSIGN_OR_RETURN(out.q_half_, MakeHalf(sk.q, n_s, level));
   PPGNN_ASSIGN_OR_RETURN(out.crt_coeff_,
                          ModInverse(out.p_half_.r_pow, out.q_half_.r_pow));
   return out;
 }
 
 Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
-    const BigInt& r, const BigInt& n_s, int level,
-    const EncryptorOptions& options) {
+    const BigInt& r, const BigInt& n_s, int level) {
   Half half;
   BigInt r_pow_s(1);  // r^level
   for (int i = 0; i < level; ++i) r_pow_s = r_pow_s * r;
@@ -154,36 +154,25 @@ Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
   // (Z/r^{s+1})* has order r^s (r - 1), so 2^{N^s} mod r^{s+1} needs only
   // the exponent N^s mod r^s (r - 1).
   PPGNN_ASSIGN_OR_RETURN(
-      half.r_base,
+      const BigInt r_base,
       ModExp(BigInt(2), n_s.Mod(r_pow_s * half.r_minus_1), ctx));
-  if (options.use_fixed_base) {
-    PPGNN_ASSIGN_OR_RETURN(
-        FixedBaseEngine table,
-        FixedBaseEngine::Create(half.r_base, half.r_pow,
-                                half.r_minus_1.BitLength()));
-    half.r_table = std::make_unique<const FixedBaseEngine>(std::move(table));
-  } else {
-    half.r_ctx = std::make_unique<MontgomeryContext>(std::move(ctx));
-  }
+  PPGNN_ASSIGN_OR_RETURN(FixedBaseEngine table,
+                         FixedBaseEngine::Create(r_base, half.r_pow,
+                                                 half.r_minus_1.BitLength()));
+  half.r_table = std::make_unique<const FixedBaseEngine>(std::move(table));
   return half;
 }
 
-Result<BigInt> KeyHolderBlinding::HalfPow(const Half& half,
-                                          const BigInt& t) const {
-  const BigInt reduced = t.Mod(half.r_minus_1);
-  if (uses_tables_) return half.r_table->Pow(reduced);
-  return ModExp(half.r_base, reduced, *half.r_ctx);
-}
-
 Result<BigInt> KeyHolderBlinding::Pow(const BigInt& t) const {
-  PPGNN_ASSIGN_OR_RETURN(BigInt blind_p, HalfPow(p_half_, t));
-  PPGNN_ASSIGN_OR_RETURN(BigInt blind_q, HalfPow(q_half_, t));
+  PPGNN_ASSIGN_OR_RETURN(BigInt blind_p,
+                         p_half_.r_table->Pow(t.Mod(p_half_.r_minus_1)));
+  PPGNN_ASSIGN_OR_RETURN(BigInt blind_q,
+                         q_half_.r_table->Pow(t.Mod(q_half_.r_minus_1)));
   return CrtCombinePrecomputed(blind_p, p_half_.r_pow, blind_q,
                                q_half_.r_pow, crt_coeff_);
 }
 
 size_t KeyHolderBlinding::table_bytes() const {
-  if (!uses_tables_) return 0;
   return p_half_.r_table->table_bytes() + q_half_.r_table->table_bytes();
 }
 
@@ -198,64 +187,42 @@ Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
   // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
   if (sk_ != nullptr) {
     // Key holder: reduced exponents over p^{s+1} and q^{s+1}, on tables
-    // this Encryptor owns. A key whose factors admit no Montgomery
-    // context (not a real key pair) keeps the public-key path below.
-    Result<internal::KeyHolderBlinding> key_holder =
-        internal::KeyHolderBlinding::Create(pk_, *sk_, level, opts_);
-    if (key_holder.ok()) {
-      b->key_holder = std::make_unique<const internal::KeyHolderBlinding>(
-          std::move(key_holder).value());
-      lc.blinding = std::move(b);
-      return lc.blinding.get();
-    }
-  }
-  // h_s = g^{N^s} mod N^{s+1} with g = 2: a unit modulo every odd
-  // semiprime N, and deterministic — the base (hence every fixed-base
-  // table derived from it) is a pure function of the public key.
-  const BigInt g(2);
-  if (lc.ctx != nullptr) {
-    PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, *lc.ctx));
+    // this Encryptor owns.
+    PPGNN_ASSIGN_OR_RETURN(
+        internal::KeyHolderBlinding key_holder,
+        internal::KeyHolderBlinding::Create(pk_, *sk_, level));
+    b->key_holder = std::make_unique<const internal::KeyHolderBlinding>(
+        std::move(key_holder));
   } else {
-    PPGNN_ASSIGN_OR_RETURN(b->h, ModExp(g, lc.n_s, lc.modulus));
-  }
-  if (opts_.use_fixed_base && lc.ctx != nullptr) {
+    // h_s = g^{N^s} mod N^{s+1} with g = 2: a unit modulo every odd
+    // semiprime N, and deterministic — the base (hence every fixed-base
+    // table derived from it) is a pure function of the public key.
+    PPGNN_ASSIGN_OR_RETURN(const BigInt h, ModExp(BigInt(2), lc.n_s, *lc.ctx));
     // Shared with every other live public-key Encryptor over this key;
-    // freed with the last of them. Null on registry failure -> generic
-    // ladder below.
-    b->engine = SharedFixedBaseEngine(b->h, lc.modulus, BlindingExponentBits());
+    // freed with the last of them.
+    b->engine = SharedFixedBaseEngine(h, lc.modulus, BlindingExponentBits());
+    if (b->engine == nullptr)
+      return Status::Internal("no fixed-base table for the blinding base");
   }
   lc.blinding = std::move(b);
   return lc.blinding.get();
 }
 
 Result<BigInt> Encryptor::MakeBlinding(int level, Rng& rng) const {
-  const LevelCache& lc = Level(level);
   PPGNN_ASSIGN_OR_RETURN(const LevelCache::Blinding* b, EnsureBlinding(level));
-  // One fixed-width draw regardless of path: the bit-identity guarantee
-  // (naive == fixed-base == key holder on the same RNG stream) requires
-  // every configuration to consume the same randomness AND compute the
-  // same exact residue h_s^t.
+  // One fixed-width draw on either path: the bit-identity guarantee
+  // (public key == key holder == the definition on the same RNG stream)
+  // requires both to consume the same randomness AND compute the same
+  // exact residue h_s^t.
   const BigInt t = BigInt::Random(BlindingExponentBits(), rng);
   op_count_.fetch_add(1, std::memory_order_relaxed);
-  if (b->key_holder != nullptr) {
-    (b->key_holder->uses_tables() ? fixed_base_evals_ : generic_evals_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return b->key_holder->Pow(t);
-  }
-  if (b->engine != nullptr) {
-    fixed_base_evals_.fetch_add(1, std::memory_order_relaxed);
-    return b->engine->Pow(t);
-  }
-  generic_evals_.fetch_add(1, std::memory_order_relaxed);
-  if (lc.ctx != nullptr) return ModExp(b->h, t, *lc.ctx);
-  return ModExp(b->h, t, lc.modulus);
+  if (b->key_holder != nullptr) return b->key_holder->Pow(t);
+  return b->engine->Pow(t);
 }
 
 Encryptor::BlindingStats Encryptor::blinding_stats() const {
   BlindingStats stats;
   stats.pool_misses = encrypts_.load(std::memory_order_relaxed);
-  stats.fixed_base_evals = fixed_base_evals_.load(std::memory_order_relaxed);
-  stats.generic_evals = generic_evals_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(level_mu_);
   for (const auto& lc : levels_) {
     if (lc == nullptr || lc->blinding == nullptr) continue;
@@ -305,11 +272,7 @@ Result<Ciphertext> Encryptor::ScalarMul(const BigInt& x,
   const LevelCache& lc = Level(c.level);
   Ciphertext out;
   out.level = c.level;
-  if (lc.ctx != nullptr) {
-    PPGNN_ASSIGN_OR_RETURN(out.value, ModExp(c.value, x, *lc.ctx));
-  } else {
-    PPGNN_ASSIGN_OR_RETURN(out.value, ModExp(c.value, x, lc.modulus));
-  }
+  PPGNN_ASSIGN_OR_RETURN(out.value, ModExp(c.value, x, *lc.ctx));
   op_count_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
@@ -352,19 +315,13 @@ Result<Encryptor::DotEngine> Encryptor::MakeDotEngine(
   engine.enc_ = this;
   engine.level_ = level;
   engine.size_ = v.size();
-  const LevelCache& lc = Level(level);
-  if (lc.ctx != nullptr) {
-    std::vector<BigInt> bases;
-    bases.reserve(v.size());
-    for (const Ciphertext& c : v) bases.push_back(c.value);
-    PPGNN_ASSIGN_OR_RETURN(
-        MultiExpEngine multi,
-        MultiExpEngine::Create(lc.ctx.get(), bases, scalar_bits, rows));
-    engine.engine_ = std::make_unique<MultiExpEngine>(std::move(multi));
-  } else {
-    // Degenerate (even-modulus) key: keep the ladder-based reference path.
-    engine.fallback_v_ = v;
-  }
+  std::vector<BigInt> bases;
+  bases.reserve(v.size());
+  for (const Ciphertext& c : v) bases.push_back(c.value);
+  PPGNN_ASSIGN_OR_RETURN(
+      MultiExpEngine multi,
+      MultiExpEngine::Create(Level(level).ctx.get(), bases, scalar_bits, rows));
+  engine.engine_ = std::make_unique<MultiExpEngine>(std::move(multi));
   return engine;
 }
 
@@ -372,7 +329,6 @@ Result<Ciphertext> Encryptor::DotEngine::Dot(
     const std::vector<BigInt>& x) const {
   if (x.size() != size_)
     return Status::InvalidArgument("DotProduct dimension mismatch");
-  if (engine_ == nullptr) return enc_->DotProductNaive(x, fallback_v_);
   size_t nonzero = 0;
   for (const BigInt& xi : x) {
     if (xi.IsNegative())
@@ -402,8 +358,8 @@ Ciphertext Encryptor::Zero(int level) const {
   return out;
 }
 
-Decryptor::Decryptor(PublicKey pk, SecretKey sk, bool use_crt)
-    : pk_(std::move(pk)), sk_(std::move(sk)), use_crt_(use_crt) {
+Decryptor::Decryptor(PublicKey pk, SecretKey sk)
+    : pk_(std::move(pk)), sk_(std::move(sk)) {
   // Eagerly derive the ε_1 cache — every protocol decryption touches it.
   Level(1);
 }
@@ -416,22 +372,15 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
   if (slot == nullptr) {
     auto cache = std::make_unique<LevelCache>();
     cache->n_s = pk_.NPow(static_cast<int>(idx));
-    const BigInt modulus = cache->n_s * pk_.n;  // N^{s+1}
     cache->p_pow = BigInt(1);
     cache->q_pow = BigInt(1);
     for (size_t i = 0; i <= idx; ++i) {
       cache->p_pow = cache->p_pow * sk_.p;
       cache->q_pow = cache->q_pow * sk_.q;
     }
-    auto adopt = [](Result<MontgomeryContext> ctx)
-        -> std::unique_ptr<MontgomeryContext> {
-      if (!ctx.ok()) return nullptr;
-      return std::make_unique<MontgomeryContext>(std::move(ctx).value());
-    };
-    cache->p_ctx = adopt(MontgomeryContext::Create(cache->p_pow));
-    cache->q_ctx = adopt(MontgomeryContext::Create(cache->q_pow));
-    cache->n_ctx = adopt(MontgomeryContext::Create(modulus));
-    if (use_crt_) cache->crt_coeff = ModInverse(cache->p_pow, cache->q_pow);
+    cache->p_ctx = OddModulusContext(cache->p_pow);
+    cache->q_ctx = OddModulusContext(cache->q_pow);
+    cache->crt_coeff = ModInverse(cache->p_pow, cache->q_pow);
     cache->lambda_inv = ModInverse(sk_.lambda, cache->n_s);
     slot = std::move(cache);
   }
@@ -440,25 +389,14 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
 
 Result<BigInt> Decryptor::PowLambda(const BigInt& c, int s) const {
   const LevelCache& lv = Level(s);
-  if (!use_crt_) {
-    if (lv.n_ctx != nullptr) return ModExp(c, sk_.lambda, *lv.n_ctx);
-    return ModExp(c, sk_.lambda, pk_.NPow(s + 1));
-  }
   // CRT split: exponentiate modulo p^{s+1} and q^{s+1} (half-width
   // arithmetic), then recombine. p^{s+1} and q^{s+1} are coprime and
   // their product is N^{s+1}.
   PPGNN_RETURN_IF_ERROR(lv.crt_coeff.status());
-  BigInt a_p, a_q;
-  if (lv.p_ctx != nullptr) {
-    PPGNN_ASSIGN_OR_RETURN(a_p, ModExp(c.Mod(lv.p_pow), sk_.lambda, *lv.p_ctx));
-  } else {
-    PPGNN_ASSIGN_OR_RETURN(a_p, ModExp(c.Mod(lv.p_pow), sk_.lambda, lv.p_pow));
-  }
-  if (lv.q_ctx != nullptr) {
-    PPGNN_ASSIGN_OR_RETURN(a_q, ModExp(c.Mod(lv.q_pow), sk_.lambda, *lv.q_ctx));
-  } else {
-    PPGNN_ASSIGN_OR_RETURN(a_q, ModExp(c.Mod(lv.q_pow), sk_.lambda, lv.q_pow));
-  }
+  PPGNN_ASSIGN_OR_RETURN(const BigInt a_p,
+                         ModExp(c.Mod(lv.p_pow), sk_.lambda, *lv.p_ctx));
+  PPGNN_ASSIGN_OR_RETURN(const BigInt a_q,
+                         ModExp(c.Mod(lv.q_pow), sk_.lambda, *lv.q_ctx));
   return CrtCombinePrecomputed(a_p, lv.p_pow, a_q, lv.q_pow,
                                lv.crt_coeff.value());
 }

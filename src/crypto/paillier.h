@@ -38,11 +38,11 @@
 // therefore evaluates two (key_bits/2)-bit exponents over half-width
 // moduli, on tables its Encryptor owns, and recombines by CRT with a
 // coefficient computed once per level (internal::KeyHolderBlinding).
-// Every configuration (generic ladder, fixed-base, key holder) draws t
-// the same way and computes the same exact residue h_s^t, so
-// ciphertexts are bit-identical for the same RNG stream regardless of
-// EncryptorOptions — the chaos/dedup/replay machinery depends on that,
-// and paillier_test enforces it.
+// Both paths draw t the same way and compute the same exact residue
+// h_s^t, so their ciphertexts are bit-identical for the same RNG stream
+// and equal the definition (1+N)^m * h_s^t — the chaos/dedup/replay
+// machinery depends on that, and paillier_test checks both against
+// ModExp.
 //
 // Exponentiation engine: an Encryptor (and Decryptor) owns one
 // MontgomeryContext per ciphertext level (and per CRT modulus), built
@@ -53,6 +53,13 @@
 // of an answer matrix. All of this is an evaluation-order change over
 // exact residue arithmetic: results are bit-identical to the naive
 // ScalarMul/Add chain, which DotProductNaive retains as the reference.
+//
+// N is odd: GenerateKeyPair makes odd primes, and where a key enters
+// (core/wire.h, crypto/key_io.h) an even N is refused, as is a key pair
+// whose factors are 1 or equal. So every modulus exponentiated over here
+// (N^{s+1}, p^{s+1}, q^{s+1}) admits a Montgomery context and each
+// operation has one path. An even N passed in-process aborts when its
+// context is built, as division by zero does.
 
 #ifndef PPGNN_CRYPTO_PAILLIER_H_
 #define PPGNN_CRYPTO_PAILLIER_H_
@@ -118,16 +125,6 @@ struct Ciphertext {
 /// use small keys for speed).
 Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng);
 
-/// Blinding-path knob. Which path an Encryptor blinds on is fixed by its
-/// constructor (key holder or public key); this only chooses tables or
-/// the ladder on that path. The ladder exists as a differential reference
-/// (both produce bit-identical ciphertexts for the same RNG stream).
-struct EncryptorOptions {
-  /// Evaluate h_s^t on fixed-base window tables. false = the retained
-  /// generic-ladder reference path.
-  bool use_fixed_base = true;
-};
-
 namespace internal {
 
 /// A key holder's blinding at one ciphertext level: h_s^t mod N^{s+1}
@@ -135,40 +132,32 @@ namespace internal {
 /// and h_s^{t mod (q-1)} mod q^{s+1}. Exact because h_s = 2^{N^s} is an
 /// N^s-th power, whose order modulo p^{s+1} divides p - 1. Each base is
 /// derived on its own half, 2^{N^s mod p^s(p-1)} mod p^{s+1}, so nothing
-/// is computed modulo N^{s+1}. The tables (when enabled) are sized to
-/// bits(p - 1) and owned here, not by the process-wide registry: they are
-/// derived from p and q and die with the key. Immutable once built;
-/// Pow is const and thread-safe. Exposed for testing.
+/// is computed modulo N^{s+1}. The tables are sized to bits(p - 1) and
+/// owned here, not by the process-wide registry: they are derived from p
+/// and q and die with the key. Immutable once built; Pow is const and
+/// thread-safe. Exposed for testing.
 class KeyHolderBlinding {
  public:
   static Result<KeyHolderBlinding> Create(const PublicKey& pk,
-                                          const SecretKey& sk, int level,
-                                          const EncryptorOptions& options);
+                                          const SecretKey& sk, int level);
 
   /// h_s^t mod N^{level+1} for any t >= 0.
   Result<BigInt> Pow(const BigInt& t) const;
 
-  /// Whether Pow runs on fixed-base tables (else the generic ladder).
-  bool uses_tables() const { return uses_tables_; }
-  /// Resident bytes of the two half-width tables (0 on the ladder).
+  /// Resident bytes of the two half-width tables.
   size_t table_bytes() const;
 
  private:
   /// One secret prime r of the key: h_s modulo r^{level+1}.
   struct Half {
     BigInt r_pow;      // r^{level+1}
-    BigInt r_minus_1;  // r - 1, a multiple of the order of r_base
-    BigInt r_base;     // h_s mod r^{level+1}
-    std::unique_ptr<const FixedBaseEngine> r_table;  // tables config
-    std::unique_ptr<MontgomeryContext> r_ctx;        // ladder config
+    BigInt r_minus_1;  // r - 1, a multiple of the order of h_s mod r_pow
+    std::unique_ptr<const FixedBaseEngine> r_table;  // over h_s mod r_pow
   };
-  static Result<Half> MakeHalf(const BigInt& r, const BigInt& n_s, int level,
-                               const EncryptorOptions& options);
-  Result<BigInt> HalfPow(const Half& half, const BigInt& t) const;
+  static Result<Half> MakeHalf(const BigInt& r, const BigInt& n_s, int level);
 
   KeyHolderBlinding() = default;
 
-  bool uses_tables_ = false;
   Half p_half_;
   Half q_half_;
   BigInt crt_coeff_;  // (p^{level+1})^{-1} mod q^{level+1}
@@ -190,13 +179,11 @@ class KeyHolderBlinding {
 class Encryptor {
  public:
   explicit Encryptor(PublicKey pk);
-  Encryptor(PublicKey pk, const EncryptorOptions& options);
   /// Secret-key holder's context (the querying users own the key pair in
   /// PPGNN): blinds on the reduced-exponent CRT path
   /// (internal::KeyHolderBlinding). The secret key is copied; the
   /// Encryptor never exposes it.
-  explicit Encryptor(const KeyPair& keys,
-                     const EncryptorOptions& options = EncryptorOptions());
+  explicit Encryptor(const KeyPair& keys);
 
   const PublicKey& public_key() const { return pk_; }
 
@@ -218,8 +205,7 @@ class Encryptor {
                                 const std::vector<Ciphertext>& v) const;
 
   /// The serial ScalarMul/Add reference chain for DotProduct. Retained as
-  /// the correctness oracle (tests diff the engine against it) and as the
-  /// fallback for degenerate public keys with an even modulus.
+  /// the correctness oracle: tests diff the engine against it.
   Result<Ciphertext> DotProductNaive(const std::vector<BigInt>& x,
                                      const std::vector<Ciphertext>& v) const;
 
@@ -245,10 +231,7 @@ class Encryptor {
     const Encryptor* enc_ = nullptr;
     int level_ = 1;
     size_t size_ = 0;
-    // Engine path (odd modulus — every real Paillier key).
     std::unique_ptr<MultiExpEngine> engine_;
-    // Fallback path: the ciphertexts themselves, fed to DotProductNaive.
-    std::vector<Ciphertext> fallback_v_;
   };
 
   /// Builds a DotEngine over [v] for `rows` Dot calls on scalars of at
@@ -279,10 +262,8 @@ class Encryptor {
   /// counts Encrypt calls. Both stay because perfbench reads the encrypt
   /// count from their sum.
   struct BlindingStats {
-    uint64_t pool_hits = 0;         ///< always 0
-    uint64_t pool_misses = 0;       ///< Encrypt calls
-    uint64_t fixed_base_evals = 0;  ///< h^t via fixed-base tables (any path)
-    uint64_t generic_evals = 0;     ///< h^t via the generic ladder
+    uint64_t pool_hits = 0;    ///< always 0
+    uint64_t pool_misses = 0;  ///< Encrypt calls
     /// Fixed-base tables reachable from here: a key holder's own tables,
     /// or the shared registry tables a public-key Encryptor uses.
     size_t table_bytes = 0;
@@ -291,9 +272,7 @@ class Encryptor {
 
  private:
   /// Everything the level-s hot path needs, derived once: N^s, N^{s+1},
-  /// and the Montgomery context for N^{s+1} (null when the modulus is
-  /// even — a degenerate key — in which case callers fall back to the
-  /// generic ladder).
+  /// and the Montgomery context for N^{s+1}.
   struct LevelCache {
     BigInt n_s;      // N^level
     BigInt modulus;  // N^{level+1}
@@ -303,15 +282,13 @@ class Encryptor {
     /// level (evaluation-only Encryptors — e.g. the LSP's selection
     /// path — never pay for it). A key holder gets its own
     /// reduced-exponent CRT tables and never touches h modulo N^{s+1};
-    /// a public-key Encryptor gets h = h_s and the shared engine over
-    /// it. Immutable once built; guarded by level_mu_ during
-    /// construction.
+    /// a public-key Encryptor gets the shared engine over h_s. Immutable
+    /// once built; guarded by level_mu_ during construction.
     struct Blinding {
       std::unique_ptr<const internal::KeyHolderBlinding> key_holder;
-      // Public-key path (key_holder == null).
-      BigInt h;  // g^{N^s} mod N^{s+1}, g = 2
-      // Held for the Encryptor's lifetime; the registry keeps only a
-      // weak reference. Null on the ladder config.
+      // Public-key path (key_holder == null): the engine over
+      // h_s = g^{N^s} mod N^{s+1}, g = 2. Held for the Encryptor's
+      // lifetime; the registry keeps only a weak reference.
       std::shared_ptr<const FixedBaseEngine> engine;
     };
     mutable std::unique_ptr<Blinding> blinding;
@@ -333,7 +310,6 @@ class Encryptor {
   Result<BigInt> MakeBlinding(int level, Rng& rng) const;
 
   PublicKey pk_;
-  EncryptorOptions opts_;
   /// Secret key copy for the key-holder blinding path; null for
   /// public-only Encryptors.
   std::unique_ptr<SecretKey> sk_;
@@ -343,23 +319,20 @@ class Encryptor {
   mutable std::vector<std::unique_ptr<LevelCache>> levels_;
   // Blinding pipeline counters (see BlindingStats); relaxed by design.
   // ppgnn: stat_counter(op_count_, encrypts_)
-  // ppgnn: stat_counter(fixed_base_evals_, generic_evals_)
   mutable std::atomic<uint64_t> encrypts_{0};
-  mutable std::atomic<uint64_t> fixed_base_evals_{0};
-  mutable std::atomic<uint64_t> generic_evals_{0};
 };
 
 /// Decryption context bound to a key pair.
 ///
-/// By default decryption runs the exponentiation c^lambda separately
-/// modulo p^{s+1} and q^{s+1} and recombines by CRT — about twice as fast
-/// as working modulo N^{s+1} directly (half-width modular multiplies).
-/// Pass use_crt = false to force the direct path (kept for differential
-/// testing). Per-level moduli, Montgomery contexts, the CRT coefficient
-/// and lambda inverses are derived once and cached (thread-safe).
+/// Decryption runs the exponentiation c^lambda separately modulo p^{s+1}
+/// and q^{s+1} and recombines by CRT — about twice as fast as working
+/// modulo N^{s+1} directly (half-width modular multiplies); paillier_test
+/// checks it against that direct computation. Per-level moduli,
+/// Montgomery contexts, the CRT coefficient and lambda inverses are
+/// derived once and cached (thread-safe).
 class Decryptor {
  public:
-  Decryptor(PublicKey pk, SecretKey sk, bool use_crt = true);
+  Decryptor(PublicKey pk, SecretKey sk);
 
   /// Recovers the plaintext in Z_{N^level}.
   Result<BigInt> Decrypt(const Ciphertext& c) const;
@@ -371,29 +344,26 @@ class Decryptor {
 
  private:
   /// Per-level decryption constants: N^s, p^{s+1}/q^{s+1} with their
-  /// Montgomery contexts and CRT coefficient (CRT path), the N^{s+1}
-  /// context (direct path), and lambda^{-1} mod N^s.
+  /// Montgomery contexts and CRT coefficient, and lambda^{-1} mod N^s.
   struct LevelCache {
     BigInt n_s;    // N^s
     BigInt p_pow;  // p^{s+1}
     BigInt q_pow;  // q^{s+1}
-    // p_pow^{-1} mod q_pow (CRT path only)
+    // p_pow^{-1} mod q_pow
     Result<BigInt> crt_coeff = Status::Internal("unset");
     std::unique_ptr<MontgomeryContext> p_ctx;
     std::unique_ptr<MontgomeryContext> q_ctx;
-    std::unique_ptr<MontgomeryContext> n_ctx;  // modulus N^{s+1}
     Result<BigInt> lambda_inv = Status::Internal("unset");  // mod N^s
   };
 
   /// Lazily builds (then reuses) the cache for level `s`. Thread-safe.
   const LevelCache& Level(int s) const;
 
-  /// c^lambda mod N^{s+1}, via CRT when enabled.
+  /// c^lambda mod N^{s+1}, via CRT.
   Result<BigInt> PowLambda(const BigInt& c, int s) const;
 
   PublicKey pk_;
   SecretKey sk_;
-  bool use_crt_;
   mutable std::mutex level_mu_;
   // ppgnn: guarded_by(levels_, level_mu_)
   mutable std::vector<std::unique_ptr<LevelCache>> levels_;

@@ -210,28 +210,22 @@ TEST(GmpDiffTest, KeyHolderEncryptMatchesDefinition) {
 TEST(GmpDiffTest, KeyHolderBlindingOnEdgeExponents) {
   // The reductions t mod (p-1) and t mod (q-1) on exponents that reduce
   // to zero modulo p - 1 (0, p - 1, 3(p - 1)) and on the widest draw,
-  // 2^{key_bits+64} - 1, with and without tables.
+  // 2^{key_bits+64} - 1.
   Rng rng(15);
   for (int key_bits : {128, 256, 512}) {
     const KeyPair keys = GenerateKeyPair(key_bits, rng).value();
     const BigInt p1 = keys.sec.p - BigInt(1);
     const BigInt widest = (BigInt(1) << (key_bits + 64)) - BigInt(1);
-    for (bool tables : {true, false}) {
-      EncryptorOptions options;
-      options.use_fixed_base = tables;
-      for (int level = 1; level <= 3; ++level) {
-        const internal::KeyHolderBlinding blinding =
-            internal::KeyHolderBlinding::Create(keys.pub, keys.sec, level,
-                                                options)
-                .value();
-        EXPECT_EQ(blinding.uses_tables(), tables);
-        for (const BigInt& t : {BigInt(0), p1, BigInt(3) * p1, widest}) {
-          GmpInt modulus, out;
-          GmpBlinding(keys, level, t, &modulus, &out);
-          EXPECT_EQ(blinding.Pow(t).value().ToHex(), out.ToHex())
-              << key_bits << "-bit key, level " << level << ", tables "
-              << tables << ", t bits " << t.BitLength();
-        }
+    for (int level = 1; level <= 3; ++level) {
+      const internal::KeyHolderBlinding blinding =
+          internal::KeyHolderBlinding::Create(keys.pub, keys.sec, level)
+              .value();
+      for (const BigInt& t : {BigInt(0), p1, BigInt(3) * p1, widest}) {
+        GmpInt modulus, out;
+        GmpBlinding(keys, level, t, &modulus, &out);
+        EXPECT_EQ(blinding.Pow(t).value().ToHex(), out.ToHex())
+            << key_bits << "-bit key, level " << level << ", t bits "
+            << t.BitLength();
       }
     }
   }

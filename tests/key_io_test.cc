@@ -77,6 +77,47 @@ TEST_F(KeyIoTest, PublicKeyRejectsShortModulus) {
   EXPECT_FALSE(DeserializePublicKey(bytes).ok());
 }
 
+TEST_F(KeyIoTest, RejectsEvenModulus) {
+  // Paillier's Montgomery arithmetic needs an odd N. An even N + 1 is
+  // refused as a public key, and so is the pair p = 2, q odd, which
+  // passes every other check: N = pq and lambda = lcm(1, q - 1).
+  PublicKey pk = keys_->pub;
+  pk.n = pk.n + BigInt(1);
+  auto pub = DeserializePublicKey(SerializePublicKey(pk));
+  ASSERT_FALSE(pub.ok());
+  EXPECT_EQ(pub.status().code(), StatusCode::kCryptoError);
+
+  KeyPair pair;
+  pair.sec.p = BigInt(2);
+  pair.sec.q = (BigInt(1) << 254) + BigInt(1);
+  pair.sec.lambda = pair.sec.q - BigInt(1);
+  pair.pub.n = pair.sec.p * pair.sec.q;
+  pair.pub.key_bits = 256;
+  auto loaded = DeserializeKeyPair(SerializeKeyPair(pair));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCryptoError);
+}
+
+TEST_F(KeyIoTest, RejectsDegenerateFactors) {
+  // Both pairs pass N = pq and lambda = lcm(p - 1, q - 1). p = 1, q = N
+  // gives the Decryptor a modulus p^{s+1} = 1, which admits no
+  // Montgomery context; p = q gives it no CRT coefficient.
+  KeyPair trivial = *keys_;
+  trivial.sec.p = BigInt(1);
+  trivial.sec.q = keys_->pub.n;
+  trivial.sec.lambda = BigInt(0);
+  KeyPair square = *keys_;
+  square.sec.q = square.sec.p;
+  square.sec.lambda = square.sec.p - BigInt(1);
+  square.pub.n = square.sec.p * square.sec.p;
+  square.pub.key_bits = square.pub.n.BitLength();
+  for (const KeyPair& pair : {trivial, square}) {
+    auto loaded = DeserializeKeyPair(SerializeKeyPair(pair));
+    ASSERT_FALSE(loaded.ok()) << "p = " << pair.sec.p.ToHex();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCryptoError);
+  }
+}
+
 TEST_F(KeyIoTest, FileSaveLoadRoundTrip) {
   std::string path = ::testing::TempDir() + "/ppgnn_keys.bin";
   ASSERT_TRUE(SaveKeyPair(path, *keys_).ok());

@@ -816,6 +816,28 @@ TEST_F(WireTest, QueryDecodeRejectsKeyBitsModulusMismatch) {
   EXPECT_FALSE(QueryMessage::Decode(bytes).ok());
 }
 
+TEST_F(WireTest, QueryDecodeAndPeekRefuseEvenModulus) {
+  // Paillier's Montgomery arithmetic needs an odd N, so an even one is
+  // refused where it enters, by the decoder and the admission peek alike.
+  for (bool opt : {false, true}) {
+    QueryMessage msg = PlainQuery();
+    if (opt) {
+      msg.indicator.clear();
+      msg.is_opt = true;
+      Encryptor enc(keys_->pub);
+      msg.opt_indicator = EncryptOptIndicator(enc, 7, 8, 2, *rng_).value();
+    }
+    msg.pk.n = msg.pk.n + BigInt(1);  // still full width
+    const std::vector<uint8_t> bytes = msg.Encode().value();
+    const Result<QueryMessage> decoded = QueryMessage::Decode(bytes);
+    const Result<QueryWireHeader> header = PeekQueryHeader(bytes);
+    ASSERT_FALSE(decoded.ok()) << "opt " << opt;
+    ASSERT_FALSE(header.ok()) << "opt " << opt;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(header.status(), decoded.status());
+  }
+}
+
 TEST_F(WireTest, QueryEncodeRejectsOutOfRangeKeyBits) {
   QueryMessage msg = PlainQuery();
   msg.pk.key_bits = 32;  // below kMinWireKeyBits
