@@ -157,16 +157,18 @@ Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
   });
 
   // Phase 2: select the block with [[v2]], treating the eps_1 ciphertext
-  // values as eps_2 plaintexts. One engine over [[v2]] serves all m rows;
-  // the scalars here are full 2*keysize-bit values, which is where the
-  // shared square chain of the multi-exponentiation pays off most. A
-  // failed phase-1 row prices nothing; the row loop returns its status.
+  // values as eps_2 plaintexts. A cancelled or failed phase 1 returns its
+  // status here, first in row-major order, before the [[v2]] engine is
+  // priced or built. One engine over [[v2]] serves all m rows; the
+  // scalars here are full 2*keysize-bit values, which is where the shared
+  // square chain of the multi-exponentiation pays off most.
   int phase1_bits = 0;
-  for (const auto& block : phase1) {
-    for (const Result<Ciphertext>& ct : block) {
-      if (ct.ok()) {
-        phase1_bits = std::max(phase1_bits, ct.value().value.BitLength());
-      }
+  for (size_t r = 0; r < rows; ++r) {
+    if (Cancelled(cancel)) return CancelledStatus();
+    for (uint64_t b = 0; b < omega; ++b) {
+      PPGNN_RETURN_IF_ERROR(phase1[b][r].status());
+      phase1_bits =
+          std::max(phase1_bits, phase1[b][r].value().value.BitLength());
     }
   }
   PPGNN_ASSIGN_OR_RETURN(
@@ -178,7 +180,6 @@ Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
   for (size_t r = 0; r < rows; ++r) {
     if (Cancelled(cancel)) return CancelledStatus();
     for (uint64_t b = 0; b < omega; ++b) {
-      PPGNN_RETURN_IF_ERROR(phase1[b][r].status());
       scalars[b] = phase1[b][r].value().value;
     }
     PPGNN_ASSIGN_OR_RETURN(Ciphertext ct, v2_engine.Dot(scalars));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+
 #include "bigint/montgomery.h"
 
 namespace ppgnn {
@@ -187,6 +190,31 @@ TEST_F(SelectionTest, SelectionHotPathBuildsNoContexts) {
   ASSERT_TRUE(PrivateSelect(enc, matrix, indicator, 2).ok());
   ASSERT_TRUE(PrivateSelectTwoPhase(enc, matrix, opt, 2).ok());
   EXPECT_EQ(MontgomeryContext::created_count(), before);
+}
+
+TEST_F(SelectionTest, TwoPhaseCancelledInPhaseOneBuildsNoPhaseTwoEngine) {
+  // With the deadline already past, phase 1 fails every row, so phase 2
+  // returns before building its [[v2]] engine: on one thread, the only
+  // products are those of the [[v1]] engine built up front.
+  Encryptor enc(keys_->pub);
+  const size_t rows = 2;
+  AnswerMatrix matrix = TestMatrix(rows, 8);
+  auto opt = EncryptOptIndicator(enc, 3, 8, 2, *rng_).value();
+  int matrix_bits = 0;
+  for (const auto& column : matrix.columns) {
+    matrix_bits = std::max(matrix_bits, MaxBitLength(column));
+  }
+  uint64_t before = MontgomeryContext::product_count();
+  ASSERT_TRUE(enc.MakeDotEngine(opt.v1, matrix_bits, opt.omega * rows).ok());
+  const uint64_t v1_products = MontgomeryContext::product_count() - before;
+
+  std::atomic<bool> cancel{true};
+  before = MontgomeryContext::product_count();
+  auto selected = PrivateSelectTwoPhase(enc, matrix, opt, /*threads=*/1,
+                                        nullptr, &cancel);
+  ASSERT_FALSE(selected.ok());
+  EXPECT_EQ(selected.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(MontgomeryContext::product_count() - before, v1_products);
 }
 
 TEST_F(SelectionTest, ZeroColumnsSelectable) {
