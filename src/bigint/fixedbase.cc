@@ -40,22 +40,23 @@ Result<FixedBaseEngine> FixedBaseEngine::Create(const BigInt& base,
   engine.base_mont_ = engine.ctx_->ToMont(b);
 
   // Squaring-free build: within a digit position the entries are a
-  // running product by cur = base^{2^{j*w}}, and the next position's
-  // generator is cur^{2^w} = tables[j][2^w - 1] * cur.
-  const int table_size = 1 << window;
-  engine.tables_.resize(static_cast<size_t>(windows));
-  std::vector<uint64_t> cur = engine.base_mont_;
-  for (int j = 0; j < windows; ++j) {
-    auto& table = engine.tables_[static_cast<size_t>(j)];
-    table.resize(static_cast<size_t>(table_size));
-    table[1] = cur;
-    for (int c = 2; c < table_size; ++c) {
-      table[static_cast<size_t>(c)] =
-          engine.ctx_->MontMul(table[static_cast<size_t>(c - 1)], cur);
+  // running product by cur = base^{2^{j*w}} (the position's entry 1), and
+  // the next position's entry 1 is cur^{2^w} = entry (2^w - 1) * cur.
+  const size_t L = engine.ctx_->limbs();
+  const size_t entries = (size_t{1} << window) - 1;
+  engine.tables_.resize(static_cast<size_t>(windows) * entries * L);
+  std::vector<uint64_t> scratch(engine.ctx_->scratch_limbs());
+  std::copy(engine.base_mont_.begin(), engine.base_mont_.end(),
+            engine.tables_.begin());
+  for (size_t j = 0; j < static_cast<size_t>(windows); ++j) {
+    uint64_t* table = &engine.tables_[j * entries * L];
+    for (size_t c = 1; c < entries; ++c) {
+      engine.ctx_->MontMulInto(table + (c - 1) * L, table, table + c * L,
+                               scratch.data());
     }
-    if (j + 1 < windows) {
-      cur = engine.ctx_->MontMul(table[static_cast<size_t>(table_size - 1)],
-                                 cur);
+    if (j + 1 < static_cast<size_t>(windows)) {
+      engine.ctx_->MontMulInto(table + (entries - 1) * L, table,
+                               table + entries * L, scratch.data());
     }
   }
   g_created.fetch_add(1, std::memory_order_relaxed);
@@ -73,23 +74,28 @@ Result<std::vector<uint64_t>> FixedBaseEngine::PowDomain(
     // identical residue, just without table support.
     return ctx_->ExpDomain(base_mont_, exponent);
   }
-  const size_t top =
-      std::min(tables_.size(),
-               static_cast<size_t>((bits + window_ - 1) / window_));
+  // The first nonzero digit's entry seeds the accumulator; every later
+  // one multiplies in place.
+  const size_t L = ctx_->limbs();
+  const size_t entries = (size_t{1} << window_) - 1;
+  const int top = (bits + window_ - 1) / window_;
   std::vector<uint64_t> acc;
-  bool started = false;
-  for (size_t j = 0; j < top; ++j) {
-    int digit = 0;
+  std::vector<uint64_t> scratch(ctx_->scratch_limbs());
+  for (int j = 0; j < top; ++j) {
+    size_t digit = 0;
     for (int bit = window_ - 1; bit >= 0; --bit) {
-      digit = (digit << 1) |
-              (exponent.GetBit(static_cast<int>(j) * window_ + bit) ? 1 : 0);
+      digit = (digit << 1) | (exponent.GetBit(j * window_ + bit) ? 1 : 0);
     }
     if (digit == 0) continue;
-    acc = started ? ctx_->MontMul(acc, tables_[j][static_cast<size_t>(digit)])
-                  : tables_[j][static_cast<size_t>(digit)];
-    started = true;
+    const uint64_t* entry =
+        &tables_[(static_cast<size_t>(j) * entries + digit - 1) * L];
+    if (acc.empty()) {
+      acc.assign(entry, entry + L);
+    } else {
+      ctx_->MontMulInto(acc.data(), entry, acc.data(), scratch.data());
+    }
   }
-  if (!started) return ctx_->One();
+  if (acc.empty()) return ctx_->One();
   return acc;
 }
 
@@ -99,7 +105,7 @@ Result<BigInt> FixedBaseEngine::Pow(const BigInt& exponent) const {
 }
 
 size_t FixedBaseEngine::table_entries() const {
-  return tables_.size() * static_cast<size_t>((1 << window_) - 1);
+  return tables_.size() / ctx_->limbs();
 }
 
 size_t FixedBaseEngine::table_bytes() const {

@@ -94,9 +94,10 @@ class FixedBaseEngine {
   int window_ = 0;
   int capacity_bits_ = 0;
   std::vector<uint64_t> base_mont_;  // for the over-capacity fallback
-  // tables_[j][c] = base^{c * 2^{j*window_}} in the Montgomery domain,
-  // c in [1, 2^window_ - 1] (slot 0 is unused).
-  std::vector<std::vector<std::vector<uint64_t>>> tables_;
+  // base^{c * 2^{j*window_}} in the Montgomery domain, c in
+  // [1, 2^window_ - 1], at limb offset
+  // (j * (2^window_ - 1) + c - 1) * ctx_->limbs().
+  std::vector<uint64_t> tables_;
 };
 
 /// Process-wide lookup of live engines keyed by (base, modulus): the
@@ -107,8 +108,7 @@ class FixedBaseEngine {
 /// builds one (auto width) and records a weak reference to it; entries
 /// whose engines are gone are dropped on each lookup, so the registry
 /// never keeps a dead key's tables. Null if the modulus does not admit a
-/// Montgomery context (even modulus: callers keep their generic-ladder
-/// path).
+/// Montgomery context (an even modulus).
 std::shared_ptr<const FixedBaseEngine> SharedFixedBaseEngine(
     const BigInt& base, const BigInt& modulus, int min_exponent_bits);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bigint/modular.h"
 #include "common/random.h"
 
@@ -85,6 +88,28 @@ TEST(FixedBaseTest, PowDomainComposesWithContext) {
   EXPECT_EQ(product, ModExp(base, e1 + e2, mod).value());
 }
 
+TEST(FixedBaseTest, PowDomainRunsOneProductPerNonzeroDigitAfterTheFirst) {
+  // The first nonzero digit's table entry seeds the accumulator; each
+  // later nonzero digit costs one Montgomery product, and zero digits
+  // cost none.
+  Rng rng(10);
+  BigInt mod = OddModulus(256, rng);
+  auto engine = FixedBaseEngine::Create(BigInt(5), mod, 64, 4).value();
+  // {exponent, nonzero 4-bit digits}
+  const std::pair<uint64_t, uint64_t> cases[] = {
+      {0x1, 1}, {0xF000000000000000, 1}, {0x30201, 3},
+      {0x1000000000000001, 2}, {0xFFFFFFFFFFFFFFFF, 16}};
+  for (const auto& [e, digits] : cases) {
+    const uint64_t before = MontgomeryContext::product_count();
+    const std::vector<uint64_t> domain = engine.PowDomain(BigInt(e)).value();
+    EXPECT_EQ(MontgomeryContext::product_count() - before, digits - 1)
+        << std::hex << e;
+    EXPECT_EQ(engine.context().FromMont(domain),
+              ModExp(BigInt(5), BigInt(e), mod).value())
+        << std::hex << e;
+  }
+}
+
 TEST(FixedBaseTest, SharedRegistryReusesEnginesAndWidens) {
   Rng rng(7);
   BigInt mod = OddModulus(320, rng);
@@ -103,7 +128,7 @@ TEST(FixedBaseTest, SharedRegistryReusesEnginesAndWidens) {
   EXPECT_GE(c->max_exponent_bits(), 512);
   BigInt e = BigInt::Random(200, rng);
   EXPECT_EQ(a->Pow(e).value(), c->Pow(e).value());
-  // Even modulus: no Montgomery context, callers keep their ladder path.
+  // Even modulus: no Montgomery context, so no engine.
   EXPECT_EQ(SharedFixedBaseEngine(base, BigInt(16), 64), nullptr);
   FixedBaseRegistryStats stats = SharedFixedBaseRegistryStats();
   EXPECT_GE(stats.hits, 1u);
