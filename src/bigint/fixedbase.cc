@@ -12,6 +12,14 @@ namespace {
 // ppgnn: stat_counter(g_created)
 std::atomic<uint64_t> g_created{0};
 
+// The shape rule: h = min(kMaxRows, bits) rows, and v = ceil(a /
+// kMaxBlockBits) blocks per row, so a block spans at most kMaxBlockBits
+// columns and an evaluation at most kMaxBlockBits - 1 squarings.
+constexpr int kMaxRows = 8;
+constexpr int kMaxBlockBits = 16;
+
+int CeilDiv(int x, int y) { return 1 + (x - 1) / y; }
+
 }  // namespace
 
 uint64_t FixedBaseEngine::created_count() {
@@ -20,43 +28,62 @@ uint64_t FixedBaseEngine::created_count() {
 
 Result<FixedBaseEngine> FixedBaseEngine::Create(const BigInt& base,
                                                 const BigInt& modulus,
-                                                int max_exponent_bits,
-                                                int window) {
-  if (max_exponent_bits < 1)
-    return Status::InvalidArgument("fixed-base max_exponent_bits must be >= 1");
-  if (window == 0) window = max_exponent_bits >= 768 ? 5 : 4;
-  if (window < 1 || window > 8)
-    return Status::InvalidArgument("fixed-base window must be in [1, 8]");
+                                                int max_exponent_bits) {
   PPGNN_ASSIGN_OR_RETURN(MontgomeryContext ctx,
                          MontgomeryContext::Create(modulus));
-  FixedBaseEngine engine;
-  engine.ctx_ = std::make_unique<MontgomeryContext>(std::move(ctx));
-  const BigInt b = base.Mod(modulus);
+  return Create(base, std::move(ctx), max_exponent_bits);
+}
+
+Result<FixedBaseEngine> FixedBaseEngine::Create(const BigInt& base,
+                                                MontgomeryContext ctx,
+                                                int max_exponent_bits) {
+  if (max_exponent_bits < 1)
+    return Status::InvalidArgument("fixed-base max_exponent_bits must be >= 1");
+  const BigInt b = base.Mod(ctx.modulus());
   if (b.IsZero())
     return Status::InvalidArgument("fixed base is zero modulo the modulus");
-  engine.window_ = window;
-  const int windows = (max_exponent_bits + window - 1) / window;
-  engine.capacity_bits_ = windows * window;
-  engine.base_mont_ = engine.ctx_->ToMont(b);
+  FixedBaseEngine engine;
+  engine.ctx_ = std::make_unique<MontgomeryContext>(std::move(ctx));
+  const MontgomeryContext& mc = *engine.ctx_;
+  const int h = std::min(kMaxRows, max_exponent_bits);
+  const int a = CeilDiv(max_exponent_bits, h);
+  const int v = CeilDiv(a, kMaxBlockBits);
+  const int bb = CeilDiv(a, v);
+  engine.rows_ = h;
+  engine.row_bits_ = a;
+  engine.blocks_ = v;
+  engine.block_bits_ = bb;
+  engine.base_mont_ = mc.ToMont(b);
 
-  // Squaring-free build: within a digit position the entries are a
-  // running product by cur = base^{2^{j*w}} (the position's entry 1), and
-  // the next position's entry 1 is cur^{2^w} = entry (2^w - 1) * cur.
-  const size_t L = engine.ctx_->limbs();
-  const size_t entries = (size_t{1} << window) - 1;
-  engine.tables_.resize(static_cast<size_t>(windows) * entries * L);
-  std::vector<uint64_t> scratch(engine.ctx_->scratch_limbs());
-  std::copy(engine.base_mont_.begin(), engine.base_mont_.end(),
-            engine.tables_.begin());
-  for (size_t j = 0; j < static_cast<size_t>(windows); ++j) {
-    uint64_t* table = &engine.tables_[j * entries * L];
-    for (size_t c = 1; c < entries; ++c) {
-      engine.ctx_->MontMulInto(table + (c - 1) * L, table, table + c * L,
-                               scratch.data());
+  const size_t L = mc.limbs();
+  const size_t entries = (size_t{1} << h) - 1;
+  engine.tables_.resize(static_cast<size_t>(v) * entries * L);
+  auto entry = [&](int block, size_t u) {
+    return &engine.tables_[(static_cast<size_t>(block) * entries + u - 1) * L];
+  };
+  std::vector<uint64_t> scratch(mc.scratch_limbs());
+  // Single-row entries G[j][2^i] = base^(2^(i*a + j*bb)) off one square
+  // chain. The offsets rise with (i, j) in this order because
+  // (v - 1) * bb < a under the shape rule.
+  std::vector<uint64_t> power = engine.base_mont_;
+  int power_bit = 0;
+  for (int i = 0; i < h; ++i) {
+    for (int j = 0; j < v; ++j) {
+      for (; power_bit < i * a + j * bb; ++power_bit) {
+        mc.MontMulInto(power.data(), power.data(), power.data(),
+                       scratch.data());
+      }
+      std::copy(power.begin(), power.end(), entry(j, size_t{1} << i));
     }
-    if (j + 1 < static_cast<size_t>(windows)) {
-      engine.ctx_->MontMulInto(table + (entries - 1) * L, table,
-                               table + entries * L, scratch.data());
+  }
+  // A multi-row entry is its lowest row's entry times the rest, built
+  // earlier in rising u: one product each.
+  for (int j = 0; j < v; ++j) {
+    for (size_t u = 3; u <= entries; ++u) {
+      const size_t low = u & (~u + 1);
+      if (low == u) continue;
+      mc.MontMulInto(entry(j, u - low), entry(j, low), entry(j, u),
+                     scratch.data());
     }
   }
   g_created.fetch_add(1, std::memory_order_relaxed);
@@ -69,33 +96,44 @@ Result<std::vector<uint64_t>> FixedBaseEngine::PowDomain(
     return Status::InvalidArgument("negative exponent in fixed-base Pow");
   const int bits = exponent.BitLength();
   if (bits == 0) return ctx_->One();
-  if (bits > capacity_bits_) {
+  if (bits > max_exponent_bits()) {
     // Wider than the precomputed span: same context, generic ladder —
     // identical residue, just without table support.
     return ctx_->ExpDomain(base_mont_, exponent);
   }
-  // The first nonzero digit's entry seeds the accumulator; every later
-  // one multiplies in place.
+  const std::vector<uint64_t>& limbs = exponent.Limbs();
+  auto bit = [&limbs](int pos) -> size_t {
+    const size_t limb = static_cast<size_t>(pos) / 64;
+    return limb < limbs.size() ? (limbs[limb] >> (pos % 64)) & 1 : 0;
+  };
+  // Columns from the top down. The first nonzero column value's entry
+  // seeds the accumulator, so squaring starts below the top nonzero
+  // column; every later nonzero value multiplies in place.
   const size_t L = ctx_->limbs();
-  const size_t entries = (size_t{1} << window_) - 1;
-  const int top = (bits + window_ - 1) / window_;
+  const size_t entries = (size_t{1} << rows_) - 1;
   std::vector<uint64_t> acc;
   std::vector<uint64_t> scratch(ctx_->scratch_limbs());
-  for (int j = 0; j < top; ++j) {
-    size_t digit = 0;
-    for (int bit = window_ - 1; bit >= 0; --bit) {
-      digit = (digit << 1) | (exponent.GetBit(j * window_ + bit) ? 1 : 0);
+  for (int k = block_bits_ - 1; k >= 0; --k) {
+    if (!acc.empty()) {
+      ctx_->MontMulInto(acc.data(), acc.data(), acc.data(), scratch.data());
     }
-    if (digit == 0) continue;
-    const uint64_t* entry =
-        &tables_[(static_cast<size_t>(j) * entries + digit - 1) * L];
-    if (acc.empty()) {
-      acc.assign(entry, entry + L);
-    } else {
-      ctx_->MontMulInto(acc.data(), entry, acc.data(), scratch.data());
+    for (int j = 0; j < blocks_; ++j) {
+      const int column = j * block_bits_ + k;
+      if (column >= row_bits_) continue;  // past a short last block
+      size_t u = 0;
+      for (int i = rows_ - 1; i >= 0; --i) {
+        u = (u << 1) | bit(i * row_bits_ + column);
+      }
+      if (u == 0) continue;
+      const uint64_t* g =
+          &tables_[(static_cast<size_t>(j) * entries + u - 1) * L];
+      if (acc.empty()) {
+        acc.assign(g, g + L);
+      } else {
+        ctx_->MontMulInto(acc.data(), g, acc.data(), scratch.data());
+      }
     }
   }
-  if (acc.empty()) return ctx_->One();
   return acc;
 }
 

@@ -27,7 +27,7 @@
 // residues with a bias negligible in the 64 slack bits, so ciphertext
 // indistinguishability rests on the same DCR assumption as the scheme
 // itself. What the shortcut buys is a *fixed* base that lives as long as
-// the key, so the exponentiation runs on a fixed-base window table
+// the key, so the exponentiation runs on fixed-base comb tables
 // (bigint/fixedbase.h) instead of a full square-and-multiply ladder.
 // A public-key Encryptor shares one full-width table per (key, level)
 // with the other live Encryptors over the same key, through a registry

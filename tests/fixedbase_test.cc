@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,16 +20,20 @@ BigInt OddModulus(int bits, Rng& rng) {
 }
 
 TEST(FixedBaseTest, MatchesGenericLadderAcrossWidths) {
+  // Widths that give different shapes: fewer than 8 rows, one block, a
+  // short last block (130, 600, 1,088) and whole blocks.
   Rng rng(1);
-  for (int window : {0, 1, 2, 4, 5, 8}) {
+  for (int width : {1, 7, 8, 9, 64, 130, 600, 1088}) {
     BigInt mod = OddModulus(512, rng);
     BigInt base = BigInt::RandomBelow(mod, rng);
     if (base.IsZero()) base = BigInt(2);
-    auto engine = FixedBaseEngine::Create(base, mod, 600, window).value();
+    auto engine = FixedBaseEngine::Create(base, mod, width).value();
     for (int i = 0; i < 8; ++i) {
-      BigInt e = BigInt::Random(1 + static_cast<int>(rng.NextBelow(600)), rng);
+      BigInt e = BigInt::Random(
+          1 + static_cast<int>(rng.NextBelow(static_cast<uint64_t>(width))),
+          rng);
       EXPECT_EQ(engine.Pow(e).value(), ModExp(base, e, mod).value())
-          << "window " << window;
+          << "width " << width;
     }
   }
 }
@@ -56,21 +62,121 @@ TEST(FixedBaseTest, OverCapacityExponentFallsBackBitIdentically) {
   EXPECT_EQ(engine.Pow(wide).value(), ModExp(base, wide, mod).value());
 }
 
+TEST(FixedBaseTest, LayoutEdgeExponentsMatchGenericLadder) {
+  // Exponents with bits only in one part of the comb, at widths whose
+  // last block is short: 130 bits (8 rows of 17, blocks of 9 and 8
+  // columns) and 1,088 (8 rows of 136, eight blocks of 16 and one of 8),
+  // so the top column exists in every block but the last. Each part is
+  // tried full and as a random half of its bits.
+  Rng rng(12);
+  BigInt mod = OddModulus(512, rng);
+  BigInt base = BigInt::RandomBelow(mod, rng) + BigInt(2);
+  const char* const kParts[] = {"last row", "last block", "top column",
+                                "every bit"};
+  for (int width : {130, 1088}) {
+    auto engine = FixedBaseEngine::Create(base, mod, width).value();
+    const int rows = engine.rows();
+    const int blocks = engine.blocks();
+    const int capacity = engine.max_exponent_bits();
+    const int a = capacity / rows;
+    const int bb = (a + blocks - 1) / blocks;
+    for (int part = 0; part < 4; ++part) {
+      for (bool full : {true, false}) {
+        BigInt e(0);
+        for (int p = 0; p < capacity; ++p) {
+          const int row = p / a;
+          const int column = p % a;
+          const bool in_part = part == 0   ? row == rows - 1
+                               : part == 1 ? column / bb == blocks - 1
+                               : part == 2 ? column % bb == bb - 1
+                                           : true;
+          if (in_part && (full || rng.NextBelow(2) == 1)) {
+            e = e + (BigInt(1) << p);
+          }
+        }
+        if (part == 3 && full) {
+          ASSERT_EQ(e.BitLength(), capacity);
+        }
+        EXPECT_EQ(engine.Pow(e).value(), ModExp(base, e, mod).value())
+            << width << " " << kParts[part] << (full ? " full" : " half");
+      }
+    }
+    // One bit over capacity: the generic ladder on the same context.
+    const BigInt over = (BigInt(1) << capacity) + BigInt::Random(capacity, rng);
+    ASSERT_EQ(over.BitLength(), capacity + 1);
+    EXPECT_EQ(engine.Pow(over).value(), ModExp(base, over, mod).value())
+        << width;
+  }
+}
+
+TEST(FixedBaseTest, ConcurrentEvaluationsOfOneEngine) {
+  // Four threads evaluate one engine at once. Each call runs on its own
+  // accumulator and scratch; the TSan tier checks that no evaluation
+  // writes state another one reads.
+  Rng rng(13);
+  BigInt mod = OddModulus(512, rng);
+  BigInt base = BigInt::RandomBelow(mod, rng) + BigInt(2);
+  const FixedBaseEngine engine =
+      FixedBaseEngine::Create(base, mod, 512).value();
+  constexpr size_t kThreads = 4;
+  constexpr size_t kCalls = 16;
+  std::vector<BigInt> exponents;
+  for (size_t i = 0; i < kThreads * kCalls; ++i) {
+    exponents.push_back(BigInt::Random(512, rng));
+  }
+  std::vector<BigInt> results(exponents.size());
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t i = t; i < exponents.size(); i += kThreads) {
+        Result<BigInt> r = engine.Pow(exponents[i]);
+        if (r.ok()) results[i] = std::move(r).value();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < exponents.size(); ++i) {
+    EXPECT_EQ(results[i], ModExp(base, exponents[i], mod).value()) << i;
+  }
+}
+
 TEST(FixedBaseTest, CapacityRoundsUpToWholeDigits) {
+  // 130 bits: h = 8 rows of a = 17 bits, v = 2 blocks of 9 columns.
   Rng rng(4);
   BigInt mod = OddModulus(128, rng);
-  auto engine = FixedBaseEngine::Create(BigInt(3), mod, 130, 4).value();
-  EXPECT_EQ(engine.window(), 4);
-  EXPECT_EQ(engine.max_exponent_bits(), 132);  // 33 digits of 4 bits
-  EXPECT_EQ(engine.table_entries(), 33u * 15u);
-  EXPECT_GT(engine.table_bytes(), 0u);
+  auto engine = FixedBaseEngine::Create(BigInt(3), mod, 130).value();
+  EXPECT_EQ(engine.rows(), 8);
+  EXPECT_EQ(engine.blocks(), 2);
+  EXPECT_EQ(engine.max_exponent_bits(), 136);  // 8 rows of 17 bits
+  EXPECT_EQ(engine.table_entries(), 2u * 255u);
+  EXPECT_EQ(engine.table_bytes(), 2u * 255u * 2u * sizeof(uint64_t));
+}
+
+TEST(FixedBaseTest, ShapeRulePinnedAtPaperShapes) {
+  // h = min(8, bits), a = ceil(bits / h), v = ceil(a / 16): the 256- and
+  // 512-bit halves of 512- and 1024-bit keys, and the 1,088-bit public
+  // exponent of a 1024-bit key.
+  Rng rng(11);
+  BigInt mod = OddModulus(128, rng);
+  const struct {
+    int bits, rows, blocks, capacity;
+  } shapes[] = {{256, 8, 2, 256}, {512, 8, 4, 512}, {1088, 8, 9, 1088}};
+  for (const auto& shape : shapes) {
+    auto engine = FixedBaseEngine::Create(BigInt(3), mod, shape.bits).value();
+    EXPECT_EQ(engine.rows(), shape.rows) << shape.bits;
+    EXPECT_EQ(engine.blocks(), shape.blocks) << shape.bits;
+    EXPECT_EQ(engine.max_exponent_bits(), shape.capacity) << shape.bits;
+    EXPECT_EQ(engine.table_entries(), static_cast<size_t>(shape.blocks) * 255)
+        << shape.bits;
+  }
 }
 
 TEST(FixedBaseTest, RejectsDegenerateInputs) {
   Rng rng(5);
   BigInt mod = OddModulus(128, rng);
   EXPECT_FALSE(FixedBaseEngine::Create(BigInt(2), mod, 0).ok());
-  EXPECT_FALSE(FixedBaseEngine::Create(BigInt(2), mod, 64, 9).ok());
   EXPECT_FALSE(FixedBaseEngine::Create(BigInt(0), mod, 64).ok());
   EXPECT_FALSE(FixedBaseEngine::Create(BigInt(2), BigInt(8), 64).ok());  // even
 }
@@ -89,24 +195,36 @@ TEST(FixedBaseTest, PowDomainComposesWithContext) {
 }
 
 TEST(FixedBaseTest, PowDomainRunsOneProductPerNonzeroDigitAfterTheFirst) {
-  // The first nonzero digit's table entry seeds the accumulator; each
-  // later nonzero digit costs one Montgomery product, and zero digits
-  // cost none.
+  // 256 bits: h = 8 rows of a = 32 bits, v = 2 blocks of bb = 16 columns,
+  // so bit p is row p / 32, block (p % 32) / 16, column p % 16. A digit
+  // is the 8-bit value of one (column, block). The chain squares once per
+  // column below the top nonzero one; the first nonzero digit's entry
+  // seeds the accumulator and each later one costs one product.
   Rng rng(10);
   BigInt mod = OddModulus(256, rng);
-  auto engine = FixedBaseEngine::Create(BigInt(5), mod, 64, 4).value();
-  // {exponent, nonzero 4-bit digits}
-  const std::pair<uint64_t, uint64_t> cases[] = {
-      {0x1, 1}, {0xF000000000000000, 1}, {0x30201, 3},
-      {0x1000000000000001, 2}, {0xFFFFFFFFFFFFFFFF, 16}};
-  for (const auto& [e, digits] : cases) {
+  auto engine = FixedBaseEngine::Create(BigInt(5), mod, 256).value();
+  const BigInt one(1);
+  const struct {
+    BigInt e;
+    uint64_t squarings, digits;
+  } cases[] = {
+      {one, 0, 1},                       // row 0, block 0, column 0
+      {one << 255, 15, 1},               // row 7, block 1, column 15
+      {(one << 15) + one, 15, 2},        // columns 15 and 0 of block 0
+      {(one << 32) + one, 0, 1},         // rows 0 and 1 share digit (0, 0)
+      {(one << 16) + one, 0, 2},         // column 0 of both blocks
+      {BigInt(0xF0), 7, 4},              // columns 4..7 of block 0
+      {(one << 256) - one, 15, 32},      // every digit
+  };
+  for (const auto& c : cases) {
     const uint64_t before = MontgomeryContext::product_count();
-    const std::vector<uint64_t> domain = engine.PowDomain(BigInt(e)).value();
-    EXPECT_EQ(MontgomeryContext::product_count() - before, digits - 1)
-        << std::hex << e;
+    const std::vector<uint64_t> domain = engine.PowDomain(c.e).value();
+    EXPECT_EQ(MontgomeryContext::product_count() - before,
+              c.squarings + c.digits - 1)
+        << c.e.ToHex();
     EXPECT_EQ(engine.context().FromMont(domain),
-              ModExp(BigInt(5), BigInt(e), mod).value())
-        << std::hex << e;
+              ModExp(BigInt(5), c.e, mod).value())
+        << c.e.ToHex();
   }
 }
 
@@ -160,15 +278,15 @@ TEST(FixedBaseTest, SharedRegistryKeepsEnginesOnlyWhileHeld) {
 }
 
 TEST(FixedBaseTest, TableConstructionIsDeterministic) {
-  // The tables are a pure function of (base, modulus, window): two
+  // The tables are a pure function of (base, modulus, width): two
   // engines built independently agree on every evaluation — no ambient
   // entropy is consumed (the determinism lint enforces the same property
   // statically for service-side users).
   Rng rng(8);
   BigInt mod = OddModulus(256, rng);
   BigInt base = BigInt::RandomBelow(mod, rng) + BigInt(2);
-  auto a = FixedBaseEngine::Create(base, mod, 300, 5).value();
-  auto b = FixedBaseEngine::Create(base, mod, 300, 5).value();
+  auto a = FixedBaseEngine::Create(base, mod, 300).value();
+  auto b = FixedBaseEngine::Create(base, mod, 300).value();
   for (int i = 0; i < 5; ++i) {
     BigInt e = BigInt::Random(300, rng);
     EXPECT_EQ(a.Pow(e).value(), b.Pow(e).value());
