@@ -157,7 +157,7 @@ Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
       const BigInt r_base,
       ModExp(BigInt(2), n_s.Mod(r_pow_s * half.r_minus_1), ctx));
   PPGNN_ASSIGN_OR_RETURN(FixedBaseEngine table,
-                         FixedBaseEngine::Create(r_base, half.r_pow,
+                         FixedBaseEngine::Create(r_base, std::move(ctx),
                                                  half.r_minus_1.BitLength()));
   half.r_table = std::make_unique<const FixedBaseEngine>(std::move(table));
   return half;

@@ -377,6 +377,24 @@ TEST_F(PaillierTest, KeyHolderOwnsTwoHalfWidthTablesPerLevel) {
   EXPECT_EQ(stats.table_bytes, expected_bytes);
 }
 
+TEST_F(PaillierTest, KeyHolderBuildsOneContextPerHalf) {
+  // A key holder's first Encrypt at a level builds one Montgomery context
+  // per CRT half, over p^{s+1} and over q^{s+1}: the half's base is
+  // derived on it and its fixed-base engine takes it over. Later Encrypts
+  // at the level build none.
+  Encryptor enc(*keys_);
+  Rng rng(92);
+  for (int level : {1, 2}) {
+    const uint64_t before = MontgomeryContext::created_count();
+    ASSERT_TRUE(enc.Encrypt(BigInt(1), rng, level).ok());
+    EXPECT_EQ(MontgomeryContext::created_count(), before + 2)
+        << "level " << level;
+    ASSERT_TRUE(enc.Encrypt(BigInt(0), rng, level).ok());
+    EXPECT_EQ(MontgomeryContext::created_count(), before + 2)
+        << "level " << level;
+  }
+}
+
 TEST(PaillierRegistryTest, PublicKeyEncryptorHoldsSharedTablesOnlyWhileAlive) {
   // A public-key Encryptor's full-width tables live in the shared
   // registry only as long as some Encryptor holds them. A key of its own
