@@ -161,18 +161,41 @@ PaillierFixtureState& SharedPaillierFixture(int key_bits) {
   return *slot;
 }
 
-void BM_Encrypt_FixedBase(benchmark::State& state) {
-  PaillierFixtureState& fx = SharedPaillierFixture(
-      static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys.pub);
+// Montgomery products per Encrypt at `level` on `enc`, whose tables are
+// built: the mean over a fixed stream of 64 calls, so the counter
+// repeats exactly from run to run.
+double ProductsPerEncrypt(const Encryptor& enc, int level) {
+  constexpr int kCalls = 64;
+  Rng rng(29);
+  const uint64_t before = MontgomeryContext::product_count();
+  for (int i = 0; i < kCalls; ++i) {
+    benchmark::DoNotOptimize(
+        bench::ValueOrDie(enc.Encrypt(BigInt(123456789), rng, level)));
+  }
+  return static_cast<double>(MontgomeryContext::product_count() - before) /
+         kCalls;
+}
+
+// Times steady-state Encrypt calls on `enc` and reports the exact
+// `products` per call and the Encryptor's blinding `table_bytes`.
+void RunEncrypt(benchmark::State& state, const Encryptor& enc, Rng& rng) {
   const int level = static_cast<int>(state.range(1));
   BigInt m(123456789);
   // One untimed encrypt warms the level/blinding caches (h derivation,
   // fixed-base tables) so the loop measures steady-state cost.
-  (void)bench::ValueOrDie(enc.Encrypt(m, fx.rng, level));
+  (void)bench::ValueOrDie(enc.Encrypt(m, rng, level));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, level)));
+    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, rng, level)));
   }
+  state.counters["products"] = ProductsPerEncrypt(enc, level);
+  state.counters["table_bytes"] =
+      static_cast<double>(enc.blinding_stats().table_bytes);
+}
+
+void BM_Encrypt_FixedBase(benchmark::State& state) {
+  PaillierFixtureState& fx = SharedPaillierFixture(
+      static_cast<int>(state.range(0)));
+  RunEncrypt(state, Encryptor(fx.keys.pub), fx.rng);
 }
 BENCHMARK(BM_Encrypt_FixedBase)
     ->Args({1024, 1})
@@ -186,15 +209,7 @@ void BM_Encrypt_Crt(benchmark::State& state) {
   // recombined by CRT with a precomputed coefficient.
   PaillierFixtureState& fx = SharedPaillierFixture(
       static_cast<int>(state.range(0)));
-  Encryptor enc(fx.keys);
-  const int level = static_cast<int>(state.range(1));
-  BigInt m(123456789);
-  // One untimed encrypt warms the level/blinding caches (h derivation,
-  // fixed-base tables) so the loop measures steady-state cost.
-  (void)bench::ValueOrDie(enc.Encrypt(m, fx.rng, level));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, fx.rng, level)));
-  }
+  RunEncrypt(state, Encryptor(fx.keys), fx.rng);
 }
 BENCHMARK(BM_Encrypt_Crt)
     ->Args({1024, 1})
@@ -208,14 +223,39 @@ KeyPair FreshBenchKey(int key_bits) {
   return bench::ValueOrDie(GenerateKeyPair(key_bits, *rng));
 }
 
+// One indicator's encryptions under `key` on a new Encryptor, at the
+// paper defaults: PPGNN's 101 level-1 ciphertexts, or OPT's 17 level-1
+// plus 6 level-2 (delta' = 101, omega = 6). Returns the Encryptor's
+// blinding table bytes.
+size_t EncryptIndicator(const KeyPair& key, bool key_holder, bool opt,
+                        Rng& rng) {
+  std::optional<Encryptor> enc;
+  if (key_holder) {
+    enc.emplace(key);
+  } else {
+    enc.emplace(key.pub);
+  }
+  const int level1 = opt ? 17 : 101;
+  for (int i = 0; i < level1; ++i) {
+    benchmark::DoNotOptimize(
+        bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 1)));
+  }
+  for (int i = 0; opt && i < 6; ++i) {
+    benchmark::DoNotOptimize(
+        bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 2)));
+  }
+  return enc->blinding_stats().table_bytes;
+}
+
 void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
   // What the users pay per fresh-key query for the encrypted indicator:
   // a new Encryptor, its blinding bases and fixed-base tables, and one
-  // indicator's encryptions at the paper defaults — PPGNN's 101 level-1
-  // ciphertexts, or OPT's 17 level-1 plus 6 level-2 (delta' = 101,
-  // omega = 6). Every iteration uses a key no earlier iteration used, so
-  // the public-key variant cannot hit the shared table registry. Args are
-  // {key_bits, key_holder, opt}; keys are generated before the timed loop.
+  // indicator's encryptions. Every iteration uses a key no earlier
+  // iteration used, so the public-key variant cannot hit the shared table
+  // registry. Args are {key_bits, key_holder, opt}; keys are generated
+  // before the timed loop. The `products` and `table_bytes` counters
+  // come from one untimed indicator on the shared fixture's key (no live
+  // Encryptor holds it) with a fixed stream, so they repeat exactly.
   const int key_bits = static_cast<int>(state.range(0));
   const bool key_holder = state.range(1) != 0;
   const bool opt = state.range(2) != 0;
@@ -226,23 +266,16 @@ void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
   Rng rng(23);
   size_t next = 0;
   for (auto _ : state) {
-    const KeyPair& key = keys[next++];
-    std::optional<Encryptor> enc;
-    if (key_holder) {
-      enc.emplace(key);
-    } else {
-      enc.emplace(key.pub);
-    }
-    const int level1 = opt ? 17 : 101;
-    for (int i = 0; i < level1; ++i) {
-      benchmark::DoNotOptimize(
-          bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 1)));
-    }
-    for (int i = 0; opt && i < 6; ++i) {
-      benchmark::DoNotOptimize(
-          bench::ValueOrDie(enc->Encrypt(BigInt(i == 0 ? 1 : 0), rng, 2)));
-    }
+    benchmark::DoNotOptimize(
+        EncryptIndicator(keys[next++], key_holder, opt, rng));
   }
+  Rng count_rng(31);
+  const uint64_t before = MontgomeryContext::product_count();
+  const size_t table_bytes = EncryptIndicator(
+      SharedPaillierFixture(key_bits).keys, key_holder, opt, count_rng);
+  state.counters["products"] =
+      static_cast<double>(MontgomeryContext::product_count() - before);
+  state.counters["table_bytes"] = static_cast<double>(table_bytes);
 }
 BENCHMARK(BM_Encrypt_FreshKeyIndicator)
     ->ArgsProduct({{1024, 2048}, {0, 1}, {0, 1}})
