@@ -111,6 +111,24 @@ BENCHMARK(BM_GeneratePrime)->Arg(128)->Arg(256)->Arg(512);
 
 // ---- Paillier (C_e of Table 2) ----
 
+// Runs `work` once, untimed, and reports the Montgomery products it ran on
+// this thread per one of its `calls`: `products`, and `limb_products`,
+// the same products weighted by limbs()^2, so that work moved to a
+// narrower modulus shows even where the count does not move.
+template <typename Work>
+void CountProducts(benchmark::State& state, int calls, Work&& work) {
+  const uint64_t products = MontgomeryContext::product_count();
+  const uint64_t limb_products = MontgomeryContext::limb_product_count();
+  work();
+  state.counters["products"] =
+      static_cast<double>(MontgomeryContext::product_count() - products) /
+      calls;
+  state.counters["limb_products"] =
+      static_cast<double>(MontgomeryContext::limb_product_count() -
+                          limb_products) /
+      calls;
+}
+
 struct PaillierFixtureState {
   Rng rng{5};
   KeyPair keys;
@@ -161,23 +179,10 @@ PaillierFixtureState& SharedPaillierFixture(int key_bits) {
   return *slot;
 }
 
-// Montgomery products per Encrypt at `level` on `enc`, whose tables are
-// built: the mean over a fixed stream of 64 calls, so the counter
-// repeats exactly from run to run.
-double ProductsPerEncrypt(const Encryptor& enc, int level) {
-  constexpr int kCalls = 64;
-  Rng rng(29);
-  const uint64_t before = MontgomeryContext::product_count();
-  for (int i = 0; i < kCalls; ++i) {
-    benchmark::DoNotOptimize(
-        bench::ValueOrDie(enc.Encrypt(BigInt(123456789), rng, level)));
-  }
-  return static_cast<double>(MontgomeryContext::product_count() - before) /
-         kCalls;
-}
-
 // Times steady-state Encrypt calls on `enc` and reports the exact
-// `products` per call and the Encryptor's blinding `table_bytes`.
+// `products` and `limb_products` per call (the mean over a fixed stream of
+// 64 calls, so the counters repeat exactly from run to run) and the
+// Encryptor's blinding `table_bytes`.
 void RunEncrypt(benchmark::State& state, const Encryptor& enc, Rng& rng) {
   const int level = static_cast<int>(state.range(1));
   BigInt m(123456789);
@@ -187,7 +192,14 @@ void RunEncrypt(benchmark::State& state, const Encryptor& enc, Rng& rng) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::ValueOrDie(enc.Encrypt(m, rng, level)));
   }
-  state.counters["products"] = ProductsPerEncrypt(enc, level);
+  constexpr int kCalls = 64;
+  Rng count_rng(29);
+  CountProducts(state, kCalls, [&] {
+    for (int i = 0; i < kCalls; ++i) {
+      benchmark::DoNotOptimize(
+          bench::ValueOrDie(enc.Encrypt(m, count_rng, level)));
+    }
+  });
   state.counters["table_bytes"] =
       static_cast<double>(enc.blinding_stats().table_bytes);
 }
@@ -253,9 +265,10 @@ void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
   // indicator's encryptions. Every iteration uses a key no earlier
   // iteration used, so the public-key variant cannot hit the shared table
   // registry. Args are {key_bits, key_holder, opt}; keys are generated
-  // before the timed loop. The `products` and `table_bytes` counters
-  // come from one untimed indicator on the shared fixture's key (no live
-  // Encryptor holds it) with a fixed stream, so they repeat exactly.
+  // before the timed loop. The `products`, `limb_products` and
+  // `table_bytes` counters come from one untimed indicator on the shared
+  // fixture's key (no live Encryptor holds it) with a fixed stream, so
+  // they repeat exactly.
   const int key_bits = static_cast<int>(state.range(0));
   const bool key_holder = state.range(1) != 0;
   const bool opt = state.range(2) != 0;
@@ -270,17 +283,20 @@ void BM_Encrypt_FreshKeyIndicator(benchmark::State& state) {
         EncryptIndicator(keys[next++], key_holder, opt, rng));
   }
   Rng count_rng(31);
-  const uint64_t before = MontgomeryContext::product_count();
-  const size_t table_bytes = EncryptIndicator(
-      SharedPaillierFixture(key_bits).keys, key_holder, opt, count_rng);
-  state.counters["products"] =
-      static_cast<double>(MontgomeryContext::product_count() - before);
+  size_t table_bytes = 0;
+  CountProducts(state, 1, [&] {
+    table_bytes = EncryptIndicator(SharedPaillierFixture(key_bits).keys,
+                                   key_holder, opt, count_rng);
+  });
   state.counters["table_bytes"] = static_cast<double>(table_bytes);
 }
 BENCHMARK(BM_Encrypt_FreshKeyIndicator)
     ->ArgsProduct({{1024, 2048}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+// Decryption on a fixed key and ciphertext, whose level-1 constants the
+// Decryptor builds at construction. `products` and `limb_products` count
+// one more call.
 void BM_PaillierDecryptL1(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));
   Encryptor enc(fx.keys.pub);
@@ -289,8 +305,31 @@ void BM_PaillierDecryptL1(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(bench::ValueOrDie(dec.Decrypt(ct)));
   }
+  CountProducts(state, 1, [&] {
+    benchmark::DoNotOptimize(bench::ValueOrDie(dec.Decrypt(ct)));
+  });
 }
 BENCHMARK(BM_PaillierDecryptL1)->Arg(512)->Arg(1024);
+
+// PPGNN-OPT's answer decryption: a level-2 ciphertext whose plaintext is
+// a level-1 ciphertext, decrypted at level 2 and then at level 1.
+void BM_PaillierDecryptLayered(benchmark::State& state) {
+  PaillierFixtureState fx(static_cast<int>(state.range(0)));
+  Encryptor enc(fx.keys.pub);
+  Decryptor dec(fx.keys.pub, fx.keys.sec);
+  const Ciphertext inner =
+      bench::ValueOrDie(enc.Encrypt(BigInt(42), fx.rng, 1));
+  const Ciphertext outer =
+      bench::ValueOrDie(enc.Encrypt(inner.value, fx.rng, 2));
+  (void)bench::ValueOrDie(dec.DecryptLayered(outer));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench::ValueOrDie(dec.DecryptLayered(outer)));
+  }
+  CountProducts(state, 1, [&] {
+    benchmark::DoNotOptimize(bench::ValueOrDie(dec.DecryptLayered(outer)));
+  });
+}
+BENCHMARK(BM_PaillierDecryptLayered)->Arg(512)->Arg(1024);
 
 void BM_PaillierScalarMul(benchmark::State& state) {
   PaillierFixtureState fx(static_cast<int>(state.range(0)));

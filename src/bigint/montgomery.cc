@@ -19,8 +19,10 @@ using u128 = unsigned __int128;
 // ppgnn: stat_counter(g_contexts_created)
 std::atomic<uint64_t> g_contexts_created{0};
 
-// Montgomery products on this thread (MontgomeryContext::product_count).
+// Montgomery products on this thread (MontgomeryContext::product_count),
+// and limbs^2 summed over them (limb_product_count).
 thread_local uint64_t t_products = 0;
+thread_local uint64_t t_limb_products = 0;
 
 // acc[top, top + 1] += row_carry. The offset loop keeps the running sum
 // below 2^64 * 2n, so nothing carries out of acc[top + 1].
@@ -188,6 +190,8 @@ uint64_t MontgomeryContext::created_count() {
 
 uint64_t MontgomeryContext::product_count() { return t_products; }
 
+uint64_t MontgomeryContext::limb_product_count() { return t_limb_products; }
+
 std::vector<uint64_t> MontgomeryContext::MontMul(
     const std::vector<uint64_t>& a, const std::vector<uint64_t>& b) const {
   // Left uninitialised: MontMulInto zeroes its scratch.
@@ -202,6 +206,7 @@ void MontgomeryContext::MontMulInto(const uint64_t* a, const uint64_t* b,
                                     uint64_t* out, uint64_t* scratch) const {
   std::fill(scratch, scratch + scratch_limbs(), 0);
   ++t_products;
+  t_limb_products += limbs_ * limbs_;
   internal::MontMulLimbs(internal::DispatchedMontRow(), a, b, n_.data(),
                          n_prime_, limbs_, scratch, out);
 }

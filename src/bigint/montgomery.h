@@ -82,6 +82,12 @@ class MontgomeryContext {
   /// threads counts on those threads.
   static uint64_t product_count();
 
+  /// limbs()^2 summed over the same products: each product weighted by
+  /// its width, since a product's word multiplies grow with limbs()^2. A
+  /// change that moves products to a narrower modulus without changing
+  /// how many there are shows here, not in product_count().
+  static uint64_t limb_product_count();
+
   const BigInt& modulus() const { return modulus_; }
   size_t limbs() const { return limbs_; }
 

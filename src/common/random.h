@@ -7,8 +7,9 @@
 //
 // NOTE ON SECURITY: Rng is NOT a cryptographically secure generator. It is
 // used for dummy-location generation, Monte-Carlo sampling, and workload
-// synthesis. Paillier key generation additionally mixes OS entropy via
-// Rng::OsSeeded() unless a caller pins the seed for reproducibility.
+// synthesis. Paillier key generation (GenerateKeyPair) draws from the
+// caller's Rng too, with no OS entropy mixed in; nothing calls
+// Rng::OsSeeded() yet. A secret-draw generator is ROADMAP item 3.
 
 #ifndef PPGNN_COMMON_RANDOM_H_
 #define PPGNN_COMMON_RANDOM_H_

@@ -4,14 +4,16 @@
 #include "bigint/prime.h"
 #include "common/failpoint.h"
 
-// ppgnn: secret(lambda, p, q, sk_, p_pow, q_pow, crt_coeff, crt_coeff_)
+// ppgnn: secret(lambda, p, q, sk_, crt_coeff, crt_coeff_, p_ctx_, q_ctx_, p_ctx, q_ctx)
 // ppgnn: secret(p_half_, q_half_, r_pow, r_pow_s, r_minus_1, r_base, r_table)
+// ppgnn: secret(r, r_ctx, other, other_pow_s, z, p_half, q_half, scale, log_n)
 //
 // The key holder's blinding members and the Decryptor's CRT constants
-// are precomputed from the secret factors (moduli p^{s+1}/q^{s+1}, the
-// orders p-1/q-1, the half-width bases, the fixed-base tables over them
-// and the CRT coefficients), so they carry the same taint as p and q
-// themselves: control flow never branches on these values.
+// are precomputed from the secret factors (the primes and their
+// contexts, moduli r^s/r^{s+1}, the orders p-1/q-1, the half-width
+// bases, the fixed-base tables over them, the decryption scales and the
+// CRT coefficients), so they carry the same taint as p and q themselves:
+// control flow never branches on these values.
 
 namespace ppgnn {
 
@@ -53,8 +55,8 @@ Result<KeyPair> GenerateKeyPair(int key_bits, Rng& rng) {
 
 namespace {
 
-// A context over N^{s+1}, p^{s+1} or q^{s+1}: odd moduli, since N is odd
-// wherever a key enters (paillier.h).
+// A context over N^{s+1}, p, q or their powers: odd moduli, since N is
+// odd wherever a key enters (paillier.h).
 std::unique_ptr<MontgomeryContext> OddModulusContext(const BigInt& modulus) {
   // ppgnn-lint: allow(unchecked-result): the modulus is odd (see above); an even one from an in-process caller must abort, as division by zero does
   MontgomeryContext ctx = MontgomeryContext::Create(modulus).value();
@@ -75,7 +77,9 @@ Encryptor::Encryptor(PublicKey pk) : pk_(std::move(pk)) {
 }
 
 Encryptor::Encryptor(const KeyPair& keys)
-    : pk_(keys.pub), sk_(std::make_unique<SecretKey>(keys.sec)) {
+    : pk_(keys.pub),
+      p_ctx_(OddModulusContext(keys.sec.p)),
+      q_ctx_(OddModulusContext(keys.sec.q)) {
   Level(1);
   Level(2);
 }
@@ -129,33 +133,49 @@ Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
 
 namespace internal {
 
-Result<KeyHolderBlinding> KeyHolderBlinding::Create(const PublicKey& pk,
+Result<KeyHolderBlinding> KeyHolderBlinding::Create(const PublicKey& /*pk*/,
                                                     const SecretKey& sk,
                                                     int level) {
+  PPGNN_ASSIGN_OR_RETURN(const MontgomeryContext p_ctx,
+                         MontgomeryContext::Create(sk.p));
+  PPGNN_ASSIGN_OR_RETURN(const MontgomeryContext q_ctx,
+                         MontgomeryContext::Create(sk.q));
+  return Create(level, p_ctx, q_ctx);
+}
+
+Result<KeyHolderBlinding> KeyHolderBlinding::Create(
+    int level, const MontgomeryContext& p_ctx, const MontgomeryContext& q_ctx) {
   if (level < 1) return Status::InvalidArgument("ciphertext level must be >= 1");
-  const BigInt n_s = pk.NPow(level);
   KeyHolderBlinding out;
-  PPGNN_ASSIGN_OR_RETURN(out.p_half_, MakeHalf(sk.p, n_s, level));
-  PPGNN_ASSIGN_OR_RETURN(out.q_half_, MakeHalf(sk.q, n_s, level));
+  PPGNN_ASSIGN_OR_RETURN(out.p_half_,
+                         MakeHalf(p_ctx, q_ctx.modulus(), level));
+  PPGNN_ASSIGN_OR_RETURN(out.q_half_,
+                         MakeHalf(q_ctx, p_ctx.modulus(), level));
   PPGNN_ASSIGN_OR_RETURN(out.crt_coeff_,
                          ModInverse(out.p_half_.r_pow, out.q_half_.r_pow));
   return out;
 }
 
 Result<KeyHolderBlinding::Half> KeyHolderBlinding::MakeHalf(
-    const BigInt& r, const BigInt& n_s, int level) {
+    const MontgomeryContext& r_ctx, const BigInt& other, int level) {
+  const BigInt& r = r_ctx.modulus();
   Half half;
-  BigInt r_pow_s(1);  // r^level
-  for (int i = 0; i < level; ++i) r_pow_s = r_pow_s * r;
-  half.r_pow = r_pow_s * r;
   half.r_minus_1 = r - BigInt(1);
+  BigInt r_pow_s(1);      // r^level
+  BigInt other_pow_s(1);  // other^level mod (r - 1)
+  for (int i = 0; i < level; ++i) {
+    r_pow_s = r_pow_s * r;
+    other_pow_s = (other_pow_s * other).Mod(half.r_minus_1);
+  }
+  half.r_pow = r_pow_s * r;
   PPGNN_ASSIGN_OR_RETURN(MontgomeryContext ctx,
                          MontgomeryContext::Create(half.r_pow));
-  // (Z/r^{s+1})* has order r^s (r - 1), so 2^{N^s} mod r^{s+1} needs only
-  // the exponent N^s mod r^s (r - 1).
-  PPGNN_ASSIGN_OR_RETURN(
-      const BigInt r_base,
-      ModExp(BigInt(2), n_s.Mod(r_pow_s * half.r_minus_1), ctx));
+  // (Z/r^{s+1})* has order r^s (r - 1), and N^s mod r^s (r - 1) is
+  // r^s (other^s mod (r - 1)), so h_s = 2^{N^s} is z^{r^s} mod r^{s+1} for
+  // z = 2^{other^s mod (r - 1)}; z^{r^s} mod r^{s+1} depends only on z mod
+  // r, so z is computed over r.
+  PPGNN_ASSIGN_OR_RETURN(const BigInt z, ModExp(BigInt(2), other_pow_s, r_ctx));
+  PPGNN_ASSIGN_OR_RETURN(const BigInt r_base, ModExp(z, r_pow_s, ctx));
   PPGNN_ASSIGN_OR_RETURN(FixedBaseEngine table,
                          FixedBaseEngine::Create(r_base, std::move(ctx),
                                                  half.r_minus_1.BitLength()));
@@ -185,12 +205,12 @@ Result<const Encryptor::LevelCache::Blinding*> Encryptor::EnsureBlinding(
   if (lc.blinding != nullptr) return lc.blinding.get();
   auto b = std::make_unique<LevelCache::Blinding>();
   // ppgnn-lint: allow(secret-flow): branches on key presence (role), not bits
-  if (sk_ != nullptr) {
+  if (p_ctx_ != nullptr) {
     // Key holder: reduced exponents over p^{s+1} and q^{s+1}, on tables
     // this Encryptor owns.
     PPGNN_ASSIGN_OR_RETURN(
         internal::KeyHolderBlinding key_holder,
-        internal::KeyHolderBlinding::Create(pk_, *sk_, level));
+        internal::KeyHolderBlinding::Create(level, *p_ctx_, *q_ctx_));
     b->key_holder = std::make_unique<const internal::KeyHolderBlinding>(
         std::move(key_holder));
   } else {
@@ -364,6 +384,32 @@ Decryptor::Decryptor(PublicKey pk, SecretKey sk)
   Level(1);
 }
 
+Result<Decryptor::Half> Decryptor::MakeHalf(const BigInt& r,
+                                            const BigInt& n, int s) {
+  Half half;
+  half.r = r;
+  half.r_minus_1 = r - BigInt(1);
+  half.r_pow_s = BigInt(1);
+  for (int i = 0; i < s; ++i) half.r_pow_s = half.r_pow_s * r;
+  half.r_pow = half.r_pow_s * r;
+  half.ctx = OddModulusContext(half.r_pow);
+  PPGNN_ASSIGN_OR_RETURN(
+      const BigInt log_n,
+      internal::ExtractDjLog((BigInt(1) + n).Mod(half.r_pow), r, s));
+  PPGNN_ASSIGN_OR_RETURN(
+      half.scale,
+      ModInverse(ModMul(half.r_minus_1, log_n, half.r_pow_s), half.r_pow_s));
+  return half;
+}
+
+Status Decryptor::BuildLevel(int s, LevelCache& lv) const {
+  PPGNN_ASSIGN_OR_RETURN(lv.p_half, MakeHalf(sk_.p, pk_.n, s));
+  PPGNN_ASSIGN_OR_RETURN(lv.q_half, MakeHalf(sk_.q, pk_.n, s));
+  PPGNN_ASSIGN_OR_RETURN(lv.crt_coeff,
+                         ModInverse(lv.p_half.r_pow_s, lv.q_half.r_pow_s));
+  return Status::OK();
+}
+
 const Decryptor::LevelCache& Decryptor::Level(int s) const {
   const size_t idx = static_cast<size_t>(s < 1 ? 1 : s);
   std::lock_guard<std::mutex> lock(level_mu_);
@@ -371,40 +417,26 @@ const Decryptor::LevelCache& Decryptor::Level(int s) const {
   std::unique_ptr<LevelCache>& slot = levels_[idx];
   if (slot == nullptr) {
     auto cache = std::make_unique<LevelCache>();
-    cache->n_s = pk_.NPow(static_cast<int>(idx));
-    cache->p_pow = BigInt(1);
-    cache->q_pow = BigInt(1);
-    for (size_t i = 0; i <= idx; ++i) {
-      cache->p_pow = cache->p_pow * sk_.p;
-      cache->q_pow = cache->q_pow * sk_.q;
-    }
-    cache->p_ctx = OddModulusContext(cache->p_pow);
-    cache->q_ctx = OddModulusContext(cache->q_pow);
-    cache->crt_coeff = ModInverse(cache->p_pow, cache->q_pow);
-    cache->lambda_inv = ModInverse(sk_.lambda, cache->n_s);
+    cache->status = BuildLevel(static_cast<int>(idx), *cache);
     slot = std::move(cache);
   }
   return *slot;
 }
 
-Result<BigInt> Decryptor::PowLambda(const BigInt& c, int s) const {
-  const LevelCache& lv = Level(s);
-  // CRT split: exponentiate modulo p^{s+1} and q^{s+1} (half-width
-  // arithmetic), then recombine. p^{s+1} and q^{s+1} are coprime and
-  // their product is N^{s+1}.
-  PPGNN_RETURN_IF_ERROR(lv.crt_coeff.status());
-  PPGNN_ASSIGN_OR_RETURN(const BigInt a_p,
-                         ModExp(c.Mod(lv.p_pow), sk_.lambda, *lv.p_ctx));
-  PPGNN_ASSIGN_OR_RETURN(const BigInt a_q,
-                         ModExp(c.Mod(lv.q_pow), sk_.lambda, *lv.q_ctx));
-  return CrtCombinePrecomputed(a_p, lv.p_pow, a_q, lv.q_pow,
-                               lv.crt_coeff.value());
+Result<BigInt> Decryptor::DecryptHalf(const BigInt& c, const Half& half,
+                                      int s) {
+  // c^{r-1} = (1+N)^{m(r-1)} mod r^{s+1}: the blinding term vanishes.
+  PPGNN_ASSIGN_OR_RETURN(const BigInt a,
+                         ModExp(c.Mod(half.r_pow), half.r_minus_1, *half.ctx));
+  PPGNN_ASSIGN_OR_RETURN(const BigInt log_a,
+                         internal::ExtractDjLog(a, half.r, s));
+  return ModMul(log_a, half.scale, half.r_pow_s);
 }
 
 namespace internal {
 
 Result<BigInt> ExtractDjLog(const BigInt& a, const BigInt& n, int s) {
-  // Damgård-Jurik recursive extraction of x from (1+N)^x mod N^{s+1}.
+  // Damgård-Jurik recursive extraction of x from (1+n)^x mod n^{s+1}.
   BigInt i(0);
   BigInt n_pow_j(1);  // n^j inside the loop
   for (int j = 1; j <= s; ++j) {
@@ -440,11 +472,12 @@ Result<BigInt> Decryptor::Decrypt(const Ciphertext& c) const {
   const int s = c.level;
   if (s < 1) return Status::InvalidArgument("ciphertext level must be >= 1");
   const LevelCache& lv = Level(s);
-  // c^lambda = (1+N)^{lambda * m} mod N^{s+1}; the blinding term vanishes.
-  PPGNN_ASSIGN_OR_RETURN(BigInt a, PowLambda(c.value, s));
-  PPGNN_ASSIGN_OR_RETURN(BigInt lambda_m, internal::ExtractDjLog(a, pk_.n, s));
-  PPGNN_RETURN_IF_ERROR(lv.lambda_inv.status());
-  return ModMul(lambda_m, lv.lambda_inv.value(), lv.n_s);
+  PPGNN_RETURN_IF_ERROR(lv.status);
+  // m mod p^s and m mod q^s, recombined modulo p^s q^s = N^s.
+  PPGNN_ASSIGN_OR_RETURN(const BigInt m_p, DecryptHalf(c.value, lv.p_half, s));
+  PPGNN_ASSIGN_OR_RETURN(const BigInt m_q, DecryptHalf(c.value, lv.q_half, s));
+  return CrtCombinePrecomputed(m_p, lv.p_half.r_pow_s, m_q, lv.q_half.r_pow_s,
+                               lv.crt_coeff);
 }
 
 Result<BigInt> Decryptor::DecryptLayered(const Ciphertext& outer) const {

@@ -37,7 +37,8 @@
 // h_s^t = h_s^{t mod (p-1)} mod p^{s+1} (likewise for q). The key holder
 // therefore evaluates two (key_bits/2)-bit exponents over half-width
 // moduli, on tables its Encryptor owns, and recombines by CRT with a
-// coefficient computed once per level (internal::KeyHolderBlinding).
+// coefficient computed once per level (internal::KeyHolderBlinding),
+// whose bases it derives over p, q and their powers, never over N.
 // Both paths draw t the same way and compute the same exact residue
 // h_s^t, so their ciphertexts are bit-identical for the same RNG stream
 // and equal the definition (1+N)^m * h_s^t — the chaos/dedup/replay
@@ -71,6 +72,7 @@
 
 #include "bigint/bigint.h"
 #include "bigint/fixedbase.h"
+#include "bigint/montgomery.h"
 #include "bigint/multiexp.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -131,15 +133,26 @@ namespace internal {
 /// evaluated as the CRT recombination of h_s^{t mod (p-1)} mod p^{s+1}
 /// and h_s^{t mod (q-1)} mod q^{s+1}. Exact because h_s = 2^{N^s} is an
 /// N^s-th power, whose order modulo p^{s+1} divides p - 1. Each base is
-/// derived on its own half, 2^{N^s mod p^s(p-1)} mod p^{s+1}, so nothing
-/// is computed modulo N^{s+1}. The tables are sized to bits(p - 1) and
-/// owned here, not by the process-wide registry: they are derived from p
-/// and q and die with the key. Immutable once built; Pow is const and
-/// thread-safe. Exposed for testing.
+/// derived on its own half, so nothing is computed modulo N^{s+1}: with
+/// q' the other prime, N^s mod r^s (r-1) = r^s (q'^s mod (r-1)), and
+/// z^{r^s} mod r^{s+1} depends only on z mod r, so
+/// h_s mod r^{s+1} = (2^{q'^s mod (r-1)} mod r)^{r^s} mod r^{s+1}: one
+/// bits(r-1)-bit exponent over r, then one s*bits(r)-bit exponent over
+/// r^{s+1}. The tables are sized to bits(p - 1) and owned here, not by
+/// the process-wide registry: they are derived from p and q and die with
+/// the key. Immutable once built; Pow is const and thread-safe. Exposed
+/// for testing.
 class KeyHolderBlinding {
  public:
+  /// Builds its own Montgomery contexts over p and q. The bases depend on
+  /// p and q alone, so `pk` is not read.
   static Result<KeyHolderBlinding> Create(const PublicKey& pk,
                                           const SecretKey& sk, int level);
+  /// The same on contexts over p and q that the caller keeps; they are
+  /// read only while the bases are derived.
+  static Result<KeyHolderBlinding> Create(int level,
+                                          const MontgomeryContext& p_ctx,
+                                          const MontgomeryContext& q_ctx);
 
   /// h_s^t mod N^{level+1} for any t >= 0.
   Result<BigInt> Pow(const BigInt& t) const;
@@ -154,7 +167,9 @@ class KeyHolderBlinding {
     BigInt r_minus_1;  // r - 1, a multiple of the order of h_s mod r_pow
     std::unique_ptr<const FixedBaseEngine> r_table;  // over h_s mod r_pow
   };
-  static Result<Half> MakeHalf(const BigInt& r, const BigInt& n_s, int level);
+  /// The half over r = r_ctx.modulus(); `other` is the other prime.
+  static Result<Half> MakeHalf(const MontgomeryContext& r_ctx,
+                               const BigInt& other, int level);
 
   KeyHolderBlinding() = default;
 
@@ -181,8 +196,9 @@ class Encryptor {
   explicit Encryptor(PublicKey pk);
   /// Secret-key holder's context (the querying users own the key pair in
   /// PPGNN): blinds on the reduced-exponent CRT path
-  /// (internal::KeyHolderBlinding). The secret key is copied; the
-  /// Encryptor never exposes it.
+  /// (internal::KeyHolderBlinding). Builds Montgomery contexts over p and
+  /// q here, once, for every level's blinding bases; it keeps nothing else
+  /// of the secret key and never exposes them.
   explicit Encryptor(const KeyPair& keys);
 
   const PublicKey& public_key() const { return pk_; }
@@ -310,9 +326,11 @@ class Encryptor {
   Result<BigInt> MakeBlinding(int level, Rng& rng) const;
 
   PublicKey pk_;
-  /// Secret key copy for the key-holder blinding path; null for
-  /// public-only Encryptors.
-  std::unique_ptr<SecretKey> sk_;
+  /// Montgomery contexts over the secret primes p and q, on which a key
+  /// holder derives each level's blinding bases; null for public-only
+  /// Encryptors.
+  std::unique_ptr<const MontgomeryContext> p_ctx_;
+  std::unique_ptr<const MontgomeryContext> q_ctx_;
   mutable std::atomic<uint64_t> op_count_{0};
   mutable std::mutex level_mu_;
   // ppgnn: guarded_by(levels_, level_mu_)
@@ -324,12 +342,16 @@ class Encryptor {
 
 /// Decryption context bound to a key pair.
 ///
-/// Decryption runs the exponentiation c^lambda separately modulo p^{s+1}
-/// and q^{s+1} and recombines by CRT — about twice as fast as working
-/// modulo N^{s+1} directly (half-width modular multiplies); paillier_test
-/// checks it against that direct computation. Per-level moduli,
-/// Montgomery contexts, the CRT coefficient and lambda inverses are
-/// derived once and cached (thread-safe).
+/// Decryption recovers m mod p^s and m mod q^s separately and recombines
+/// them by CRT modulo p^s q^s = N^s (Paillier, EUROCRYPT '99, Section 7;
+/// Damgård-Jurik, Section 4). For r in {p, q}, c^{r-1} mod r^{s+1} equals
+/// (1+N)^{m(r-1)}, because the blinding's N^s-th power has order dividing
+/// r - 1 there. So each half runs one bits(r-1)-bit exponent over r^{s+1},
+/// against the 2*bits(r)-bit lambda of the textbook path, then the
+/// Damgård-Jurik logarithm base 1+r over r (internal::ExtractDjLog) and
+/// one product by a per-level scale. paillier_test and
+/// bigint_gmp_diff_test check it against the direct lambda path modulo
+/// N^{s+1}.
 class Decryptor {
  public:
   Decryptor(PublicKey pk, SecretKey sk);
@@ -343,24 +365,37 @@ class Decryptor {
   Result<BigInt> DecryptLayered(const Ciphertext& outer) const;
 
  private:
-  /// Per-level decryption constants: N^s, p^{s+1}/q^{s+1} with their
-  /// Montgomery contexts and CRT coefficient, and lambda^{-1} mod N^s.
-  struct LevelCache {
-    BigInt n_s;    // N^s
-    BigInt p_pow;  // p^{s+1}
-    BigInt q_pow;  // q^{s+1}
-    // p_pow^{-1} mod q_pow
-    Result<BigInt> crt_coeff = Status::Internal("unset");
-    std::unique_ptr<MontgomeryContext> p_ctx;
-    std::unique_ptr<MontgomeryContext> q_ctx;
-    Result<BigInt> lambda_inv = Status::Internal("unset");  // mod N^s
+  /// One secret prime r's constants at level s. (1+N) mod r^{s+1} is
+  /// (1+r)^L with L = ExtractDjLog((1+N) mod r^{s+1}, r, s), a unit mod
+  /// r^s, so m mod r^s = ExtractDjLog(c^{r-1} mod r^{s+1}, r, s) * scale
+  /// mod r^s with scale = ((r-1) L)^{-1} mod r^s: no exponentiation.
+  struct Half {
+    BigInt r;
+    BigInt r_minus_1;  // the exponent
+    BigInt r_pow_s;    // r^s
+    BigInt r_pow;      // r^{s+1}
+    std::unique_ptr<MontgomeryContext> ctx;  // over r_pow
+    BigInt scale;      // ((r-1) L)^{-1} mod r^s
   };
+  static Result<Half> MakeHalf(const BigInt& r, const BigInt& n, int s);
+
+  /// m mod r^s for the level-s ciphertext value c.
+  static Result<BigInt> DecryptHalf(const BigInt& c, const Half& half, int s);
+
+  /// Per-level decryption constants: one Half per prime (with its
+  /// Montgomery context over r^{s+1}) and the CRT coefficient.
+  struct LevelCache {
+    Status status;  // why the constants below are unusable, if they are
+    Half p_half;
+    Half q_half;
+    BigInt crt_coeff;  // (p^s)^{-1} mod q^s
+  };
+
+  /// Fills `lv` with the constants of level `s`; stops at the first error.
+  Status BuildLevel(int s, LevelCache& lv) const;
 
   /// Lazily builds (then reuses) the cache for level `s`. Thread-safe.
   const LevelCache& Level(int s) const;
-
-  /// c^lambda mod N^{s+1}, via CRT.
-  Result<BigInt> PowLambda(const BigInt& c, int s) const;
 
   PublicKey pk_;
   SecretKey sk_;
@@ -370,8 +405,11 @@ class Decryptor {
 };
 
 namespace internal {
-/// Recovers x from (1+N)^x mod N^{s+1} (Damgård-Jurik's recursive
-/// extraction). Exposed for testing.
+/// Recovers x mod n^s from (1+n)^x mod n^{s+1} (Damgård-Jurik's
+/// recursive extraction). Holds for any n whose k!, for k <= s, are units
+/// mod n: so for a Paillier N, and for a prime n > s, as the Decryptor
+/// uses it on each CRT half. Errors when a is not 1 mod n. Exposed for
+/// testing.
 Result<BigInt> ExtractDjLog(const BigInt& a, const BigInt& n, int s);
 }  // namespace internal
 

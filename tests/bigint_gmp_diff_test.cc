@@ -228,6 +228,51 @@ TEST(GmpDiffTest, KeyHolderBlindingOnEdgeExponents) {
   }
 }
 
+TEST(GmpDiffTest, KeyHolderDecryptMatchesGmp) {
+  // Decrypt takes c^{r-1} modulo each r^{s+1} and the logarithm on each
+  // half; it must return what the textbook path does: c^lambda mod
+  // N^{s+1}, the Damgard-Jurik logarithm over N, then lambda^{-1} mod N^s.
+  // Inputs are valid encryptions and arbitrary c coprime to N, 1 and
+  // N^{s+1} - 1 among them.
+  Rng rng(16);
+  for (int key_bits : {128, 256, 512, 1024}) {
+    const KeyPair keys = GenerateKeyPair(key_bits, rng).value();
+    const Encryptor enc(keys);
+    const Decryptor dec(keys.pub, keys.sec);
+    for (int level = 1; level <= 3; ++level) {
+      const BigInt n_s = keys.pub.NPow(level);
+      const BigInt modulus = n_s * keys.pub.n;
+      std::vector<BigInt> inputs = {BigInt(1), modulus - BigInt(1)};
+      for (int i = 0; i < 2; ++i) {
+        inputs.push_back(
+            enc.Encrypt(BigInt::RandomBelow(n_s, rng), rng, level)
+                .value()
+                .value);
+        BigInt c;
+        do {
+          c = BigInt::RandomBelow(modulus, rng);
+        } while (Gcd(c, keys.pub.n) != BigInt(1));
+        inputs.push_back(c);
+      }
+      const BigInt lambda_inv = ModInverse(keys.sec.lambda, n_s).value();
+      for (const BigInt& c : inputs) {
+        GmpInt c_g(c), lambda(keys.sec.lambda), modulus_g(modulus), a;
+        mpz_powm(a.v_, c_g.v_, lambda.v_, modulus_g.v_);
+        const BigInt lambda_m =
+            internal::ExtractDjLog(BigInt::FromHex(a.ToHex()).value(),
+                                   keys.pub.n, level)
+                .value();
+        Ciphertext ct;
+        ct.value = c;
+        ct.level = level;
+        EXPECT_EQ(dec.Decrypt(ct).value(), ModMul(lambda_m, lambda_inv, n_s))
+            << key_bits << "-bit key, level " << level << ", c bits "
+            << c.BitLength();
+      }
+    }
+  }
+}
+
 // ---- the Montgomery kernel, one row at a time ----
 
 enum class Row { kPortable, kAdx };

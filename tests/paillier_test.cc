@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bigint/fixedbase.h"
 #include "bigint/modular.h"
+#include "bigint/montgomery.h"
 
 namespace ppgnn {
 namespace {
@@ -392,6 +395,87 @@ TEST_F(PaillierTest, KeyHolderBuildsOneContextPerHalf) {
     ASSERT_TRUE(enc.Encrypt(BigInt(0), rng, level).ok());
     EXPECT_EQ(MontgomeryContext::created_count(), before + 2)
         << "level " << level;
+  }
+}
+
+TEST_F(PaillierTest, KeyHolderEncryptorRoundTripsAtLevel3) {
+  // Each half's blinding base is (2^{q'^s mod (r-1)} mod r)^{r^s} mod
+  // r^{s+1}; s = 3 checks that identity past the protocol's two levels.
+  Encryptor enc(*keys_);
+  Decryptor dec(keys_->pub, keys_->sec);
+  Rng rng(93);
+  const BigInt n_3 = keys_->pub.NPow(3);
+  for (const BigInt& m : {BigInt(0), BigInt::RandomBelow(n_3, rng),
+                          n_3 - BigInt(1)}) {
+    const Ciphertext ct = enc.Encrypt(m, rng, 3).value();
+    EXPECT_EQ(dec.Decrypt(ct).value(), m);
+  }
+}
+
+TEST_F(PaillierTest, DecryptRunsHalfWidthExponents) {
+  // Each CRT half exponentiates by r - 1, not by lambda: a ModExp over a
+  // b-bit exponent runs at most b squares, ceil(b/4) window products and
+  // 17 more (the window table, the conversions and the domain's one).
+  Rng rng(94);
+  const KeyPair keys = GenerateKeyPair(512, rng).value();
+  const int b = std::max((keys.sec.p - BigInt(1)).BitLength(),
+                         (keys.sec.q - BigInt(1)).BitLength());
+  const uint64_t bound = 2 * static_cast<uint64_t>(b + (b + 3) / 4 + 17);
+  Encryptor enc(keys.pub);
+  Decryptor dec(keys.pub, keys.sec);
+  for (int level : {1, 2}) {
+    const BigInt m = BigInt::RandomBelow(keys.pub.NPow(level), rng);
+    const Ciphertext ct = enc.Encrypt(m, rng, level).value();
+    ASSERT_EQ(dec.Decrypt(ct).value(), m);  // builds the level's constants
+    const uint64_t before = MontgomeryContext::product_count();
+    ASSERT_EQ(dec.Decrypt(ct).value(), m);
+    EXPECT_LE(MontgomeryContext::product_count() - before, bound)
+        << "level " << level;
+  }
+}
+
+TEST_F(PaillierTest, DecryptRefusesCiphertextsSharingAFactorWithN) {
+  Decryptor dec(keys_->pub, keys_->sec);
+  for (int level : {1, 2}) {
+    for (const BigInt& value : {keys_->sec.p, BigInt(2) * keys_->sec.q}) {
+      Ciphertext ct;
+      ct.value = value;
+      ct.level = level;
+      const Result<BigInt> m = dec.Decrypt(ct);
+      ASSERT_FALSE(m.ok()) << "level " << level;
+      EXPECT_EQ(m.status().code(), StatusCode::kCryptoError)
+          << "level " << level;
+    }
+  }
+}
+
+TEST_F(PaillierTest, ConcurrentFirstDecryptsAtANewLevel) {
+  // Four threads share one Decryptor whose level-2 constants nobody has
+  // built yet; whichever decrypts first builds them under the lock.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3;
+  Encryptor enc(keys_->pub);
+  Rng rng(95);
+  std::vector<BigInt> plain;
+  std::vector<Ciphertext> cts;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    plain.push_back(BigInt::RandomBelow(keys_->pub.NPow(2), rng));
+    cts.push_back(enc.Encrypt(plain.back(), rng, 2).value());
+  }
+  const Decryptor dec(keys_->pub, keys_->sec);
+  std::vector<Result<BigInt>> got(cts.size(), Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = t * kPerThread; i < (t + 1) * kPerThread; ++i) {
+        got[i] = dec.Decrypt(cts[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < cts.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].status().ToString();
+    EXPECT_EQ(got[i].value(), plain[i]) << i;
   }
 }
 
