@@ -244,19 +244,24 @@ std::vector<uint64_t> MontgomeryContext::ExpDomain(
                 scratch.data());
   }
 
-  std::vector<uint64_t> acc = One();
-  const int top_window = (bits - 1) / kWindow;
-  for (int w = top_window; w >= 0; --w) {
-    if (w != top_window) {
-      for (int s = 0; s < kWindow; ++s) {
-        MontMulInto(acc.data(), acc.data(), acc.data(), scratch.data());
-      }
-    }
+  auto window = [&exponent](int w) {
     int chunk = 0;
     for (int bit = kWindow - 1; bit >= 0; --bit) {
       chunk = (chunk << 1) | (exponent.GetBit(w * kWindow + bit) ? 1 : 0);
     }
-    if (chunk != 0) {
+    return static_cast<size_t>(chunk);
+  };
+  // The top window holds the exponent's top set bit, so it is nonzero and
+  // its entry seeds the accumulator.
+  const int top_window = (bits - 1) / kWindow;
+  const size_t top = window(top_window);
+  std::vector<uint64_t> acc(table.begin() + top * limbs_,
+                            table.begin() + (top + 1) * limbs_);
+  for (int w = top_window - 1; w >= 0; --w) {
+    for (int s = 0; s < kWindow; ++s) {
+      MontMulInto(acc.data(), acc.data(), acc.data(), scratch.data());
+    }
+    if (const size_t chunk = window(w); chunk != 0) {
       MontMulInto(acc.data(), &table[chunk * limbs_], acc.data(),
                   scratch.data());
     }

@@ -54,7 +54,7 @@ std::vector<int> SubgroupOfUser(const PartitionPlan& plan) {
 
 Result<std::vector<std::vector<Point>>> GenerateCandidateQueries(
     const PartitionPlan& plan, const std::vector<LocationSet>& location_sets,
-    const std::atomic<bool>* cancel) {
+    Deadline deadline) {
   PPGNN_RETURN_IF_ERROR(ValidateSets(plan, location_sets));
   std::vector<int> subgroup = SubgroupOfUser(plan);
   std::vector<std::vector<Point>> out;
@@ -64,10 +64,9 @@ Result<std::vector<std::vector<Point>>> GenerateCandidateQueries(
     for (int j = 0; j < plan.alpha; ++j)
       combos *= static_cast<uint64_t>(plan.d_bar[seg - 1]);
     for (uint64_t code = 0; code < combos; ++code) {
-      // Poll coarsely: an atomic load per 64 candidates is invisible next
+      // Check coarsely: a clock read per 64 candidates is invisible next
       // to the per-candidate vector construction.
-      if ((out.size() & 63) == 0 && cancel != nullptr &&
-          cancel->load(std::memory_order_acquire)) {
+      if ((out.size() & 63) == 0 && Expired(deadline)) {
         return Status::DeadlineExceeded(
             "candidate expansion abandoned past deadline");
       }

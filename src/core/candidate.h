@@ -10,9 +10,9 @@
 #ifndef PPGNN_CORE_CANDIDATE_H_
 #define PPGNN_CORE_CANDIDATE_H_
 
-#include <atomic>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/status.h"
 #include "core/partition.h"
 #include "geo/point.h"
@@ -28,13 +28,13 @@ std::vector<int> SubgroupOfUser(const PartitionPlan& plan);
 
 /// Enumerates all candidate queries in candidate-list order. Each inner
 /// vector has one location per user, in user order. Validates that every
-/// location set has size sum(d_bar). `cancel`, when non-null, is a
-/// cooperative abort flag polled periodically during expansion (delta'
-/// can reach the millions under adversarial plans); once set the call
-/// returns DeadlineExceeded instead of finishing the enumeration.
+/// location set has size sum(d_bar). `deadline` is checked every 64
+/// candidates during expansion (delta' can reach the millions under
+/// adversarial plans); once it has passed the call returns
+/// DeadlineExceeded instead of finishing the enumeration.
 Result<std::vector<std::vector<Point>>> GenerateCandidateQueries(
     const PartitionPlan& plan, const std::vector<LocationSet>& location_sets,
-    const std::atomic<bool>* cancel = nullptr);
+    Deadline deadline = kNoDeadline);
 
 /// Reconstructs the single candidate query at 1-based index `qi` without
 /// materializing the whole list (used by tests and by attack tooling).

@@ -91,7 +91,7 @@ Result<LspCandidates> LspDecodeCandidates(
     const std::vector<uint8_t>& query_bytes,
     const std::vector<std::vector<uint8_t>>& upload_bytes,
     const TestConfig& test_config, bool sanitize, QueryInstrumentation& info,
-    const std::atomic<bool>* cancel) {
+    Deadline deadline) {
   LspCandidates out;
   PPGNN_ASSIGN_OR_RETURN(out.query, QueryMessage::Decode(query_bytes));
   info.delta_prime = out.query.plan.delta_prime;
@@ -109,8 +109,9 @@ Result<LspCandidates> LspDecodeCandidates(
     PPGNN_ASSIGN_OR_RETURN(out.sanitizer, AnswerSanitizer::Create(
                                               out.query.theta0, test_config));
   }
-  PPGNN_ASSIGN_OR_RETURN(out.candidates,
-                         GenerateCandidateQueries(out.query.plan, sets, cancel));
+  PPGNN_ASSIGN_OR_RETURN(
+      out.candidates,
+      GenerateCandidateQueries(out.query.plan, sets, deadline));
   return out;
 }
 
@@ -120,7 +121,7 @@ Result<LspCandidates> LspDecodeCandidates(
 Result<std::vector<uint8_t>> LspAnswerCandidates(
     const LspCandidates& request, const KgnnSource& kgnn,
     const DistanceOracle* oracle, int lsp_threads, QueryInstrumentation& info,
-    const std::atomic<bool>* cancel) {
+    Deadline deadline) {
   const QueryMessage& query = request.query;
   const std::vector<std::vector<Point>>& candidates = request.candidates;
 
@@ -145,7 +146,7 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
   FanOut(workers, &info.lsp_parallel_seconds, [&](int worker) {
     for (size_t i = static_cast<size_t>(worker); i < candidates.size();
          i += static_cast<size_t>(workers)) {
-      if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+      if (Expired(deadline)) {
         worker_status[worker] =
             Status::DeadlineExceeded("lsp: query abandoned past deadline");
         break;
@@ -182,7 +183,7 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
     info.sanitize_tests += worker_stats[w].tests_run;
   }
 
-  if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+  if (Expired(deadline)) {
     return Status::DeadlineExceeded("lsp: query abandoned before selection");
   }
   PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.select"));
@@ -191,12 +192,12 @@ Result<std::vector<uint8_t>> LspAnswerCandidates(
     PPGNN_ASSIGN_OR_RETURN(
         out.ciphertexts,
         PrivateSelectTwoPhase(enc, matrix, query.opt_indicator, lsp_threads,
-                              &info.lsp_parallel_seconds, cancel));
+                              &info.lsp_parallel_seconds, deadline));
   } else {
     PPGNN_ASSIGN_OR_RETURN(
         out.ciphertexts,
         PrivateSelect(enc, matrix, query.indicator, lsp_threads,
-                      &info.lsp_parallel_seconds, cancel));
+                      &info.lsp_parallel_seconds, deadline));
   }
   return out.Encode(query.pk);
 }
@@ -225,13 +226,13 @@ Result<std::vector<uint8_t>> LspHandleQuery(
     const LspDatabase& lsp, const std::vector<uint8_t>& query_bytes,
     const std::vector<std::vector<uint8_t>>& upload_bytes,
     const TestConfig& test_config, bool sanitize, int lsp_threads,
-    QueryInstrumentation* info, const std::atomic<bool>* cancel) {
+    QueryInstrumentation* info, Deadline deadline) {
   QueryInstrumentation local_info;
   if (info == nullptr) info = &local_info;
   PPGNN_ASSIGN_OR_RETURN(LspCandidates request,
                          LspDecodeCandidates(query_bytes, upload_bytes,
                                              test_config, sanitize, *info,
-                                             cancel));
+                                             deadline));
   const int k = request.query.k;
   const AggregateKind aggregate = request.query.aggregate;
   return LspAnswerCandidates(
@@ -239,12 +240,12 @@ Result<std::vector<uint8_t>> LspHandleQuery(
       [&lsp, k, aggregate](size_t, const std::vector<Point>& candidate) {
         return lsp.solver().Query(candidate, k, aggregate);
       },
-      lsp.distance_oracle(), lsp_threads, *info, cancel);
+      lsp.distance_oracle(), lsp_threads, *info, deadline);
 }
 
 Result<std::vector<uint8_t>> LspHandleShardQuery(
     const LspDatabase& lsp, const std::vector<uint8_t>& query_bytes,
-    QueryInstrumentation* info, const std::atomic<bool>* cancel) {
+    QueryInstrumentation* info, Deadline deadline) {
   QueryInstrumentation local_info;
   if (info == nullptr) info = &local_info;
   PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.process"));
@@ -254,7 +255,7 @@ Result<std::vector<uint8_t>> LspHandleShardQuery(
   ShardAnswerMessage answer;
   answer.candidates.reserve(query.candidates.size());
   for (const ShardQueryMessage::Candidate& candidate : query.candidates) {
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+    if (Expired(deadline)) {
       return Status::DeadlineExceeded("lsp: shard query abandoned");
     }
     PPGNN_RETURN_IF_ERROR(FailpointCheck("lsp.candidate"));

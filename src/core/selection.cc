@@ -7,11 +7,7 @@
 namespace ppgnn {
 namespace {
 
-bool Cancelled(const std::atomic<bool>* cancel) {
-  return cancel != nullptr && cancel->load(std::memory_order_acquire);
-}
-
-Status CancelledStatus() {
+Status ExpiredStatus() {
   return Status::DeadlineExceeded("selection abandoned past deadline");
 }
 
@@ -42,7 +38,7 @@ Status AnswerMatrix::Validate() const {
 Result<std::vector<Ciphertext>> PrivateSelect(
     const Encryptor& enc, const AnswerMatrix& matrix,
     const std::vector<Ciphertext>& indicator, int threads,
-    double* worker_seconds, const std::atomic<bool>* cancel) {
+    double* worker_seconds, Deadline deadline) {
   PPGNN_RETURN_IF_ERROR(matrix.Validate());
   if (indicator.size() != matrix.Cols())
     return Status::InvalidArgument(
@@ -82,8 +78,8 @@ Result<std::vector<Ciphertext>> PrivateSelect(
     const Encryptor::DotEngine engine = std::move(engine_or).value();
     std::vector<BigInt> row_chunk(end - begin);
     for (size_t r = 0; r < rows; ++r) {
-      if (Cancelled(cancel)) {
-        partial[w][r] = CancelledStatus();
+      if (Expired(deadline)) {
+        partial[w][r] = ExpiredStatus();
         break;
       }
       for (size_t c = begin; c < end; ++c) {
@@ -109,7 +105,7 @@ Result<std::vector<Ciphertext>> PrivateSelect(
 Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
     const Encryptor& enc, const AnswerMatrix& matrix,
     const OptIndicator& indicator, int threads, double* worker_seconds,
-    const std::atomic<bool>* cancel) {
+    Deadline deadline) {
   PPGNN_RETURN_IF_ERROR(matrix.Validate());
   const uint64_t omega = indicator.omega;
   const uint64_t block_size = indicator.block_size;
@@ -143,8 +139,8 @@ Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
          b += static_cast<uint64_t>(workers)) {
       const size_t col_begin = static_cast<size_t>(b * block_size);
       for (size_t r = 0; r < rows; ++r) {
-        if (Cancelled(cancel)) {
-          phase1[b][r] = CancelledStatus();
+        if (Expired(deadline)) {
+          phase1[b][r] = ExpiredStatus();
           break;
         }
         for (uint64_t i = 0; i < block_size; ++i) {
@@ -157,14 +153,14 @@ Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
   });
 
   // Phase 2: select the block with [[v2]], treating the eps_1 ciphertext
-  // values as eps_2 plaintexts. A cancelled or failed phase 1 returns its
+  // values as eps_2 plaintexts. An expired or failed phase 1 returns its
   // status here, first in row-major order, before the [[v2]] engine is
   // priced or built. One engine over [[v2]] serves all m rows; the
   // scalars here are full 2*keysize-bit values, which is where the shared
   // square chain of the multi-exponentiation pays off most.
   int phase1_bits = 0;
   for (size_t r = 0; r < rows; ++r) {
-    if (Cancelled(cancel)) return CancelledStatus();
+    if (Expired(deadline)) return ExpiredStatus();
     for (uint64_t b = 0; b < omega; ++b) {
       PPGNN_RETURN_IF_ERROR(phase1[b][r].status());
       phase1_bits =
@@ -178,7 +174,7 @@ Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
   out.reserve(rows);
   std::vector<BigInt> scalars(omega);
   for (size_t r = 0; r < rows; ++r) {
-    if (Cancelled(cancel)) return CancelledStatus();
+    if (Expired(deadline)) return ExpiredStatus();
     for (uint64_t b = 0; b < omega; ++b) {
       scalars[b] = phase1[b][r].value().value;
     }

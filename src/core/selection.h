@@ -15,9 +15,9 @@
 #ifndef PPGNN_CORE_SELECTION_H_
 #define PPGNN_CORE_SELECTION_H_
 
-#include <atomic>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/status.h"
 #include "core/indicator.h"
 #include "crypto/paillier.h"
@@ -41,24 +41,23 @@ struct AnswerMatrix {
 /// Add — bit-identical to the serial result (ciphertext multiplication is
 /// commutative and the math is exact). `worker_seconds`, when non-null,
 /// receives the CPU time burnt by spawned workers (for cost accounting).
-/// `cancel`, when non-null, is a cooperative abort flag polled between
-/// per-row dot products; once set the call returns DeadlineExceeded
-/// instead of finishing the remaining multi-exponentiations.
+/// `deadline` is checked between per-row dot products; once it has passed
+/// the call returns DeadlineExceeded instead of finishing the remaining
+/// multi-exponentiations.
 Result<std::vector<Ciphertext>> PrivateSelect(
     const Encryptor& enc, const AnswerMatrix& matrix,
     const std::vector<Ciphertext>& indicator, int threads = 1,
-    double* worker_seconds = nullptr,
-    const std::atomic<bool>* cancel = nullptr);
+    double* worker_seconds = nullptr, Deadline deadline = kNoDeadline);
 
 /// Two-phase selection (Fig 4b). Returns m eps_2 ciphertexts whose
 /// plaintexts are eps_1 ciphertexts of the real answer. With threads > 1
-/// the omega phase-1 blocks are processed in parallel. `cancel` is polled
-/// between phase-1 block rows and phase-2 rows, as in PrivateSelect.
+/// the omega phase-1 blocks are processed in parallel. `deadline` is
+/// checked between phase-1 block rows and phase-2 rows, as in
+/// PrivateSelect.
 Result<std::vector<Ciphertext>> PrivateSelectTwoPhase(
     const Encryptor& enc, const AnswerMatrix& matrix,
     const OptIndicator& indicator, int threads = 1,
-    double* worker_seconds = nullptr,
-    const std::atomic<bool>* cancel = nullptr);
+    double* worker_seconds = nullptr, Deadline deadline = kNoDeadline);
 
 }  // namespace ppgnn
 

@@ -133,16 +133,6 @@ Result<BigInt> OnePlusNToM(const BigInt& m, const BigInt& n, int s,
 
 namespace internal {
 
-Result<KeyHolderBlinding> KeyHolderBlinding::Create(const PublicKey& /*pk*/,
-                                                    const SecretKey& sk,
-                                                    int level) {
-  PPGNN_ASSIGN_OR_RETURN(const MontgomeryContext p_ctx,
-                         MontgomeryContext::Create(sk.p));
-  PPGNN_ASSIGN_OR_RETURN(const MontgomeryContext q_ctx,
-                         MontgomeryContext::Create(sk.q));
-  return Create(level, p_ctx, q_ctx);
-}
-
 Result<KeyHolderBlinding> KeyHolderBlinding::Create(
     int level, const MontgomeryContext& p_ctx, const MontgomeryContext& q_ctx) {
   if (level < 1) return Status::InvalidArgument("ciphertext level must be >= 1");

@@ -144,12 +144,8 @@ namespace internal {
 /// for testing.
 class KeyHolderBlinding {
  public:
-  /// Builds its own Montgomery contexts over p and q. The bases depend on
-  /// p and q alone, so `pk` is not read.
-  static Result<KeyHolderBlinding> Create(const PublicKey& pk,
-                                          const SecretKey& sk, int level);
-  /// The same on contexts over p and q that the caller keeps; they are
-  /// read only while the bases are derived.
+  /// Derives the bases on contexts over p and q that the caller keeps;
+  /// they are read only while the bases are derived.
   static Result<KeyHolderBlinding> Create(int level,
                                           const MontgomeryContext& p_ctx,
                                           const MontgomeryContext& q_ctx);

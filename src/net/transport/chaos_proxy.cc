@@ -205,10 +205,9 @@ ChaosProxy::Plan ChaosProxy::DrawPlan() {
 
 void ChaosProxy::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    Result<OwnedFd> accepted = TcpAccept(listen_fd_.get());
+    if (!accepted.ok()) continue;  // Shutdown's wake or an accept error
     sessions_.Reap();
-    Result<OwnedFd> accepted =
-        TcpAccept(listen_fd_.get(), config_.tick_seconds);
-    if (!accepted.ok()) continue;  // tick or transient accept error
     connections_.fetch_add(1, std::memory_order_relaxed);
     Result<OwnedFd> dialed =
         TcpConnect(config_.upstream_host, config_.upstream_port,
@@ -283,14 +282,12 @@ void ChaosProxy::PumpSession(Session* session) {
       pfds[i].events = POLLIN;
       pfds[i].revents = 0;
     }
-    const int timeout_ms = std::max(
-        1, static_cast<int>(config_.tick_seconds * 1000.0));
-    const int rc = ::poll(pfds, 2, timeout_ms);
+    // No timeout: data, EOF, a reset or Shutdown's shutdown(2) ends it.
+    const int rc = ::poll(pfds, 2, /*timeout=*/-1);
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (rc == 0) continue;  // tick; re-check stop flags
 
     bool finished = false;
     for (int i = 0; i < 2 && !finished; ++i) {
@@ -371,6 +368,8 @@ ChaosProxyStats ChaosProxy::Stats() const {
 
 void ChaosProxy::Shutdown() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;  // idempotent
+  // Wake the accept loop: a shut-down listener fails its blocked accept.
+  if (listen_fd_.valid()) (void)::shutdown(listen_fd_.get(), SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   // Wake a pump blocked in poll; its loop exits on the stop flag.
   sessions_.JoinAll([](Session& session) {

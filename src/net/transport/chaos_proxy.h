@@ -106,8 +106,6 @@ class ChaosProxy {
     std::string upstream_host = "127.0.0.1";
     uint16_t upstream_port = 0;
     double connect_timeout_seconds = 0.5;
-    /// How often blocked waits re-check the stop flag.
-    double tick_seconds = 0.02;
     uint64_t seed = 0xc4a05;
     std::vector<ChaosRule> rules;
   };
@@ -126,8 +124,9 @@ class ChaosProxy {
 
   ChaosProxyStats Stats() const;
 
-  /// Stops accepting, severs every proxied connection, joins threads.
-  /// Idempotent; the destructor calls it.
+  /// Shuts the listener down (waking the accept loop), severs every
+  /// proxied connection (waking its pump), joins threads. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
  private:
@@ -156,8 +155,9 @@ class ChaosProxy {
   void AcceptLoop();
   /// Draws the per-connection plan from the seeded rule schedules.
   Plan DrawPlan();
-  /// One thread pumps both directions (poll over the fd pair), applying
-  /// the session plan, until EOF/cut/stop.
+  /// One thread pumps both directions (poll over the fd pair, with no
+  /// timeout), applying the session plan, until EOF, a cut or Shutdown's
+  /// wake.
   void PumpSession(Session* session);
   /// Closes a fd so the peer sees RST instead of FIN.
   static void HardReset(OwnedFd* fd);
@@ -189,7 +189,8 @@ class ChaosProxy {
   std::atomic<uint64_t> bytes_forwarded_{0};
   std::atomic<uint64_t> bytes_swallowed_{0};
 
-  /// One pump thread per proxied connection, reaped by the accept loop.
+  /// One pump thread per proxied connection, reaped by the accept loop at
+  /// its next accept, or by Shutdown.
   /// Last: its threads use every member above.
   ThreadPerItem<Session> sessions_;
 };

@@ -27,9 +27,11 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-/// Remaining budget in milliseconds for poll(2), floored at 0 so an
-/// expired deadline still gets one non-blocking readiness check.
+/// Remaining budget in milliseconds for poll(2): -1 (no timeout) for
+/// kNoDeadline, floored at 0 so an expired deadline still gets one
+/// non-blocking readiness check.
 int PollTimeoutMs(SocketClock::time_point deadline) {
+  if (deadline == kNoDeadline) return -1;
   const auto remaining = deadline - SocketClock::now();
   if (remaining <= SocketClock::duration::zero()) return 0;
   const auto ms =
@@ -103,12 +105,11 @@ Result<uint16_t> ListenPort(int listen_fd) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
-Result<OwnedFd> TcpAccept(int listen_fd, double timeout_seconds) {
-  const auto deadline =
-      SocketClock::now() + std::chrono::duration_cast<SocketClock::duration>(
-                               std::chrono::duration<double>(timeout_seconds));
+Result<OwnedFd> TcpAccept(int listen_fd) {
   for (;;) {
-    PPGNN_RETURN_IF_ERROR(PollUntil(listen_fd, POLLIN, deadline));
+    // A listener shut down by another thread polls POLLHUP, and accept
+    // then fails with EINVAL.
+    PPGNN_RETURN_IF_ERROR(PollUntil(listen_fd, POLLIN, kNoDeadline));
     OwnedFd conn(::accept(listen_fd, nullptr, nullptr));
     if (conn.valid()) {
       PPGNN_RETURN_IF_ERROR(SetNonBlocking(conn.get()));

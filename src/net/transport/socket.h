@@ -3,7 +3,9 @@
 // Everything here is blocking-with-a-deadline: the fd is non-blocking
 // under the hood and every wait goes through poll(2) against an
 // absolute steady_clock deadline, so a stalled peer costs exactly the
-// budget the caller granted — never a hung thread. Writes use
+// budget the caller granted. A wait given kNoDeadline blocks until its
+// own event: data, EOF, or a shutdown(2) of the fd by another thread,
+// which is how an owner wakes it. Writes use
 // MSG_NOSIGNAL so a peer that vanished mid-write surfaces as EPIPE (a
 // Status) instead of killing the process with SIGPIPE.
 //
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/deadline.h"
 #include "common/status.h"
 
 namespace ppgnn {
@@ -65,9 +68,9 @@ Result<OwnedFd> TcpListen(uint16_t port, int backlog = 64);
 /// The local port a listening fd is bound to.
 Result<uint16_t> ListenPort(int listen_fd);
 
-/// Accepts one connection, waiting at most `timeout_seconds`.
-/// kDeadlineExceeded when nothing arrived in time.
-Result<OwnedFd> TcpAccept(int listen_fd, double timeout_seconds);
+/// Accepts one connection, waiting until a peer connects. A shutdown(2)
+/// of the listener by another thread wakes the wait and fails the call.
+Result<OwnedFd> TcpAccept(int listen_fd);
 
 /// Connects to a numeric IPv4 host:port within `timeout_seconds`
 /// (non-blocking connect + poll). The returned fd stays non-blocking.

@@ -36,9 +36,9 @@ Status TcpShardServer::Start() {
 
 void TcpShardServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
+    Result<OwnedFd> conn_fd = TcpAccept(listen_fd_.get());
+    if (!conn_fd.ok()) continue;  // Shutdown's wake or an accept error
     conns_.Reap();
-    Result<OwnedFd> conn_fd = TcpAccept(listen_fd_.get(), config_.tick_seconds);
-    if (!conn_fd.ok()) continue;  // tick (deadline) or transient accept error
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_unique<Connection>();
     conn->fd = std::move(conn_fd).value();
@@ -72,23 +72,17 @@ void TcpShardServer::ServeConnection(Connection* conn) {
       continue;
     }
 
-    // kNeedMore: read with a tick deadline so stop_ stays responsive.
-    const auto tick = SocketClock::now() +
-                      std::chrono::duration_cast<SocketClock::duration>(
-                          std::chrono::duration<double>(config_.tick_seconds));
+    // kNeedMore: an idle connection waits for data, EOF or Shutdown's
+    // wake; a half-read frame only until the stall guard's deadline.
+    const Deadline deadline =
+        reader.buffered() > 0 ? last_progress + stall_budget : kNoDeadline;
     Result<size_t> got =
-        RecvSome(conn->fd.get(), chunk.data(), chunk.size(), tick);
+        RecvSome(conn->fd.get(), chunk.data(), chunk.size(), deadline);
     if (!got.ok()) {
       if (got.status().code() == StatusCode::kDeadlineExceeded) {
-        // Idle tick. Cut only a peer stalled *mid-frame* too long.
-        if (reader.buffered() > 0 &&
-            SocketClock::now() - last_progress > stall_budget) {
-          stalled_connections_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        continue;
+        stalled_connections_.fetch_add(1, std::memory_order_relaxed);
       }
-      break;  // reset or hard error
+      break;  // stalled mid-frame, reset or hard error
     }
     if (got.value() == 0) break;  // orderly EOF
     reader.Feed(chunk.data(), got.value());
@@ -99,7 +93,7 @@ void TcpShardServer::ServeConnection(Connection* conn) {
                             std::memory_order_relaxed);
   connections_closed_.fetch_add(1, std::memory_order_relaxed);
   // Half-close our side now; the fd itself is closed when the accept
-  // loop (or Shutdown) reaps this thread.
+  // loop (at its next accept) or Shutdown reaps this thread.
   (void)::shutdown(conn->fd.get(), SHUT_RDWR);
 }
 
@@ -158,6 +152,8 @@ TcpServerStats TcpShardServer::Stats() const {
 
 void TcpShardServer::Shutdown(double drain_deadline_seconds) {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;  // idempotent
+  // Wake the accept loop: a shut-down listener fails its blocked accept.
+  if (listen_fd_.valid()) (void)::shutdown(listen_fd_.get(), SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
 
   // Drain the wrapped service first: in-flight Calls complete (or flush

@@ -9,8 +9,13 @@
 // at a time — concurrency is connections, which is exactly how the
 // client side (TcpLink's per-request pooled connections) drives it.
 //
-// A connection's thread ends when its peer hangs up (or on any of the
-// failures below); the accept loop then reaps it, closing its fd.
+// Every wait here ends on its own event; no thread wakes on a timer.
+// The accept loop blocks until a peer connects or Shutdown shuts the
+// listener down. A reader blocks until data, EOF or Shutdown's wake
+// (a shutdown(2) of its socket), with a deadline only while a frame is
+// half read. A connection's thread ends when its peer hangs up (or on
+// any of the failures below); the accept loop reaps it at its next
+// accept, closing its fd, and Shutdown reaps the rest.
 //
 // Failure containment, per connection:
 //   * Envelope that fails to decode -> a structured kMalformed
@@ -44,8 +49,6 @@ namespace ppgnn {
 struct TcpServerConfig {
   /// 0 = kernel-assigned ephemeral port; read it back with port().
   uint16_t port = 0;
-  /// How often blocked accept/read waits re-check the stop flag.
-  double tick_seconds = 0.05;
   /// A peer that goes silent *mid-frame* for longer than this is cut
   /// (slow-loris guard). Idle connections with no partial frame are
   /// never timed out.
@@ -84,9 +87,10 @@ class TcpShardServer {
 
   TcpServerStats Stats() const;
 
-  /// Stops accepting, drains the wrapped service (bounded by
-  /// `drain_deadline_seconds`, 0 = unbounded), severs remaining
-  /// connections, joins all threads. Idempotent; the destructor calls it.
+  /// Shuts the listener down (waking the accept loop), drains the wrapped
+  /// service (bounded by `drain_deadline_seconds`, 0 = unbounded), severs
+  /// remaining connections, joins all threads. Idempotent; the destructor
+  /// calls it.
   void Shutdown(double drain_deadline_seconds = 0.0);
 
  private:

@@ -77,7 +77,6 @@ LspService::LspService(Handler handler, ServiceConfig config)
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  monitor_ = std::thread([this] { MonitorLoop(); });
 }
 
 LspService::LspService(const LspDatabase& db, ServiceConfig config)
@@ -91,11 +90,11 @@ LspService::LspService(const LspDatabase& db, ServiceConfig config)
                               const HandlerContext& ctx) {
     if (IsShardQuery(request.query)) {
       return LspHandleShardQuery(*database, request.query, ctx.info,
-                                 ctx.cancel);
+                                 ctx.deadline);
     }
     return LspHandleQuery(*database, request.query, request.uploads,
                           config_.test_config, config_.sanitize,
-                          config_.lsp_threads, ctx.info, ctx.cancel);
+                          config_.lsp_threads, ctx.info, ctx.deadline);
   };
 }
 
@@ -145,7 +144,7 @@ bool LspService::Submit(ServiceRequest request, Callback done) {
   pending.deadline =
       budget > 0 ? now + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(budget))
-                 : Clock::time_point::max();
+                 : kNoDeadline;
   pending.request = std::move(request);
 
   // Dedup routing first: joining an in-flight duplicate or replaying a
@@ -346,9 +345,9 @@ void LspService::ProcessRequest(PendingRequest& req) {
 
   // Second cost gate, now against the *remaining* budget: a query whose
   // queue wait ate its slack is abandoned here, before any crypto, so a
-  // mid-execution cancellation only happens when the prediction itself
+  // mid-execution abandonment only happens when the prediction itself
   // was wrong.
-  if (req.has_features && req.deadline != Clock::time_point::max()) {
+  if (req.has_features && req.deadline != kNoDeadline) {
     const double remaining = Seconds(req.deadline - dequeued);
     if (cost_model_.PredictSeconds(req.features) > remaining) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
@@ -360,18 +359,6 @@ void LspService::ProcessRequest(PendingRequest& req) {
              /*cache_for_replay=*/false);
       return;
     }
-  }
-
-  // Publish the in-flight deadline so the monitor can cancel us
-  // cooperatively mid-query.
-  std::shared_ptr<InFlight> flight;
-  if (req.deadline != Clock::time_point::max()) {
-    flight = std::make_shared<InFlight>();
-    flight->deadline = req.deadline;
-    flight->cancel = std::make_shared<std::atomic<bool>>(false);
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.push_back(flight);
-    inflight_cv_.notify_one();
   }
 
   if (config_.test_execute_hook) config_.test_execute_hook();
@@ -386,18 +373,11 @@ void LspService::ProcessRequest(PendingRequest& req) {
   const bool executed = injected.ok();
   HandlerContext ctx;
   ctx.deadline = req.deadline;
-  ctx.cancel = flight != nullptr ? flight->cancel.get() : nullptr;
   ctx.info = &info;
   Result<std::vector<uint8_t>> answer =
       executed ? handler_(req.request, ctx)
                : Result<std::vector<uint8_t>>(injected);
   const double execute_seconds = Seconds(Clock::now() - execute_start);
-
-  if (flight != nullptr) {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.erase(std::remove(inflight_.begin(), inflight_.end(), flight),
-                    inflight_.end());
-  }
 
   if (executed) execute_.Record(execute_seconds);
 
@@ -429,30 +409,6 @@ void LspService::ProcessRequest(PendingRequest& req) {
     }
     Finish(req, MakeErrorFrame(code, status.ToString()),
            /*cache_for_replay=*/false);
-  }
-}
-
-void LspService::MonitorLoop() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  for (;;) {
-    if (monitor_stop_) return;
-    Clock::time_point next = Clock::time_point::max();
-    const Clock::time_point now = Clock::now();
-    for (const std::shared_ptr<InFlight>& flight : inflight_) {
-      if (now >= flight->deadline) {
-        // Release pairs with the handler's acquire load: everything the
-        // monitor observed before cancelling is visible to the bail-out
-        // path, and the flag itself feeds control flow (never relaxed).
-        flight->cancel->store(true, std::memory_order_release);
-      } else {
-        next = std::min(next, flight->deadline);
-      }
-    }
-    if (next == Clock::time_point::max()) {
-      inflight_cv_.wait(lock);
-    } else {
-      inflight_cv_.wait_until(lock, next);
-    }
   }
 }
 
@@ -504,7 +460,7 @@ void LspService::Shutdown(double drain_deadline_seconds) {
     // queue, then flush whatever is left with kShuttingDown frames —
     // every accepted request still gets exactly one reply, just without
     // executing. Executing requests always run to completion (their own
-    // deadlines bound them via the monitor).
+    // deadlines bound them at the pipeline's checkpoints).
     std::vector<PendingRequest> flushed;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -536,12 +492,6 @@ void LspService::Shutdown(double drain_deadline_seconds) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    monitor_stop_ = true;
-  }
-  inflight_cv_.notify_all();
-  if (monitor_.joinable()) monitor_.join();
 }
 
 }  // namespace ppgnn

@@ -16,11 +16,12 @@
 //     this transitively).
 //   * A pool of `workers` threads, each executing one query at a time.
 //   * Per-request deadlines: propagated from the wire (QueryMessage
-//     deadline_ms) or set locally; a monitor thread flips a cooperative
-//     cancel flag once a request overruns, and the query pipeline
-//     (candidate expansion, sanitize, both selection phases) abandons
-//     work at its next checkpoint. Requests that expire while queued —
-//     or whose predicted cost no longer fits the remaining budget at
+//     deadline_ms) or set locally. The worker hands the request's own
+//     deadline to the query pipeline, which checks it at the checkpoints
+//     it already has (candidate expansion, sanitize, both selection
+//     phases) and abandons work at the first one past it; no thread
+//     watches the clock for it. Requests that expire while queued — or
+//     whose predicted cost no longer fits the remaining budget at
 //     dequeue — are answered without executing at all.
 //   * Idempotent dedup: a request carrying an idempotency key joins the
 //     in-flight original with the same key (one execution, every leg
@@ -39,16 +40,17 @@
 #define PPGNN_SERVICE_LSP_SERVICE_H_
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "core/protocol.h"
 #include "core/wire.h"
 #include "net/latency.h"
@@ -149,17 +151,6 @@ struct ServiceStats {
   /// Queued requests flushed with kShuttingDown when a bounded drain
   /// (Shutdown with a deadline) ran out of time.
   uint64_t drain_flushed = 0;
-  /// Per-replica ladder counters (replicated cluster only).
-  struct ReplicaRow {
-    int shard = 0;
-    int replica = 0;
-    int health = 0;  ///< ReplicaHealth, as int to keep this header light
-    uint64_t served = 0;
-    uint64_t failed_over = 0;
-    uint64_t hedge_won = 0;
-    uint64_t transitions = 0;
-  };
-  std::vector<ReplicaRow> replicas;
   /// Error replies sent, indexed by WireError (kMalformed..kShuttingDown).
   std::array<uint64_t, kWireErrorCount> error_replies{};
   LatencySummary latency;      ///< admission -> reply, all outcomes
@@ -181,13 +172,10 @@ class LspService : public ServiceLink {
 
   /// Execution context handed to a Handler on the worker thread.
   struct HandlerContext {
-    /// Absolute deadline (time_point::max() = none) — a handler that fans
-    /// out further (the shard coordinator) derives downstream budgets
-    /// from it.
-    Clock::time_point deadline = Clock::time_point::max();
-    /// Cooperative cancel flag flipped by the deadline monitor; null when
-    /// the request carries no deadline.
-    const std::atomic<bool>* cancel = nullptr;
+    /// The request's absolute deadline, which the pipeline checks at its
+    /// checkpoints; a handler that fans out further (the shard
+    /// coordinator) derives downstream budgets from it.
+    Deadline deadline = kNoDeadline;
     /// Per-query instrumentation sink; never null.
     QueryInstrumentation* info = nullptr;
   };
@@ -201,8 +189,8 @@ class LspService : public ServiceLink {
   using Handler = std::function<Result<std::vector<uint8_t>>(
       const ServiceRequest&, const HandlerContext&)>;
 
-  /// Starts the worker pool and deadline monitor over the default
-  /// database handler. The database must outlive the service.
+  /// Starts the worker pool over the default database handler. The
+  /// database must outlive the service.
   LspService(const LspDatabase& db, ServiceConfig config);
   /// Same front-end over a custom execution handler (must be non-null;
   /// anything it references must outlive the service).
@@ -251,7 +239,7 @@ class LspService : public ServiceLink {
     ServiceRequest request;
     Callback done;
     Clock::time_point admitted;
-    Clock::time_point deadline;  // time_point::max() = none
+    Deadline deadline = kNoDeadline;
     CostFeatures features;
     bool has_features = false;
     uint64_t cache_key = 0;  // nonzero = this request is a dedup primary
@@ -260,15 +248,7 @@ class LspService : public ServiceLink {
     uint64_t cache_generation = 0;
   };
 
-  /// A request currently executing on some worker, visible to the
-  /// deadline monitor.
-  struct InFlight {
-    Clock::time_point deadline;
-    std::shared_ptr<std::atomic<bool>> cancel;
-  };
-
   void WorkerLoop();
-  void MonitorLoop();
   /// Executes (or expires) one dequeued request and replies on all legs.
   void ProcessRequest(PendingRequest& req);
   void Reply(PendingRequest& req, std::vector<uint8_t> frame);
@@ -309,15 +289,7 @@ class LspService : public ServiceLink {
   // ppgnn: guarded_by(stopping_, mu_)
   bool stopping_ = false;
 
-  std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  // ppgnn: guarded_by(inflight_, inflight_mu_)
-  std::vector<std::shared_ptr<InFlight>> inflight_;
-  // ppgnn: guarded_by(monitor_stop_, inflight_mu_)
-  bool monitor_stop_ = false;
-
   std::vector<std::thread> workers_;
-  std::thread monitor_;
 
   // Monotonic stats counters, read only by Stats(); relaxed ordering is
   // deliberate and sanctioned here (and only here).

@@ -48,7 +48,7 @@ struct ReplicaSetConfig {
   double probe_timeout_seconds = 0.25;
 };
 
-/// Per-replica ladder counters, snapshotted into ServiceStats.
+/// Per-replica ladder counters; ShardedLspService::Stats sums them.
 struct ReplicaSetStats {
   struct Replica {
     ReplicaHealth health = ReplicaHealth::kHealthy;

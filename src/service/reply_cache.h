@@ -12,7 +12,7 @@
 // client's whole call ends at that request's deadline. The request alone
 // therefore decides how long its entry lives:
 //   * An in-flight entry lives until its deadline plus the grace, then
-//     counts as abandoned (worker cancelled at the deadline, shard link
+//     counts as abandoned (worker gave up at the deadline, shard link
 //     died mid-fan-out): it is purged and its joined waiters are handed
 //     back, so the key does not replay as an "in-flight join" to every
 //     future retry forever. Without a deadline it lives until its
@@ -64,7 +64,7 @@ class ReplyCache {
 
   struct Options {
     /// How long an entry outlives its request's deadline (covers a worker
-    /// that is just finishing up as the monitor cancels it, and a
+    /// that is still reaching its next deadline checkpoint, and a
     /// duplicate still in transit); for a deadline-less request, how
     /// long its completed reply is kept.
     double grace_seconds = 1.0;

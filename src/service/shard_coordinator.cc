@@ -11,6 +11,7 @@
 #include "core/protocol.h"
 #include "core/wire.h"
 #include "geo/aggregate.h"
+#include "net/cost.h"
 
 namespace ppgnn {
 namespace {
@@ -134,22 +135,11 @@ ServiceStats ShardedLspService::Stats() const {
   stats.degraded_shards = degraded_shards_.load(std::memory_order_relaxed);
   stats.exact_despite_failures =
       exact_despite_failures_.load(std::memory_order_relaxed);
-  for (size_t j = 0; j < sets_.size(); ++j) {
-    const ReplicaSetStats set_stats = sets_[j]->Stats();
-    for (size_t r = 0; r < set_stats.replicas.size(); ++r) {
-      const ReplicaSetStats::Replica& in = set_stats.replicas[r];
-      ServiceStats::ReplicaRow row;
-      row.shard = static_cast<int>(j);
-      row.replica = static_cast<int>(r);
-      row.health = static_cast<int>(in.health);
-      row.served = in.served;
-      row.failed_over = in.failed_over;
-      row.hedge_won = in.hedge_won;
-      row.transitions = in.transitions;
-      stats.replica_failovers += in.failed_over;
-      stats.replica_hedge_wins += in.hedge_won;
-      stats.health_transitions += in.transitions;
-      stats.replicas.push_back(row);
+  for (const auto& set : sets_) {
+    for (const ReplicaSetStats::Replica& replica : set->Stats().replicas) {
+      stats.replica_failovers += replica.failed_over;
+      stats.replica_hedge_wins += replica.hedge_won;
+      stats.health_transitions += replica.transitions;
     }
   }
   return stats;
@@ -176,7 +166,7 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
       LspCandidates decoded,
       LspDecodeCandidates(request.query, request.uploads,
                           config_.front.test_config, config_.front.sanitize,
-                          *ctx.info, ctx.cancel));
+                          *ctx.info, ctx.deadline));
   const QueryMessage& query = decoded.query;
   const std::vector<std::vector<Point>>& candidates = decoded.candidates;
 
@@ -211,7 +201,7 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
   // call, and every shard leg carries it in the wire-v2 trailer.
   double remaining_seconds = 0.0;
   uint64_t remaining_ms = 0;
-  if (ctx.deadline != LspService::Clock::time_point::max()) {
+  if (ctx.deadline != kNoDeadline) {
     remaining_seconds = std::chrono::duration<double>(
                             ctx.deadline - LspService::Clock::now())
                             .count();
@@ -225,42 +215,49 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
                                   ? request.idempotency_key
                                   : query.idempotency_key;
 
-  std::vector<ShardReply> replies(shard_count);
-  std::vector<std::thread> scatter;
-  size_t routed_shards = 0;
+  std::vector<size_t> routed;
   for (size_t j = 0; j < shard_count; ++j) {
     if (shard_queries[j].candidates.empty()) continue;
-    ++routed_shards;
+    routed.push_back(j);
     ShardQueryMessage& sq = shard_queries[j];
     sq.k = query.k;
     sq.aggregate = query.aggregate;
     sq.deadline_ms = remaining_ms;
     sq.idempotency_key = parent_key != 0 ? MixKey(parent_key, j) : 0;
-    scatter.emplace_back([this, j, &sq, &replies, remaining_seconds]() {
-      // The set-wide failpoint models losing the whole slice (every
-      // replica at once) — the PR 7 dead-link scenario, and the only
-      // way to reach the degraded-merge tier when R > 1.
-      const std::string point = "shard.link." + std::to_string(j);
-      if (!FailpointCheck(point.c_str()).ok()) return;
-      Result<std::vector<uint8_t>> encoded = sq.Encode();
-      if (!encoded.ok()) return;
-      ServiceRequest sr;
-      sr.query = std::move(encoded).value();
-      sr.deadline_seconds = remaining_seconds;
-      sr.idempotency_key = sq.idempotency_key;
-      const ClientCallOutcome outcome = sets_[j]->Call(std::move(sr));
-      if (!outcome.answered) return;
-      Result<ResponseFrame> frame = ResponseFrame::Decode(outcome.frame);
-      if (!frame.ok() || frame.value().is_error) return;
-      Result<ShardAnswerMessage> answer =
-          ShardAnswerMessage::Decode(frame.value().answer);
-      if (!answer.ok()) return;
-      replies[j].answer = std::move(answer).value();
-      replies[j].responded = true;
-      replies[j].recovered = outcome.attempts + outcome.hedges > 1;
-    });
   }
-  for (std::thread& t : scatter) t.join();
+  const size_t routed_shards = routed.size();
+
+  // One leg per routed shard; the calling worker runs the first itself.
+  std::vector<ShardReply> replies(shard_count);
+  auto leg = [&](int w) {
+    const size_t j = routed[static_cast<size_t>(w)];
+    // The set-wide failpoint models losing the whole slice (every
+    // replica at once) — a dead shard link, and the only way to reach
+    // the degraded-merge tier when R > 1.
+    const std::string point = "shard.link." + std::to_string(j);
+    if (!FailpointCheck(point.c_str()).ok()) return;
+    Result<std::vector<uint8_t>> encoded = shard_queries[j].Encode();
+    if (!encoded.ok()) return;
+    ServiceRequest sr;
+    sr.query = std::move(encoded).value();
+    sr.deadline_seconds = remaining_seconds;
+    sr.idempotency_key = shard_queries[j].idempotency_key;
+    const ClientCallOutcome outcome = sets_[j]->Call(std::move(sr));
+    if (!outcome.answered) return;
+    Result<ResponseFrame> frame = ResponseFrame::Decode(outcome.frame);
+    if (!frame.ok() || frame.value().is_error) return;
+    Result<ShardAnswerMessage> answer =
+        ShardAnswerMessage::Decode(frame.value().answer);
+    if (!answer.ok()) return;
+    replies[j].answer = std::move(answer).value();
+    replies[j].responded = true;
+    replies[j].recovered = outcome.attempts + outcome.hedges > 1;
+  };
+  // FanOut runs task(0) even for zero workers, so skip it when nothing
+  // is routed.
+  if (routed_shards > 0) {
+    FanOut(static_cast<int>(routed_shards), nullptr, leg);
+  }
 
   size_t responded = 0;
   bool recovered = false;
@@ -315,7 +312,8 @@ Result<std::vector<uint8_t>> ShardedLspService::HandleQuery(
       [&merged](size_t index, const std::vector<Point>&) {
         return std::move(merged[index]);
       },
-      /*oracle=*/nullptr, config_.front.lsp_threads, *ctx.info, ctx.cancel);
+      /*oracle=*/nullptr, config_.front.lsp_threads, *ctx.info,
+      ctx.deadline);
 }
 
 }  // namespace ppgnn

@@ -19,10 +19,11 @@
 //     cost at its aggregate max-distance; shards whose aggregate
 //     min-distance exceeds the tightest such cap are pruned — exactly,
 //     since every POI they hold is then strictly worse than the cap);
-//   * scatters per-shard ShardQueryMessages, each as one ResilientClient
-//     call over its replica set's health-ordered route: retries,
-//     immediate failover, p99-derived cross-replica hedging, and a
-//     half-open probe when the whole set looks down — the request's
+//   * scatters per-shard ShardQueryMessages through FanOut (net/cost.h),
+//     the front worker running the first leg itself, each leg one
+//     ResilientClient call over its replica set's health-ordered route:
+//     retries, immediate failover, p99-derived cross-replica hedging,
+//     and a half-open probe when the whole set looks down — the request's
 //     remaining deadline bounding the call and riding, with a
 //     per-shard-derived idempotency key, in the wire-v2 trailer;
 //   * gathers the per-shard top-k lists and merges them per candidate by
@@ -131,8 +132,9 @@ class ShardedLspService {
   std::vector<uint8_t> Call(ServiceRequest request);
 
   /// Front-end stats with the resilience ladder filled in from the
-  /// gather path: degraded_shards, exact_despite_failures, failover /
-  /// hedge-win counts, health transitions, and per-replica rows.
+  /// gather path: degraded_shards, exact_despite_failures, and the
+  /// failover / hedge-win / health-transition counts summed over every
+  /// replica. Per replica, read replica_set(j).Stats().
   ServiceStats Stats() const;
 
   /// Stops the prober and the front-end first (drains coordinator

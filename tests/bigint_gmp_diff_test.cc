@@ -213,10 +213,14 @@ TEST(GmpDiffTest, KeyHolderBlindingOnEdgeExponents) {
     const KeyPair keys = GenerateKeyPair(key_bits, rng).value();
     const BigInt p1 = keys.sec.p - BigInt(1);
     const BigInt widest = (BigInt(1) << (key_bits + 64)) - BigInt(1);
+    // The prime contexts Encryptor(keys) builds and lends to each level.
+    const MontgomeryContext p_ctx =
+        MontgomeryContext::Create(keys.sec.p).value();
+    const MontgomeryContext q_ctx =
+        MontgomeryContext::Create(keys.sec.q).value();
     for (int level = 1; level <= 3; ++level) {
       const internal::KeyHolderBlinding blinding =
-          internal::KeyHolderBlinding::Create(keys.pub, keys.sec, level)
-              .value();
+          internal::KeyHolderBlinding::Create(level, p_ctx, q_ctx).value();
       for (const BigInt& t : {BigInt(0), p1, BigInt(3) * p1, widest}) {
         GmpInt modulus, out;
         GmpBlinding(keys, level, t, &modulus, &out);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -192,12 +193,12 @@ TEST_F(LspServiceTest, SanitationOnReturnsPrefix) {
   EXPECT_GT(info.sanitize_tests, 0u);
 }
 
-TEST_F(LspServiceTest, CancelFlagAbandonsQuery) {
+TEST_F(LspServiceTest, PassedDeadlineAbandonsQuery) {
   Rng rng(11);
   Request req = MakeRequest(rng);
-  std::atomic<bool> cancel{true};
+  const Deadline passed = std::chrono::steady_clock::now();
   auto result = LspHandleQuery(*db_, req.query, req.uploads, TestConfig{},
-                               /*sanitize=*/false, 1, nullptr, &cancel);
+                               /*sanitize=*/false, 1, nullptr, passed);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -616,6 +617,31 @@ TEST_F(ServiceTest, DeadlineCancelsMidExecution) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.deadline_expired, 1u);
   EXPECT_EQ(stats.served, 0u);
+}
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Each request's deadline is checked by the worker that runs it, so the
+// service starts its workers and no other thread.
+TEST_F(ServiceTest, RunsExactlyItsWorkerThreads) {
+  ServiceConfig config;
+  config.workers = 3;
+  // ThreadSanitizer starts a helper thread with the process's first
+  // thread; let that happen before counting.
+  std::thread([] {}).join();
+  const size_t before = ThreadCount();
+  LspService service(*db_, config);
+  EXPECT_EQ(ThreadCount(), before + 3);
+  service.Shutdown();
+  EXPECT_EQ(ThreadCount(), before);
 }
 
 // The TSan workhorse: many closed-loop clients against a small queue

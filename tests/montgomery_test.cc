@@ -103,6 +103,34 @@ TEST(MontgomeryTest, ModExpEdgeCases) {
   EXPECT_EQ(ctx.ModExp(BigInt(123456789), m - BigInt(1)).value(), BigInt(1));
 }
 
+TEST(MontgomeryTest, ModExpRunsAnExactProductCount) {
+  // ToMont, the 14 window-table products and FromMont cost 16. The top
+  // 4-bit window's entry seeds the accumulator; each lower window costs
+  // four squarings, plus one product when it is nonzero.
+  Rng rng(7);
+  const BigInt m = GeneratePrime(192, rng).value();
+  const auto ctx = MontgomeryContext::Create(m).value();
+  const BigInt one(1);
+  const struct {
+    BigInt e;
+    uint64_t products;
+  } cases[] = {
+      {one, 16},                // the top window only
+      {BigInt(0xF), 16},
+      {BigInt(0x10), 20},       // one zero window below the top
+      {BigInt(0x11), 21},       // one nonzero window below the top
+      {(one << 64) - one, 91},  // 16 windows, all nonzero
+      {one << 100, 116},        // 26 windows, the 25 below the top zero
+  };
+  for (const auto& c : cases) {
+    const uint64_t before = MontgomeryContext::product_count();
+    const BigInt got = ctx.ModExp(BigInt(3), c.e).value();
+    EXPECT_EQ(MontgomeryContext::product_count() - before, c.products)
+        << c.e.ToHex();
+    EXPECT_EQ(got, LadderModExp(BigInt(3), c.e, m)) << c.e.ToHex();
+  }
+}
+
 TEST(MontgomeryTest, PublicModExpUsesItTransparently) {
   // ModExp routes odd moduli >= 128 bits through Montgomery; results must
   // be identical to the ladder.

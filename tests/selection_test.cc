@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 
 #include "bigint/montgomery.h"
 
@@ -208,10 +208,10 @@ TEST_F(SelectionTest, TwoPhaseCancelledInPhaseOneBuildsNoPhaseTwoEngine) {
   ASSERT_TRUE(enc.MakeDotEngine(opt.v1, matrix_bits, opt.omega * rows).ok());
   const uint64_t v1_products = MontgomeryContext::product_count() - before;
 
-  std::atomic<bool> cancel{true};
+  const Deadline passed = std::chrono::steady_clock::now();
   before = MontgomeryContext::product_count();
   auto selected = PrivateSelectTwoPhase(enc, matrix, opt, /*threads=*/1,
-                                        nullptr, &cancel);
+                                        nullptr, passed);
   ASSERT_FALSE(selected.ok());
   EXPECT_EQ(selected.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(MontgomeryContext::product_count() - before, v1_products);

@@ -556,21 +556,13 @@ TEST_F(ShardTest, KillPrimaryAcceptanceServesExactAnswers) {
 
   // The ladder surfaced per replica: (3,0) was demoted and never served
   // a winning leg; (3,1) carried the shard.
-  bool saw_dead = false, saw_backup = false;
-  for (const ServiceStats::ReplicaRow& row : stats.replicas) {
-    if (row.shard == 3 && row.replica == 0) {
-      saw_dead = true;
-      EXPECT_NE(row.health, 0);  // not healthy
-      EXPECT_EQ(row.served, 0u);
-      EXPECT_GE(row.transitions, 1u);
-    }
-    if (row.shard == 3 && row.replica == 1) {
-      saw_backup = true;
-      EXPECT_GE(row.served, 1u);
-    }
-  }
-  EXPECT_TRUE(saw_dead);
-  EXPECT_TRUE(saw_backup);
+  const ReplicaSetStats set_stats = cluster.replica_set(3).Stats();
+  ASSERT_EQ(set_stats.replicas.size(), 2u);
+  const ReplicaSetStats::Replica& dead = set_stats.replicas[0];
+  EXPECT_NE(dead.health, ReplicaHealth::kHealthy);
+  EXPECT_EQ(dead.served, 0u);
+  EXPECT_GE(dead.transitions, 1u);
+  EXPECT_GE(set_stats.replicas[1].served, 1u);
 }
 
 // Half-open recovery end to end: kill the primary, drive it down, lift

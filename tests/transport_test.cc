@@ -19,8 +19,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
+#include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -614,13 +618,154 @@ TEST_F(TransportTest, ClosedConnectionsGiveBackTheirFds) {
           [&] { return server.Stats().connections_accepted == server_conns; }));
     }  // each connection closes as it leaves scope
     // Every server-side thread has ended (a proxied one once its proxy
-    // session hung up); the accept loops reap them within a tick.
+    // session hung up); the accept loops reap each at their next accept.
     ASSERT_TRUE(wait_for(
         [&] { return server.Stats().connections_closed == server_conns; }));
     EXPECT_TRUE(wait_for([&] { return OpenFds() <= before + kSlack; }))
         << OpenFds() - before << " fds more than before";
   }
   proxy.Shutdown();
+  server.Shutdown(5.0);
+  service.Shutdown();
+}
+
+std::set<std::string> ThreadIds() {
+  std::set<std::string> tids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    tids.insert(entry.path().filename().string());
+  }
+  return tids;
+}
+
+/// Voluntary context switches of thread `tid` of this process so far.
+uint64_t VoluntarySwitches(const std::string& tid) {
+  std::ifstream status("/proc/self/task/" + tid + "/status");
+  const std::string key = "voluntary_ctxt_switches:";
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::strtoull(line.c_str() + key.size(), nullptr, 10);
+    }
+  }
+  ADD_FAILURE() << "no " << key << " line for thread " << tid;
+  return 0;
+}
+
+std::vector<uint8_t> RequestFrame(ServiceRequest request) {
+  TransportRequest env;
+  env.query = std::move(request.query);
+  env.uploads = std::move(request.uploads);
+  return EncodeTransportFrame(FrameType::kRequest, env.Encode());
+}
+
+/// Writes `request` on `fd` as one request frame and reads one frame back.
+TransportFrame RawExchange(int fd, ServiceRequest request) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const std::vector<uint8_t> framed = RequestFrame(std::move(request));
+  EXPECT_TRUE(SendAll(fd, framed.data(), framed.size(), deadline).ok());
+  FrameReader reader;
+  TransportFrame frame;
+  std::vector<uint8_t> buf(4096);
+  for (;;) {
+    Result<size_t> got = RecvSome(fd, buf.data(), buf.size(), deadline);
+    if (!got.ok() || got.value() == 0) {
+      ADD_FAILURE() << "no response frame";
+      return frame;
+    }
+    reader.Feed(buf.data(), got.value());
+    const FrameReader::PollResult poll = reader.Poll(&frame);
+    if (poll == FrameReader::PollResult::kFrame) return frame;
+    if (poll == FrameReader::PollResult::kFatal) {
+      ADD_FAILURE() << "fatal framing";
+      return frame;
+    }
+  }
+}
+
+// Every server thread waits on its own event: the accept loop until a
+// peer connects, a reader until its peer sends or hangs up. An idle
+// server therefore sleeps; neither thread wakes on a timer.
+TEST_F(TransportTest, IdleServerThreadsSleep) {
+  LspDatabase db(*pois_);
+  LspService service(db, ShardServiceConfig());
+  TcpShardServer server(service, {});
+  const std::set<std::string> before = ThreadIds();
+  ASSERT_TRUE(server.Start().ok());
+
+  // One exchange, then the connection stays open and idle.
+  Result<OwnedFd> conn = TcpConnect("127.0.0.1", server.port(), 1.0);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const TransportFrame reply =
+      RawExchange(conn.value().get(), MakeRequest(AggregateKind::kSum, 102));
+  EXPECT_EQ(reply.type, FrameType::kResponse);
+  EXPECT_FALSE(Decoded(reply.payload).is_error);
+
+  // The server's own threads: its accept loop and this connection's
+  // reader. Each may still finish the switch into its wait.
+  std::map<std::string, uint64_t> switches;
+  for (const std::string& tid : ThreadIds()) {
+    if (before.count(tid) == 0) switches[tid] = VoluntarySwitches(tid);
+  }
+  ASSERT_EQ(switches.size(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (const auto& [tid, at_start] : switches) {
+    EXPECT_LE(VoluntarySwitches(tid) - at_start, 1u) << "thread " << tid;
+  }
+  conn.value().Reset();
+  server.Shutdown(5.0);
+  service.Shutdown();
+}
+
+// The stall guard: a peer that goes silent with a frame half sent is cut
+// once read_timeout_seconds pass without progress; a peer with no partial
+// frame is never timed out.
+TEST_F(TransportTest, StallGuardCutsOnlyAHalfSentFrame) {
+  LspDatabase db(*pois_);
+  LspService service(db, ShardServiceConfig());
+  TcpServerConfig config;
+  config.read_timeout_seconds = 0.2;
+  TcpShardServer server(service, config);
+  ASSERT_TRUE(server.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+
+  Result<OwnedFd> idle = TcpConnect("127.0.0.1", server.port(), 1.0);
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  Result<OwnedFd> stalled = TcpConnect("127.0.0.1", server.port(), 1.0);
+  ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+
+  const std::vector<uint8_t> framed =
+      RequestFrame(MakeRequest(AggregateKind::kSum, 103));
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(SendAll(stalled.value().get(), framed.data(), framed.size() / 2,
+                      deadline)
+                  .ok());
+  // The server cuts the stalled peer (EOF or a reset, not our own
+  // timeout), no sooner than the guard's budget.
+  uint8_t byte = 0;
+  Result<size_t> got = RecvSome(stalled.value().get(), &byte, 1, deadline);
+  EXPECT_TRUE(got.ok() ? got.value() == 0
+                       : got.status().code() != StatusCode::kDeadlineExceeded)
+      << "expected the server to cut";
+  EXPECT_GE(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(200));
+  EXPECT_EQ(server.Stats().stalled_connections, 1u);
+
+  // The idle peer has been silent longer than the budget too, and it is
+  // still connected and served.
+  const TransportFrame reply =
+      RawExchange(idle.value().get(), MakeRequest(AggregateKind::kSum, 104));
+  EXPECT_EQ(reply.type, FrameType::kResponse);
+  EXPECT_FALSE(Decoded(reply.payload).is_error);
+  const TcpServerStats stats = server.Stats();
+  EXPECT_EQ(stats.stalled_connections, 1u);
+  EXPECT_EQ(stats.connections_closed, 1u);
+  EXPECT_EQ(stats.frames_served, 1u);
+
+  idle.value().Reset();
+  stalled.value().Reset();
   server.Shutdown(5.0);
   service.Shutdown();
 }
